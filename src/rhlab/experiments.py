@@ -255,6 +255,8 @@ def exp_orbit_traversal(cfg: ExperimentConfig, dip_time_slack: float = 0.05) -> 
             zeta = stepper.step(zeta, step_index=k)
         if k % cfg.diag_every == 0 or k == n_steps:
             rows.append((k * cfg.dt, lp_distance(zeta, target, cfg.p)))
+    header = ("t", "distance_to_target")
+    _write_csv(cfg, header, rows, (f"delta={delta:g}",))
     threshold = 2.0 * delta * SIN_THETA_NORM
     below = [t for t, d in rows if d < threshold]
     messages = [f"dip threshold {threshold:.6e}, predicted dip time {t_pred:.4f}"]
@@ -263,13 +265,11 @@ def exp_orbit_traversal(cfg: ExperimentConfig, dip_time_slack: float = 0.05) -> 
         return ExperimentResult(
             cfg.name, False,
             tuple(messages + [f"never dipped; min distance {min_d:.3e} at t={min_t:.3f}"]),
-            tuple(rows), ("t", "distance_to_target"))
+            tuple(rows), header)
     t_dip = min(below, key=lambda t: abs(t - t_pred))
     ok = abs(t_dip - t_pred) <= dip_time_slack * abs(t_pred)
     messages.append(f"dipped at t={t_dip:.4f} ({abs(t_dip - t_pred) / abs(t_pred):.2%} from prediction)")
-    _write_csv(cfg, ("t", "distance_to_target"), rows, (f"delta={delta:g}",))
-    return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows),
-                            ("t", "distance_to_target"))
+    return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows), header)
 
 
 def default_rearrange_stream(L: int) -> SpectralField:

@@ -100,8 +100,15 @@ def make_functional(name: str, omega: float = 0.0, zeta_ref: SpectralField | Non
     kwargs = {}
     if argstr:
         for part in argstr.split(","):
-            k, v = part.split("=")
-            kwargs[k.strip()] = float(v)
+            k, sep, v = part.partition("=")
+            if sep and k.strip():
+                try:
+                    kwargs[k.strip()] = float(v)
+                    continue
+                except ValueError:
+                    pass
+            raise ValueError(f"functional {name!r}: malformed argument {part.strip()!r}, "
+                             "expected key=number")
     if base == "arnold1":
         return lambda f: e_arnold1(f, omega)
     if base == "arnold2":

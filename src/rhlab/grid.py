@@ -9,7 +9,7 @@ the grid's resolution are exact up to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class GridSpec:
     n_lat >= L+1 and n_lon >= 2L+1 make the spherical-harmonic transform
     pair exact on bandlimited fields; the defaults n_lat = 2(L+1),
     n_lon = 4(L+1) add the margin needed so quadratic products of two
-    degree-L fields are analyzed without aliasing.
+    degree-L fields are analyzed without aliasing.  Grids from
+    `build_grid` are shared, so their arrays are read-only.
     """
 
     L: int
@@ -45,15 +46,26 @@ class GridSpec:
 
     @cached_property
     def cos_theta(self) -> np.ndarray:
-        return np.sqrt(1.0 - self.mu_nodes ** 2)
+        return _read_only(np.sqrt(1.0 - self.mu_nodes ** 2))
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
+        return _read_only(2.0 * np.pi * np.arange(self.n_lon) / self.n_lon)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> GridSpec:
-    """Build a GridSpec, validating the transform-exactness bounds."""
+    """The GridSpec for (L, n_lat, n_lon), validating the transform-exactness bounds.
+
+    Grids are cached by value: equal arguments after defaulting return the
+    same object, so the Legendre tables keyed on it are built once.  At
+    most two grids are kept (a run uses its stepping grid plus at most one
+    measurement grid, and one table set at L=170 takes over 200 MB).
+    """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")
     if n_lat is None:
@@ -64,8 +76,14 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
         raise ValueError(f"n_lat={n_lat} violates n_lat >= L+1 = {L + 1}")
     if n_lon < 2 * L + 1:
         raise ValueError(f"n_lon={n_lon} violates n_lon >= 2L+1 = {2 * L + 1}")
+    return _shared_grid(L, n_lat, n_lon)
+
+
+@lru_cache(maxsize=2)
+def _shared_grid(L: int, n_lat: int, n_lon: int) -> GridSpec:
     mu, w = gauss_legendre(n_lat)
-    return GridSpec(L=L, n_lat=n_lat, n_lon=n_lon, mu_nodes=mu, weights=w)
+    return GridSpec(L=L, n_lat=n_lat, n_lon=n_lon,
+                    mu_nodes=_read_only(mu), weights=_read_only(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +104,11 @@ class GridField:
 def integrate(f: GridField) -> float:
     """Surface integral of f over the sphere (d_sigma = cos(theta) dphi dtheta).
 
-    Latitude-major reduction in fixed index order, so results are bitwise
-    deterministic.
+    Latitude-major reduction in fixed index order, so the result is bitwise
+    repeatable for the same values.  The latitude sum is a BLAS dot of
+    n_lat terms, which OpenBLAS keeps on one thread at these lengths, so
+    OPENBLAS_NUM_THREADS does not change it.  Values from `synthesize`
+    carry the contract stated in `harmonics._synth_values`.
     """
     spec = f.spec
     row_sums = f.values.sum(axis=1)

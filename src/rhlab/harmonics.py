@@ -82,7 +82,10 @@ _TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, dict]" = weakref.WeakKeyDicti
 
 
 def grid_tables(spec: GridSpec) -> dict:
-    """Per-grid cached Legendre tables (value, quadrature-weighted, d/dtheta)."""
+    """Per-grid cached Legendre tables (value, quadrature-weighted, d/dtheta).
+
+    The tables are shared by every caller on `spec`, so they are read-only.
+    """
     tab = _TABLE_CACHE.get(spec)
     if tab is None:
         P = norm_legendre_table(spec.L, spec.mu_nodes)
@@ -91,6 +94,8 @@ def grid_tables(spec: GridSpec) -> dict:
             "Pw": P * spec.weights[None, None, :],
             "dP": norm_legendre_dtheta_table(spec.L, spec.mu_nodes, spec.cos_theta),
         }
+        for table in tab.values():
+            table.setflags(write=False)
         _TABLE_CACHE[spec] = tab
     return tab
 
@@ -177,7 +182,10 @@ def analyze(f: GridField, L: int) -> SpectralField:
     """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma.
 
     Longitude discrete Fourier sum, then Gauss quadrature in latitude;
-    exact to roundoff for fields bandlimited to degree <= L.
+    exact to roundoff for fields bandlimited to degree <= L.  The
+    quadrature is `_legendre_contract` on the transposed weighted table,
+    so the result is bitwise repeatable under the contract stated in
+    `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
     spec = f.spec
     if spec.n_lat < L + 1:
@@ -190,7 +198,7 @@ def analyze(f: GridField, L: int) -> SpectralField:
         P = norm_legendre_table(L, spec.mu_nodes)
         Pw = P * spec.weights[None, None, :]
     fourier = np.fft.rfft(f.values, axis=1)[:, : L + 1] * (2.0 * np.pi / spec.n_lon)
-    C = np.einsum("mjk,km->mj", Pw, fourier)
+    C = _legendre_contract(fourier.T, Pw.transpose(0, 2, 1))
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
     C[0] = C[0].real
     return SpectralField(L=L, coeffs=C)
@@ -204,9 +212,30 @@ def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
     return GridField(values=_synth_values(C, grid_tables(spec)["P"], spec.n_lon), spec=spec)
 
 
+def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """G[m, n] = sum_i C[m, i] table[m, i, n] for complex C and a real table.
+
+    The one Legendre kernel of synthesis, analysis and point evaluation.
+    It runs in real arithmetic: the real and imaginary parts of C are
+    stacked as two rows per m and contracted with one batched matmul, so
+    the table is read once and never promoted to complex.
+    """
+    rows = np.stack((C.real, C.imag), axis=1)
+    out = np.matmul(rows, table)
+    return out[:, 0] + 1j * out[:, 1]
+
+
 def _synth_values(C: np.ndarray, table: np.ndarray, n_lon: int) -> np.ndarray:
-    """Grid values from coefficient array C[m, j] and a Legendre-type table."""
-    G = np.einsum("mj,mjk->mk", C, table)
+    """Grid values from coefficient array C[m, j] and a Legendre-type table.
+
+    Determinism: the Legendre sum is a BLAS matmul (`_legendre_contract`),
+    so the output is bitwise repeatable for the same inputs on one
+    numpy/BLAS build with OPENBLAS_NUM_THREADS fixed.  BLAS does not
+    promise the same bits across thread counts (OpenBLAS 0.3.31 gave them
+    with 1 and 2 threads at L = 21, 90 and 170); pin the variable where
+    bits are compared.  `analyze` and `eval_point` share this contract.
+    """
+    G = _legendre_contract(C, table)
     imag0 = np.abs(G[0].imag).max() if G.shape[1] else 0.0
     if imag0 > 1e-12:
         raise ValueError(f"m=0 synthesis has imaginary residue {imag0:.3e}")
@@ -245,8 +274,7 @@ def eval_point(c: SpectralField, phi, theta):
     phi_b, theta_b = np.broadcast_arrays(phi_arr, theta_arr)
     shape = phi_b.shape
     mu = np.sin(theta_b.ravel())
-    P = norm_legendre_table(c.L, mu)
-    G = np.einsum("mj,mjk->mk", c.coeffs, P)
+    G = _legendre_contract(c.coeffs, norm_legendre_table(c.L, mu))
     vals = G[0].real.copy()
     for m in range(1, c.L + 1):
         vals += 2.0 * np.real(G[m] * np.exp(1j * m * phi_b.ravel()))
@@ -329,17 +357,40 @@ def save_spectral(c: SpectralField, path) -> None:
 
 
 def load_spectral(path) -> SpectralField:
+    """Read the `save_spectral` text format, rejecting malformed lines.
+
+    Each coefficient line must hold four fields 'j m re im' with
+    0 <= m <= j <= L, finite values, and no (j, m) given twice; a
+    violation raises ValueError naming the line.  Missing coefficients
+    are zero.
+    """
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2 or header[0] != "L":
-            raise ValueError(f"bad spectral file header: {header}")
+        if len(header) != 2 or header[0] != "L" or not header[1].isdigit():
+            raise ValueError(f"bad spectral file header: {header}, expected 'L <int>'")
         L = int(header[1])
         C = np.zeros((L + 1, L + 1), dtype=complex)
-        for line in fh:
-            if not line.strip():
+        seen = set()
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.split()
+            if not fields:
                 continue
-            j_s, m_s, re_s, im_s = line.split()
-            C[int(m_s), int(j_s)] = float(re_s) + 1j * float(im_s)
+            where = f"spectral file line {lineno} ({line.strip()!r})"
+            if len(fields) != 4:
+                raise ValueError(f"{where}: expected 4 fields 'j m re im', got {len(fields)}")
+            try:
+                j, m = int(fields[0]), int(fields[1])
+                v = complex(float(fields[2]), float(fields[3]))
+            except ValueError:
+                raise ValueError(f"{where}: fields are not 'int int float float'") from None
+            if not 0 <= m <= j <= L:
+                raise ValueError(f"{where}: (j, m) = ({j}, {m}) needs 0 <= m <= j <= L = {L}")
+            if (j, m) in seen:
+                raise ValueError(f"{where}: duplicate coefficient (j, m) = ({j}, {m})")
+            if not np.isfinite(v):
+                raise ValueError(f"{where}: non-finite value")
+            seen.add((j, m))
+            C[m, j] = v
     return SpectralField(L=L, coeffs=C)
 
 

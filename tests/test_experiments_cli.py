@@ -126,6 +126,20 @@ class TestExperimentsSmall:
         res = exp_orbit_traversal(cfg)
         assert res.ok, res.messages
 
+    def test_failed_traversal_still_writes_its_csv(self, tmp_path):
+        out = tmp_path / "trav.csv"
+        cfg = ExperimentConfig(name="trav", L=8, omega=0.0, alpha=1.0,
+                               Y=E2Coeffs(0.5, 0.3, 0.1, 0.2, 0.1),
+                               dt=1e-2, t_end=0.2, diag_every=5,
+                               delta=0.05, beta_target=0.7, output_path=str(out))
+        res = exp_orbit_traversal(cfg)
+        assert not res.ok
+        assert any("never dipped" in m for m in res.messages)
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "t,distance_to_target"
+        rows = [tuple(float(v) for v in l.split(",")) for l in lines[1:]]
+        assert rows == list(res.rows) and len(rows) == 5
+
     def test_traversal_rejects_zero_speed(self):
         # alpha + delta = 3 omega makes the perturbed wave stationary
         cfg = ExperimentConfig(omega=0.35, alpha=1.0, delta=0.05)

@@ -155,6 +155,16 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_functional("nope")
 
+    @pytest.mark.parametrize("name, arg", [
+        ("e_deg2[alpha]", "alpha"),
+        ("e_deg2[alpha=one]", "alpha=one"),
+        ("e_deg1_b[=0.5]", "=0.5"),
+    ])
+    def test_malformed_argument_rejected(self, name, arg):
+        with pytest.raises(ValueError, match="malformed argument") as err:
+            make_functional(name)
+        assert name in str(err.value) and repr(arg) in str(err.value)
+
     def test_arnold2_requires_reference(self):
         with pytest.raises(ValueError, match="reference"):
             make_functional("arnold2")

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhlab import grid
 from rhlab.grid import GridField, build_grid, gauss_legendre, integrate
 from rhlab.harmonics import synthesize
+from rhlab.orbit_metrics import lp_distance
+from rhlab.rotations import rotate_so3
 from tests.conftest import random_spectral
 
 
@@ -63,6 +66,43 @@ class TestBuildGrid:
     def test_weights_sum(self):
         spec = build_grid(9)
         assert abs(spec.weights.sum() - 2.0) < 1e-14
+
+
+class TestGridCache:
+    def test_equal_shapes_share_one_grid(self):
+        L = 7
+        assert build_grid(L) is build_grid(L, n_lat=2 * (L + 1), n_lon=4 * (L + 1))
+        assert build_grid(L) is not build_grid(L, n_lat=4 * (L + 1))
+
+    def test_at_most_two_grids_are_kept(self):
+        first = build_grid(5)
+        build_grid(6)
+        build_grid(7)
+        assert build_grid(5) is not first
+
+    def test_cached_arrays_are_read_only(self):
+        spec = build_grid(6)
+        for arr in (spec.mu_nodes, spec.weights, spec.cos_theta, spec.phi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_repeated_rotations_and_distances_build_each_grid_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting_gauss_legendre(n):
+            calls.append(n)
+            return gauss_legendre(n)
+
+        monkeypatch.setattr(grid, "gauss_legendre", counting_gauss_legendre)
+        grid._shared_grid.cache_clear()
+        L = 6
+        f = random_spectral(L, rng)
+        for euler in [(0.1, 0.2, 0.3), (1.0, -0.4, 2.0), (0.5, 1.5, -0.7)]:
+            g = rotate_so3(f, euler)
+            lp_distance(f, g, 2.0)
+            lp_distance(f, g, 3.0)
+        # the rotation grid 2(L+1) x 4(L+1) and the margin grid 4(L+1) x 4(L+1)
+        assert sorted(calls) == [2 * (L + 1), 4 * (L + 1)]
 
 
 class TestIntegrate:

@@ -7,10 +7,13 @@ from rhlab.grid import GridField, build_grid, integrate
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
+    _legendre_contract,
     analyze,
+    default_grid,
     e2_to_spectral,
     eval_point,
     from_coeff_dict,
+    grid_tables,
     inner_l2,
     load_spectral,
     norm_l2,
@@ -121,6 +124,33 @@ class TestTransformPair:
             analyze(g, 40)
 
 
+class TestLegendreContraction:
+    """The real-arithmetic kernel against a direct complex einsum."""
+
+    L = 90
+
+    def test_synthesis_direction_matches_complex_einsum(self, rng):
+        P = grid_tables(default_grid(self.L))["P"]
+        C = random_spectral(self.L, rng, zero_mean=False).coeffs
+        want = np.einsum("mj,mjk->mk", C, P)
+        got = _legendre_contract(C, P)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_analysis_direction_matches_complex_einsum(self, rng):
+        spec = default_grid(self.L)
+        Pw = grid_tables(spec)["Pw"]
+        F = rng.normal(size=(spec.n_lat, self.L + 1)) + 1j * rng.normal(size=(spec.n_lat, self.L + 1))
+        want = np.einsum("mjk,km->mj", Pw, F)
+        got = _legendre_contract(F.T, Pw.transpose(0, 2, 1))
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_shared_tables_are_read_only(self):
+        tables = grid_tables(build_grid(5))
+        for name in ("P", "Pw", "dP"):
+            with pytest.raises(ValueError, match="read-only"):
+                tables[name][0, 0, 0] = 1.0
+
+
 class TestEvalPoint:
     def test_pole_value(self):
         c = from_coeff_dict(4, {(2, 0): 1.0})
@@ -206,3 +236,36 @@ class TestTextFormat:
         assert lines[0] == "L 3"
         parts = lines[1].split()
         assert len(parts) == 4 and parts[0] == "0" and parts[1] == "0"
+
+    @given(L=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_roundtrip_is_exact(self, L, seed, tmp_path_factory):
+        f = random_spectral(L, np.random.default_rng(seed), zero_mean=False)
+        path = tmp_path_factory.mktemp("spectral") / "field.txt"
+        save_spectral(f, path)
+        assert np.array_equal(load_spectral(path).coeffs, f.coeffs)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 0 0.5", "expected 4 fields"),
+        ("1 0 0.5 0.0 7", "expected 4 fields"),
+        ("3 1 0.5 0.0", "0 <= m <= j <= L"),
+        ("1 2 0.5 0.0", "0 <= m <= j <= L"),
+        ("1 -1 0.5 0.0", "0 <= m <= j <= L"),
+        ("1 1 nan 0.0", "non-finite"),
+        ("1 1 0.5 inf", "non-finite"),
+        ("1 x 0.5 0.0", "not 'int int float float'"),
+        ("0 0 2.0 0.0", r"duplicate coefficient \(j, m\) = \(0, 0\)"),
+    ])
+    def test_malformed_line_rejected_with_its_number(self, tmp_path, line, message):
+        path = tmp_path / "field.txt"
+        path.write_text(f"L 2\n0 0 1.0 0.0\n{line}\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_spectral(path)
+        assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("header", ["", "L", "L two", "L -1", "N 3"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "field.txt"
+        path.write_text(f"{header}\n0 0 1.0 0.0\n")
+        with pytest.raises(ValueError, match="bad spectral file header"):
+            load_spectral(path)
