@@ -191,7 +191,7 @@ def exp_stability(cfg: ExperimentConfig, group: str = "polar",
                 if group == "polar":
                     d, _ = dist_polar_orbit(zeta, target, cfg.p)
                 else:
-                    d, _ = dist_so3_orbit(zeta, target, cfg.p, refine_maxiter=60)
+                    d, _ = dist_so3_orbit(zeta, target, cfg.p)
                 rows.append((eps, t, d))
                 sup_d = max(sup_d, d)
                 # conservation side-channel on the same run

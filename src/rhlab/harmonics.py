@@ -183,8 +183,8 @@ def analyze(f: GridField, L: int) -> SpectralField:
 
     Longitude discrete Fourier sum, then Gauss quadrature in latitude;
     exact to roundoff for fields bandlimited to degree <= L.  The
-    quadrature is `_legendre_contract` on the transposed weighted table,
-    so the result is bitwise repeatable under the contract stated in
+    quadrature is `_legendre_quadrature` on the weighted table, so the
+    result is bitwise repeatable under the contract stated in
     `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
     spec = f.spec
@@ -198,7 +198,7 @@ def analyze(f: GridField, L: int) -> SpectralField:
         P = norm_legendre_table(L, spec.mu_nodes)
         Pw = P * spec.weights[None, None, :]
     fourier = np.fft.rfft(f.values, axis=1)[:, : L + 1] * (2.0 * np.pi / spec.n_lon)
-    C = _legendre_contract(fourier.T, Pw.transpose(0, 2, 1))
+    C = _legendre_quadrature(Pw, fourier)
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
     C[0] = C[0].real
     return SpectralField(L=L, coeffs=C)
@@ -215,14 +215,28 @@ def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
 def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
     """G[m, n] = sum_i C[m, i] table[m, i, n] for complex C and a real table.
 
-    The one Legendre kernel of synthesis, analysis and point evaluation.
-    It runs in real arithmetic: the real and imaginary parts of C are
-    stacked as two rows per m and contracted with one batched matmul, so
-    the table is read once and never promoted to complex.
+    The Legendre kernel of synthesis and point evaluation (analysis uses
+    `_legendre_quadrature`).  It runs in real arithmetic: the real and
+    imaginary parts of C are stacked as two rows per m and contracted with
+    one batched matmul, so the table is read once and never promoted to
+    complex.
     """
     rows = np.stack((C.real, C.imag), axis=1)
     out = np.matmul(rows, table)
     return out[:, 0] + 1j * out[:, 1]
+
+
+def _legendre_quadrature(table: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """C[m, j] = sum_k table[m, j, k] F[k, m] for a real table and complex F.
+
+    The analysis counterpart of `_legendre_contract`: the table is read in
+    its stored layout, against F as two real columns (real and imaginary
+    part) per m, in one batched matmul.  Same determinism contract as
+    `_synth_values`.
+    """
+    cols = np.stack((F.real.T, F.imag.T), axis=-1)
+    out = np.matmul(table, cols)
+    return out[..., 0] + 1j * out[..., 1]
 
 
 def _synth_values(C: np.ndarray, table: np.ndarray, n_lon: int) -> np.ndarray:
@@ -360,9 +374,9 @@ def load_spectral(path) -> SpectralField:
     """Read the `save_spectral` text format, rejecting malformed lines.
 
     Each coefficient line must hold four fields 'j m re im' with
-    0 <= m <= j <= L, finite values, and no (j, m) given twice; a
-    violation raises ValueError naming the line.  Missing coefficients
-    are zero.
+    0 <= m <= j <= L, finite values, a zero imaginary part for m = 0
+    (the field is real), and no (j, m) given twice; a violation raises
+    ValueError naming the line.  Missing coefficients are zero.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -389,6 +403,9 @@ def load_spectral(path) -> SpectralField:
                 raise ValueError(f"{where}: duplicate coefficient (j, m) = ({j}, {m})")
             if not np.isfinite(v):
                 raise ValueError(f"{where}: non-finite value")
+            if m == 0 and v.imag != 0.0:
+                raise ValueError(f"{where}: m = 0 coefficient of a real field has "
+                                 f"imaginary part {v.imag:g}")
             seen.add((j, m))
             C[m, j] = v
     return SpectralField(L=L, coeffs=C)

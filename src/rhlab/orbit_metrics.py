@@ -2,24 +2,41 @@
 
 dist_polar_orbit minimizes over rotations about the polar axis (optionally
 composed with the longitude reflection); dist_so3_orbit minimizes over all
-of SO(3) by aligning the eigenframes of the degree-2 quadratic forms and
-refining with Nelder-Mead.  The SO(3) result is always a genuine orbit
-member's distance, hence a certified upper bound.
+of SO(3).  For p = 2 both reduce the distance to a correlation that is a
+trigonometric polynomial in the rotation angles (one angle for the polar
+orbit, three Euler angles for SO(3), with the Wigner matrices of
+`rotations`).  It is sampled exhaustively and its best local maxima are
+Newton-polished, so the result is the global optimum up to the sampling
+resolution.  The polynomial only locates the optimum: its expanded form
+cancels catastrophically near the orbit, so the returned distance is
+measured at the optimal orbit member, and is therefore also a certified
+upper bound.  For p != 2 a local refinement of lp_distance starts from
+the p = 2 optimum.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from .grid import GridField, build_grid, integrate
-from .harmonics import SpectralField, norm_l2, spectral_to_e2, synthesize
-from .invariants_algebra import quad_form_matrix
-from .operators import project_band
-from .rotations import euler_to_matrix, reflect_longitude, rotate_polar, rotate_so3
+from .harmonics import SpectralField, norm_l2, synthesize
+from .rotations import (
+    angular_momentum,
+    degree_vector,
+    euler_to_matrix,
+    jy_eigvecs,
+    matrix_to_euler,
+    reflect_longitude,
+    rotate_polar,
+    rotate_so3,
+    wigner_D,
+)
 
 P2_CROSSCHECK_TOL = 1e-8
-EIG_DEGENERATE_TOL = 1e-8
+SO3_POLISH = 8            # sampled correlation maxima polished by Newton
+SO3_NEWTON_MAXITER = 30
+SO3_TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
+SO3_LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement
 
 
 def _margin_grid(L: int):
@@ -103,6 +120,9 @@ def _polar_sweep(f: SpectralField, target: SpectralField, p: float):
         d, cand = min((measured(b), b) for b in polished)
         return d, float(cand % (2.0 * np.pi))
 
+    # scipy.optimize costs ~0.5 s to import and only p != 2 needs it
+    from scipy import optimize
+
     def dist(b):
         return lp_distance(f, rotate_polar(target, b), p)
 
@@ -134,70 +154,143 @@ def dist_polar_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
     return d, b
 
 
-def _matrix_to_euler(R: np.ndarray) -> tuple[float, float, float]:
-    """Z-Y-Z Euler angles of a proper rotation matrix."""
-    cb = np.clip(R[2, 2], -1.0, 1.0)
-    beta = float(np.arccos(cb))
-    if abs(cb) < 1.0 - 1e-12:
-        alpha = float(np.arctan2(R[1, 2], R[0, 2]))
-        gamma = float(np.arctan2(R[2, 1], -R[2, 0]))
-    else:
-        alpha = float(np.arctan2(R[1, 0], R[0, 0]) * np.sign(cb))
-        gamma = 0.0
-    return (alpha, beta, gamma)
+def _top_degree(c: SpectralField) -> int:
+    """Largest degree with a nonzero coefficient (0 for the zero field)."""
+    nonzero = np.flatnonzero(np.any(c.coeffs != 0.0, axis=0))
+    return int(nonzero[-1]) if nonzero.size else 0
 
 
-def _frame_candidates(f: SpectralField, target: SpectralField):
-    """Euler-angle candidates from aligning the degree-2 quadratic forms."""
-    yf = spectral_to_e2(project_band(f, 2), tol=np.inf)
-    yt = spectral_to_e2(project_band(target, 2), tol=np.inf)
-    Af = quad_form_matrix(yf)
-    At = quad_form_matrix(yt)
-    wf, Vf = np.linalg.eigh(Af)
-    wt, Vt = np.linalg.eigh(At)
-    degenerate = (np.min(np.diff(np.sort(wt))) < EIG_DEGENERATE_TOL * max(1.0, np.abs(wt).max())
-                  or np.min(np.diff(np.sort(wf))) < EIG_DEGENERATE_TOL * max(1.0, np.abs(wf).max()))
-    cands = []
-    for s1 in (1.0, -1.0):
-        for s2 in (1.0, -1.0):
-            S = np.diag([s1, s2, s1 * s2])  # det +1 sign flips
-            R = Vf @ S @ Vt.T
-            if np.linalg.det(R) < 0:
-                R = Vf @ (-S) @ Vt.T
-            cands.append(_matrix_to_euler(R))
-    return cands, degenerate
+def _rotation_exp(w: np.ndarray) -> np.ndarray:
+    """exp([w]x): the rotation by |w| about w (Rodrigues)."""
+    t = float(np.linalg.norm(w))
+    if t == 0.0:
+        return np.eye(3)
+    K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return np.eye(3) + (np.sin(t) / t) * K + ((1.0 - np.cos(t)) / t ** 2) * (K @ K)
 
 
-def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
-                   refine_maxiter: int = 120):
-    """Distance from f to the SO(3) orbit of target (certified upper bound).
+def _correlation_samples(fv, tv, n: int) -> np.ndarray:
+    """c(alpha, beta, gamma) = <f, D(alpha, beta, gamma) t> on an n^3 grid.
 
-    Eigenframe alignment of the degree-2 parts seeds the search (falling
-    back to a 16^3 Euler grid when the eigenvalues are degenerate), then
-    Nelder-Mead refines over Euler angles.  The returned distance is the
-    L^p distance to an actual rotation of target.
+    With d^j(beta) = V diag(e^{-i lam beta}) V^H the correlation is the
+    trigonometric polynomial sum C[m, lam, k] e^{i(m alpha + lam beta +
+    k gamma)}, C[m, lam, k] = sum_j f_j^m conj(V_{m lam}) V_{k lam}
+    conj(t_j^k), of degree J in each angle; one inverse FFT samples it at
+    the angles 2 pi (0..n-1)/n.
     """
+    A = np.zeros((n, n, n), dtype=complex)
+    for j, (f_j, t_j) in enumerate(zip(fv, tv)):
+        V = jy_eigvecs(j)
+        idx = np.arange(-j, j + 1) % n
+        A[np.ix_(idx, idx, idx)] += np.einsum(
+            "ml,kl->mlk", f_j[:, None] * V.conj(), V * t_j.conj()[:, None])
+    return (np.fft.ifftn(A) * n ** 3).real
 
-    def dist(euler):
-        return lp_distance(f, rotate_so3(target, tuple(euler)), p)
 
-    cands, degenerate = _frame_candidates(f, target)
-    if degenerate:
-        g = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        gb = np.linspace(0.0, np.pi, 16)
-        best, bestd = None, np.inf
-        for al in g:
-            for be in gb:
-                for ga in g:
-                    d = dist((al, be, ga))
-                    if d < bestd - 1e-15:
-                        bestd, best = d, (al, be, ga)
-        cands = [best] + cands
-    scored = sorted(((dist(e), e) for e in cands), key=lambda t: t[0])
-    d0, e0 = scored[0]
-    res = optimize.minimize(dist, np.asarray(e0), method="Nelder-Mead",
-                            options={"maxiter": refine_maxiter, "xatol": 1e-10,
+def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:
+    """Flat indices of the samples that no periodic neighbour exceeds, best first."""
+    M = c
+    for axis in range(c.ndim):
+        M = np.maximum(M, np.maximum(np.roll(M, 1, axis), np.roll(M, -1, axis)))
+    peaks = np.flatnonzero(c.ravel() >= M.ravel())
+    return peaks[np.argsort(-c.ravel()[peaks], kind="stable")]
+
+
+def _correlation_derivatives(fv, tv, R: np.ndarray):
+    """c = <f, D(R) t>, its gradient and Hessian in w at R(w) = exp([w]x) R.
+
+    D(exp([w]x)) = exp(-i w.J), so the gradient is <f, -i J_a D(R) t> and
+    the Hessian <f, -1/2 {J_a, J_b} D(R) t>.
+    """
+    euler = matrix_to_euler(R)
+    c, g, H = 0.0, np.zeros(3), np.zeros((3, 3))
+    for j, (f_j, t_j) in enumerate(zip(fv, tv)):
+        J = angular_momentum(j)
+        u = wigner_D(j, euler) @ t_j
+        Ju = J @ u                                # J_a u, shape (3, 2j+1)
+        JJu = np.einsum("amn,bn->abm", J, Ju)     # J_a J_b u
+        fc = f_j.conj()
+        c += float(np.real(fc @ u))
+        g += np.imag(Ju @ fc)
+        H -= np.real(JJu @ fc)
+    return c, g, 0.5 * (H + H.T)
+
+
+def _newton_polish(fv, tv, R: np.ndarray):
+    """Maximize c(R) = <f, D(R) t> by Newton steps R <- exp([w]x) R.
+
+    The local coordinates w are smooth at every R, so the polish does not
+    stall at the Euler gimbal lock (beta = 0, pi) as Newton in Euler
+    angles does.  Directions without negative curvature take no step, and
+    a step is at most 0.5 rad.  Returns (c, R) after the last step, or the
+    start if the steps lost correlation.
+    """
+    c0 = None
+    for _ in range(SO3_NEWTON_MAXITER):
+        c, g, H = _correlation_derivatives(fv, tv, R)
+        if c0 is None:
+            c0, R0 = c, R
+        lam, Q = np.linalg.eigh(H)
+        concave = lam < -1e-12 * np.abs(lam).max()
+        w = -Q[:, concave] @ ((Q[:, concave].T @ g) / lam[concave])
+        step = float(np.linalg.norm(w))
+        R = _rotation_exp(w * min(1.0, 0.5 / step)) @ R if step > 0.0 else R
+        if step < 1e-10:  # Newton converges quadratically: R is done
+            break
+    return (c, R) if c >= c0 - 1e-12 * abs(c0) else (c0, R0)
+
+
+def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
+    """Distance from f to the SO(3) orbit of target; returns (d, euler).
+
+    For p = 2, ||f - D(R) t||^2 = ||f||^2 + ||t||^2 - 2 <f, D(R) t>, so the
+    search maximizes the correlation: it is sampled on a 4(J+1)-per-axis
+    Euler grid by one 3-D FFT (J = the top degree of target), the best
+    SO3_POLISH periodic local maxima are Newton-polished in local
+    rotation coordinates, and the distance is measured at each polished
+    rotation R* that ties for the largest correlation as
+    lp_distance(f, rotate_so3(target, R*), 2).  The result is the global
+    minimum up to the sampling resolution, and always the measured
+    distance to an actual orbit member.  For p != 2, Nelder-Mead over
+    local rotation coordinates refines the p = 2 optimum of the same pair.
+    """
+    if f.L != target.L:
+        raise ValueError("fields must share a truncation degree")
+    J = _top_degree(target)
+    fv = [degree_vector(f, j) for j in range(J + 1)]
+    tv = [degree_vector(target, j) for j in range(J + 1)]
+    n = 4 * (J + 1)
+    samples = _correlation_samples(fv, tv, n)
+    seeds = _periodic_local_maxima(samples)[:SO3_POLISH]
+    polished = []
+    for a, b, g in zip(*np.unravel_index(seeds, samples.shape)):
+        euler = tuple(2.0 * np.pi * np.array([a, b, g]) / n)
+        polished.append(_newton_polish(fv, tv, euler_to_matrix(euler)))
+    polished.sort(key=lambda cR: -cR[0])
+    tie = SO3_TIE_RTOL * norm_l2(f) * norm_l2(target)
+    best: list[np.ndarray] = []
+    for c, R in polished:
+        if c < polished[0][0] - tie:
+            break
+        if all(np.abs(R - other).max() > 1e-8 for other in best):
+            best.append(R)
+    if p == 2.0:
+        d, euler = min((lp_distance(f, rotate_so3(target, e), p), e)
+                       for e in map(matrix_to_euler, best))
+        return float(d), euler
+
+    # scipy.optimize costs ~0.5 s to import and only p != 2 needs it
+    from scipy import optimize
+
+    R0 = best[0]
+
+    def dist(w):
+        return lp_distance(f, rotate_so3(target, matrix_to_euler(_rotation_exp(w) @ R0)), p)
+
+    d0 = dist(np.zeros(3))
+    res = optimize.minimize(dist, np.zeros(3), method="Nelder-Mead",
+                            options={"maxiter": SO3_LP_MAXITER, "xatol": 1e-10,
                                      "fatol": 1e-14})
     if res.fun < d0:
-        return float(res.fun), tuple(float(v) for v in res.x)
-    return float(d0), tuple(float(v) for v in e0)
+        return float(res.fun), matrix_to_euler(_rotation_exp(res.x) @ R0)
+    return float(d0), matrix_to_euler(R0)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -247,3 +252,16 @@ class TestCLI:
         assert rc == 1
         assert "short: FAIL" in out
         assert "never dipped" in out
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # scipy.optimize takes ~0.5 s to import; only p != 2 distances need it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rhlab.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True, timeout=60)
+        assert out.stdout.strip() == "False"

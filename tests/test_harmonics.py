@@ -8,6 +8,7 @@ from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
     _legendre_contract,
+    _legendre_quadrature,
     analyze,
     default_grid,
     e2_to_spectral,
@@ -144,6 +145,14 @@ class TestLegendreContraction:
         got = _legendre_contract(F.T, Pw.transpose(0, 2, 1))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng):
+        spec = default_grid(self.L)
+        Pw = grid_tables(spec)["Pw"]
+        F = rng.normal(size=(spec.n_lat, self.L + 1)) + 1j * rng.normal(size=(spec.n_lat, self.L + 1))
+        want = np.einsum("mjk,km->mj", Pw, F)
+        got = _legendre_quadrature(Pw, F)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_shared_tables_are_read_only(self):
         tables = grid_tables(build_grid(5))
         for name in ("P", "Pw", "dP"):
@@ -255,6 +264,7 @@ class TestTextFormat:
         ("1 1 0.5 inf", "non-finite"),
         ("1 x 0.5 0.0", "not 'int int float float'"),
         ("0 0 2.0 0.0", r"duplicate coefficient \(j, m\) = \(0, 0\)"),
+        ("2 0 0.5 1e-3", "m = 0 coefficient of a real field has imaginary part"),
     ])
     def test_malformed_line_rejected_with_its_number(self, tmp_path, line, message):
         path = tmp_path / "field.txt"

@@ -131,3 +131,37 @@ class TestSO3Orbit:
         f = rotate_so3(target, (0.0, 1.0, 0.0))
         d, _ = dist_so3_orbit(f, target)
         assert d < 1e-4
+
+
+class TestSO3GlobalSearch:
+    @pytest.mark.parametrize("euler", [(0.3, 0.0, 0.5), (0.3, 1e-9, 0.5), (0.2, np.pi, 0.4)])
+    def test_exact_member_at_gimbal_lock(self, euler):
+        target = random_spectral(5, np.random.default_rng(7))
+        f = rotate_so3(target, euler)
+        d, _ = dist_so3_orbit(f, target)
+        assert d < 1e-12
+
+    @pytest.mark.parametrize("seed, nelder_mead", [(27, 8.056229679504996),
+                                                   (17, 9.703408636788163)])
+    def test_generic_pair_is_below_every_sampled_rotation(self, seed, nelder_mead):
+        # nelder_mead: what eigenframe seeding + Nelder-Mead returned for the
+        # same pair, a local minimum
+        r = np.random.default_rng(seed)
+        f = random_spectral(5, r)
+        target = random_spectral(5, r)
+        d, euler = dist_so3_orbit(f, target)
+        assert lp_distance(f, rotate_so3(target, euler), 2.0) == pytest.approx(d, abs=1e-12)
+        # Haar-random rotations, measured by grid resampling
+        r = np.random.default_rng(100 + seed)
+        angles = zip(r.uniform(0.0, 2.0 * np.pi, 2000), np.arccos(r.uniform(-1.0, 1.0, 2000)),
+                     r.uniform(0.0, 2.0 * np.pi, 2000))
+        sampled = min(lp_distance(f, rotate_so3(target, e), 2.0) for e in angles)
+        assert d <= sampled + 1e-9
+        assert d < nelder_mead - 0.1
+
+    def test_general_p_exact_member(self):
+        target = random_spectral(5, np.random.default_rng(9))
+        f = rotate_so3(target, (1.3, 0.4, -0.6))
+        d, euler = dist_so3_orbit(f, target, p=3.0)
+        assert d < 1e-7
+        assert lp_distance(f, rotate_so3(target, euler), 3.0) == pytest.approx(d, abs=1e-12)

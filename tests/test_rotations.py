@@ -12,7 +12,16 @@ from rhlab.harmonics import (
     spectral_to_e2,
 )
 from rhlab.invariants_algebra import moments_numeric, same_o3_orbit
-from rhlab.rotations import euler_to_matrix, reflect_longitude, rotate_polar, rotate_so3
+from rhlab.rotations import (
+    angular_momentum,
+    euler_to_matrix,
+    matrix_to_euler,
+    reflect_longitude,
+    rotate_polar,
+    rotate_so3,
+    rotate_wigner,
+    wigner_d,
+)
 from tests.conftest import random_spectral
 
 
@@ -107,3 +116,35 @@ class TestRotateSO3:
         R = euler_to_matrix((0.3, 1.2, -0.7))
         assert np.abs(R @ R.T - np.eye(3)).max() < 1e-14
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
+
+
+GIMBAL_LOCK_EULERS = [(0.3, 0.0, 0.5), (0.3, 1e-9, 0.5), (0.2, np.pi, 0.4),
+                      (0.2, np.pi - 1e-9, 0.4)]
+
+
+class TestWignerRotation:
+    @pytest.mark.parametrize("L", [5, 21])
+    @pytest.mark.parametrize("euler", [(0.9, 0.6, -1.1), (-2.0, 2.5, 3.0)] + GIMBAL_LOCK_EULERS)
+    def test_equals_grid_rotation(self, L, euler):
+        # rotate_so3 resamples on the grid: an independent route to D(R) c
+        f = random_spectral(L, np.random.default_rng(L))
+        want = rotate_so3(f, euler).coeffs
+        got = rotate_wigner(f, euler).coeffs
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+    def test_generators_satisfy_the_commutation_relations(self):
+        for j in range(6):
+            Jx, Jy, Jz = angular_momentum(j)
+            assert np.abs(Jx @ Jy - Jy @ Jx - 1j * Jz).max() < 1e-12
+            assert np.abs(Jy @ Jz - Jz @ Jy - 1j * Jx).max() < 1e-12
+
+    def test_small_d_is_orthogonal_and_a_one_parameter_group(self):
+        for j in (1, 4, 9):
+            d = wigner_d(j, 0.7)
+            assert np.abs(d @ d.T - np.eye(2 * j + 1)).max() < 1e-13
+            assert np.abs(wigner_d(j, 0.3) @ wigner_d(j, 0.4) - d).max() < 1e-13
+
+    @pytest.mark.parametrize("euler", GIMBAL_LOCK_EULERS + [(1.0, 1.2, -2.0)])
+    def test_matrix_to_euler_reproduces_the_matrix(self, euler):
+        R = euler_to_matrix(euler)
+        assert np.abs(euler_to_matrix(matrix_to_euler(R)) - R).max() < 1e-15
