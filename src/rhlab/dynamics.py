@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridField
-from .harmonics import SpectralField, analyze, default_grid, synthesize_dphi, synthesize_dtheta
-from .operators import advection_tendency
+from .harmonics import SpectralField, default_grid, synthesize_gradients
+from .operators import advection_tendency, jacobian_tendency
 from .functionals import c1_triple, energy_proxy
 
 FILTER_S_DEFAULT = float(36.0 * np.log(10.0))
@@ -78,22 +77,13 @@ class Stepper:
             self._filter = np.exp(-cfg.filter_s * (j / cfg.L) ** cfg.filter_q)[None, :]
         self._psi_grids = None
         if cfg.stream is not None:
-            self._psi_grids = (
-                synthesize_dphi(cfg.stream, self.spec).values,
-                synthesize_dtheta(cfg.stream, self.spec).values,
-            )
+            self._psi_grids = synthesize_gradients((cfg.stream,), self.spec)[:, 0]
 
     def tendency(self, zeta: SpectralField) -> SpectralField:
         if self._psi_grids is None:
             return advection_tendency(zeta, self.cfg.omega, self.spec)
-        dpsi_phi, dpsi_th = self._psi_grids
-        dz_phi = synthesize_dphi(zeta, self.spec).values
-        dz_th = synthesize_dtheta(zeta, self.spec).values
-        jac = (dpsi_phi * dz_th - dpsi_th * dz_phi) / self.spec.cos_theta[:, None]
-        out = analyze(GridField(values=-jac, spec=self.spec), zeta.L)
-        C = out.coeffs.copy()
-        C[0, 0] = 0.0
-        return SpectralField(L=zeta.L, coeffs=C)
+        dzeta = synthesize_gradients((zeta,), self.spec)[:, 0]
+        return jacobian_tendency(self._psi_grids, dzeta, self.spec, zeta.L)
 
     def step(self, zeta: SpectralField, step_index: int = 0) -> SpectralField:
         dt = self.cfg.dt

@@ -9,6 +9,7 @@ seed, configuration, and package version for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -348,19 +349,40 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _config_float(key: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key!r}: {text!r} is not a finite number")
+    return value
+
+
+def _config_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: {text!r} is not an integer") from None
+
+
 def config_from_mapping(mapping: dict, **defaults) -> ExperimentConfig:
-    """Build an ExperimentConfig from string key=value pairs."""
+    """Build an ExperimentConfig from string key=value pairs.
+
+    A value that does not parse, or a non-finite number, raises a
+    ValueError naming the key and the value.
+    """
     cfg = ExperimentConfig(**defaults) if defaults else ExperimentConfig()
     updates = {}
     for key, value in mapping.items():
         if key in _FLOAT_KEYS:
-            updates[key] = float(value)
+            updates[key] = _config_float(key, value)
         elif key in _INT_KEYS:
-            updates[key] = int(value)
+            updates[key] = _config_int(key, value)
         elif key == "epsilons":
-            updates[key] = tuple(float(v) for v in value.split(","))
+            updates[key] = tuple(_config_float(key, v) for v in value.split(","))
         elif key == "Y":
-            parts = [float(v) for v in value.split(",")]
+            parts = [_config_float(key, v) for v in value.split(",")]
             if len(parts) != 5:
                 raise ValueError("Y must have five components a,b,c,d,e")
             updates[key] = E2Coeffs(*parts)

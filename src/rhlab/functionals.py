@@ -8,6 +8,7 @@ complex basis, with c_1^{-1} = -conj(c_1^1) by reality.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -84,31 +85,44 @@ def e_deg2_max(alpha: float, y_norm_sq: float) -> float:
     return beta ** 2 / 6.0 + y_norm_sq / 12.0
 
 
-_NAME_RE = re.compile(r"^(\w+)(?:\[(.*)\])?$")
+_NAME_RE = re.compile(r"(\w+)(?:\[(.*)\])?")
+# registry name -> the arguments it takes in brackets
+_ARGUMENTS = {"arnold1": (), "arnold2": (), "e_deg2": ("alpha",), "e_deg1_b": ("a",),
+              "energy_proxy": ()}
 
 
 def make_functional(name: str, omega: float = 0.0, zeta_ref: SpectralField | None = None):
     """Resolve a registry name like "arnold1" or "e_deg2[alpha=1.0]" to a callable.
 
     Returned callables map SpectralField -> float and are suitable for the
-    diagnostics list of dynamics.run.
+    diagnostics list of dynamics.run.  A malformed name, an unknown
+    functional or argument, or a non-finite argument value raises a
+    ValueError naming it.
     """
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise ValueError(f"bad functional name {name!r}")
     base, argstr = m.group(1), m.group(2)
+    if base not in _ARGUMENTS:
+        raise ValueError(f"unknown functional {base!r}")
     kwargs = {}
     if argstr:
         for part in argstr.split(","):
             k, sep, v = part.partition("=")
-            if sep and k.strip():
+            k = k.strip()
+            if sep and k:
                 try:
-                    kwargs[k.strip()] = float(v)
-                    continue
+                    value = float(v)
                 except ValueError:
-                    pass
+                    value = None
+                if value is not None and math.isfinite(value):
+                    if k not in _ARGUMENTS[base]:
+                        raise ValueError(f"functional {name!r}: unknown argument {k!r}, "
+                                         f"{base} takes {list(_ARGUMENTS[base])}")
+                    kwargs[k] = value
+                    continue
             raise ValueError(f"functional {name!r}: malformed argument {part.strip()!r}, "
-                             "expected key=number")
+                             "expected key=finite number")
     if base == "arnold1":
         return lambda f: e_arnold1(f, omega)
     if base == "arnold2":
@@ -121,6 +135,4 @@ def make_functional(name: str, omega: float = 0.0, zeta_ref: SpectralField | Non
     if base == "e_deg1_b":
         a = kwargs.get("a", 0.0)
         return lambda f: e_deg1_b(f, a)
-    if base == "energy_proxy":
-        return energy_proxy
-    raise ValueError(f"unknown functional {base!r}")
+    return energy_proxy

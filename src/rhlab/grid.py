@@ -62,9 +62,10 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     """The GridSpec for (L, n_lat, n_lon), validating the transform-exactness bounds.
 
     Grids are cached by value: equal arguments after defaulting return the
-    same object, so the Legendre tables keyed on it are built once.  At
+    same object, so the Legendre table keyed on it is built once.  At
     most two grids are kept (a run uses its stepping grid plus at most one
-    measurement grid, and one table set at L=170 takes over 200 MB).
+    measurement grid, and the table of the default grid at L=170 takes
+    about 81 MB).
     """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,12 +32,20 @@ SQRT4PI = float(np.sqrt(4.0 * np.pi))
 # --------------------------------------------------------------------------
 
 
+def _recurrence_eps(L: int) -> np.ndarray:
+    """eps[m, j] = sqrt((j^2 - m^2) / (4 j^2 - 1)) for 0 <= m < j <= L, else 0."""
+    j = np.arange(L + 1)
+    num = np.maximum(j * j - j[:, None] ** 2, 0)
+    return np.sqrt(num / np.abs(4.0 * j * j - 1.0))
+
+
 def norm_legendre_table(L: int, mu: np.ndarray) -> np.ndarray:
     """Table P[m, j, k] = N_j^m P_j^m(mu_k) for 0 <= m <= j <= L.
 
     Seeded from the normalized diagonal term and filled with the stable
-    three-term recurrence in j; entries with m > j are zero.  Valid for
-    any mu in [-1, 1], poles included.
+    three-term recurrence in j, one degree at a time for every order
+    m < j at once; entries with m > j are zero.  Valid for any mu in
+    [-1, 1], poles included.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     n = mu.size
@@ -45,59 +54,52 @@ def norm_legendre_table(L: int, mu: np.ndarray) -> np.ndarray:
     P[0, 0] = 1.0 / SQRT4PI
     for m in range(1, L + 1):
         P[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
-    for m in range(0, L + 1):
-        eps_prev = 0.0
-        prev2 = np.zeros(n)
-        prev1 = P[m, m]
-        for j in range(m + 1, L + 1):
-            eps = np.sqrt((j * j - m * m) / (4.0 * j * j - 1.0))
-            cur = (mu * prev1 - eps_prev * prev2) / eps
-            P[m, j] = cur
-            prev2, prev1, eps_prev = prev1, cur, eps
+    eps = _recurrence_eps(L)[:, :, None]
+    if L >= 1:
+        P[0, 1] = mu * P[0, 0] / eps[0, 1]
+    for j in range(2, L + 1):
+        # P[j-1, j-2] and eps[j-1, j-1] are zero, so order m = j-1 needs no case
+        P[:j, j] = (mu * P[:j, j - 1] - eps[:j, j - 1] * P[:j, j - 2]) / eps[:j, j]
     return P
 
 
-def norm_legendre_dtheta_table(L: int, mu: np.ndarray, cos_theta: np.ndarray) -> np.ndarray:
-    """Table dP[m, j, k] = d/dtheta [N_j^m P_j^m(sin theta)] at mu_k.
+@lru_cache(maxsize=4)
+def _dtheta_weights(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m Y_{j-1}^m - j eps_{j+1}^m Y_{j+1}^m.
 
-    Uses (1-mu^2) dP_j/dmu = (j+1) eps_j P_{j-1} - j eps_{j+1} P_{j+1}
-    with eps_j^m = sqrt((j^2-m^2)/(4j^2-1)), divided by cos(theta).
-    Requires cos(theta) > 0 (interior Gauss nodes only).
+    Returns (down, up), each indexed [m, 0, j] for 0 <= m, j <= L: the
+    weight that carries c_j^m to degree j-1 and to degree j+1.  Read-only,
+    since the cache hands the same arrays to every caller.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    full = norm_legendre_table(L + 1, mu)
-    dP = np.zeros((L + 1, L + 1, mu.size))
-    for m in range(0, L + 1):
-        for j in range(m, L + 1):
-            eps_up = np.sqrt(((j + 1.0) ** 2 - m * m) / (4.0 * (j + 1.0) ** 2 - 1.0))
-            acc = -j * eps_up * full[m, j + 1]
-            if j - 1 >= m:
-                eps_dn = np.sqrt((j * j - m * m) / (4.0 * j * j - 1.0))
-                acc = acc + (j + 1) * eps_dn * full[m, j - 1]
-            dP[m, j] = acc / cos_theta
-    return dP
+    eps = _recurrence_eps(L + 1)[: L + 1]
+    j = np.arange(L + 1)
+    down = ((j + 1.0) * eps[:, : L + 1])[:, None, :]
+    up = (-j * eps[:, 1:])[:, None, :]
+    down.setflags(write=False)
+    up.setflags(write=False)
+    return down, up
 
 
-_TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, dict]" = weakref.WeakKeyDictionary()
+_TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
-def grid_tables(spec: GridSpec) -> dict:
-    """Per-grid cached Legendre tables (value, quadrature-weighted, d/dtheta).
+def grid_tables(spec: GridSpec) -> np.ndarray:
+    """The grid's cached Legendre table: P of degree spec.L + 1 at its nodes.
 
-    The tables are shared by every caller on `spec`, so they are read-only.
+    One (L+2, L+2, n_lat) table `norm_legendre_table(spec.L + 1, mu)`
+    serves every transform on the grid: synthesis of values and d/dphi
+    contracts P[:L+1], d/dtheta contracts it against coefficients moved
+    one degree up and down (see `_dtheta_weights`), which is why the
+    table reaches degree L + 1, and analysis to any degree <= L + 1
+    reads the view P[:L'+1, :L'+1].  The table is shared by every caller
+    on `spec`, so it is read-only.
     """
-    tab = _TABLE_CACHE.get(spec)
-    if tab is None:
-        P = norm_legendre_table(spec.L, spec.mu_nodes)
-        tab = {
-            "P": P,
-            "Pw": P * spec.weights[None, None, :],
-            "dP": norm_legendre_dtheta_table(spec.L, spec.mu_nodes, spec.cos_theta),
-        }
-        for table in tab.values():
-            table.setflags(write=False)
-        _TABLE_CACHE[spec] = tab
-    return tab
+    table = _TABLE_CACHE.get(spec)
+    if table is None:
+        table = norm_legendre_table(spec.L + 1, spec.mu_nodes)
+        table.setflags(write=False)
+        _TABLE_CACHE[spec] = table
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -181,45 +183,39 @@ def inner_l2(c1: SpectralField, c2: SpectralField) -> float:
 def analyze(f: GridField, L: int) -> SpectralField:
     """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma.
 
-    Longitude discrete Fourier sum, then Gauss quadrature in latitude;
-    exact to roundoff for fields bandlimited to degree <= L.  The
-    quadrature is `_legendre_quadrature` on the weighted table, so the
-    result is bitwise repeatable under the contract stated in
-    `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
+    Longitude discrete Fourier sum, scaled by the Gauss weights of each
+    latitude, then the Legendre quadrature `_legendre_quadrature` against
+    the view P[:L+1, :L+1] of the grid's table, so any L <= spec.L + 1
+    needs no table of its own; exact to roundoff for fields bandlimited
+    to degree <= L.  The result is bitwise repeatable under the contract
+    stated in `_synth_values` (fixed numpy/BLAS build and
+    OPENBLAS_NUM_THREADS).
     """
     spec = f.spec
     if spec.n_lat < L + 1:
         raise ValueError(f"n_lat={spec.n_lat} < L+1={L + 1}: undersized grid")
     if spec.n_lon < 2 * L + 1:
         raise ValueError(f"n_lon={spec.n_lon} < 2L+1={2 * L + 1}: undersized grid")
-    if L == spec.L:
-        Pw = grid_tables(spec)["Pw"]
+    if L <= spec.L + 1:
+        table = grid_tables(spec)[: L + 1, : L + 1]
     else:
-        P = norm_legendre_table(L, spec.mu_nodes)
-        Pw = P * spec.weights[None, None, :]
-    fourier = np.fft.rfft(f.values, axis=1)[:, : L + 1] * (2.0 * np.pi / spec.n_lon)
-    C = _legendre_quadrature(Pw, fourier)
+        table = norm_legendre_table(L, spec.mu_nodes)
+    fourier = np.fft.rfft(f.values, axis=1)[:, : L + 1]
+    fourier *= ((2.0 * np.pi / spec.n_lon) * spec.weights)[:, None]
+    C = _legendre_quadrature(table, fourier)
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
     C[0] = C[0].real
     return SpectralField(L=L, coeffs=C)
 
 
-def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
-    """Inverse transform: pointwise sum of c_j^m Y_j^m on the grid."""
-    if spec.L < c.L:
-        raise ValueError(f"grid truncation {spec.L} < field truncation {c.L}")
-    C = pad_to(c, spec.L).coeffs
-    return GridField(values=_synth_values(C, grid_tables(spec)["P"], spec.n_lon), spec=spec)
-
-
 def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
     """G[m, n] = sum_i C[m, i] table[m, i, n] for complex C and a real table.
 
-    The Legendre kernel of synthesis and point evaluation (analysis uses
-    `_legendre_quadrature`).  It runs in real arithmetic: the real and
-    imaginary parts of C are stacked as two rows per m and contracted with
-    one batched matmul, so the table is read once and never promoted to
-    complex.
+    The Legendre kernel of point evaluation (`_synth_values` builds its
+    rows itself, analysis uses `_legendre_quadrature`).  It runs in real
+    arithmetic: the real and imaginary parts of C are stacked as two rows
+    per m and contracted with one batched matmul, so the table is read
+    once and never promoted to complex.
     """
     rows = np.stack((C.real, C.imag), axis=1)
     out = np.matmul(rows, table)
@@ -236,45 +232,113 @@ def _legendre_quadrature(table: np.ndarray, F: np.ndarray) -> np.ndarray:
     """
     cols = np.stack((F.real.T, F.imag.T), axis=-1)
     out = np.matmul(table, cols)
-    return out[..., 0] + 1j * out[..., 1]
+    return out.view(complex)[..., 0]
 
 
-def _synth_values(C: np.ndarray, table: np.ndarray, n_lon: int) -> np.ndarray:
-    """Grid values from coefficient array C[m, j] and a Legendre-type table.
+M0_IMAG_RTOL = 1e-12
 
-    Determinism: the Legendre sum is a BLAS matmul (`_legendre_contract`),
-    so the output is bitwise repeatable for the same inputs on one
-    numpy/BLAS build with OPENBLAS_NUM_THREADS fixed.  BLAS does not
-    promise the same bits across thread counts (OpenBLAS 0.3.31 gave them
-    with 1 and 2 threads at L = 21, 90 and 170); pin the variable where
-    bits are compared.  `analyze` and `eval_point` share this contract.
+
+def _check_real_m0(C: np.ndarray) -> None:
+    """Reject coefficients C[m, j] whose m = 0 row is not real.
+
+    Synthesis keeps only the real part of the m = 0 Fourier mode, so an
+    imaginary c_j^0 would vanish silently.  The bound is relative to the
+    largest coefficient, so it means the same for tiny and huge fields.
     """
-    G = _legendre_contract(C, table)
-    imag0 = np.abs(G[0].imag).max() if G.shape[1] else 0.0
-    if imag0 > 1e-12:
-        raise ValueError(f"m=0 synthesis has imaginary residue {imag0:.3e}")
-    n_half = n_lon // 2 + 1
-    H = np.zeros((table.shape[2], n_half), dtype=complex)
-    H[:, : G.shape[0]] = G.T * n_lon
-    return np.fft.irfft(H, n=n_lon, axis=1)
+    imag0 = np.abs(C[0].imag).max()
+    if imag0 > 0.0:
+        scale = np.abs(C).max()
+        if imag0 > M0_IMAG_RTOL * scale:
+            raise ValueError(f"m=0 synthesis has imaginary residue {imag0:.3e}, "
+                             f"{imag0 / scale:.3e} of the largest coefficient")
+
+
+def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
+    """Grids of each kind for each coefficient array C[m, j] (m, j <= spec.L) in Cs.
+
+    Returns shape (len(kinds), len(Cs), n_lat, n_lon).  A kind is "value"
+    (the field), "dphi" (i m times the value spectrum) or "dtheta".  For
+    d/dtheta the coefficients are recombined with `_dtheta_weights` into
+    those of cos(theta) d/dtheta, which reach degree L + 1, and the
+    spectrum is divided by cos(theta) (Gauss nodes exclude the poles).
+    Every grid comes from one batched real matmul of 2 rows per field
+    (real and imaginary part), plus 2 more per field when d/dtheta is
+    asked for, against P[:L+1] of the grid's table, and one irfft.
+
+    Determinism: the Legendre sum is a BLAS matmul, so the output is
+    bitwise repeatable for the same inputs on one numpy/BLAS build with
+    OPENBLAS_NUM_THREADS fixed.  BLAS does not promise the same bits
+    across thread counts (OpenBLAS 0.3.31 gave them with 1 and 2 threads
+    at L = 21, 90 and 170); pin the variable where bits are compared.
+    `analyze` and `eval_point` share this contract.
+    """
+    L, n_lat = spec.L, spec.n_lat
+    nf = len(Cs)
+    dtheta = "dtheta" in kinds
+    rows = np.zeros((L + 1, 2 * nf * (1 + dtheta), L + 2))
+    for i, C in enumerate(Cs):
+        _check_real_m0(C)
+        rows[:, 2 * i, : L + 1] = C.real
+        rows[:, 2 * i + 1, : L + 1] = C.imag
+    if dtheta:
+        down, up = _dtheta_weights(L)
+        values, derivs = rows[:, : 2 * nf], rows[:, 2 * nf:]
+        np.multiply(down[..., 1:], values[..., 1 : L + 1], out=derivs[..., :L])
+        derivs[..., 1:] += up * values[..., : L + 1]
+    out = np.matmul(rows, grid_tables(spec)[: L + 1])
+    # (value or cos(theta) d/dtheta, field, real or imaginary part, latitude, m)
+    spectra = out.reshape(L + 1, 1 + dtheta, nf, 2, n_lat).transpose(1, 2, 3, 4, 0)
+    H = np.zeros((len(kinds), nf, n_lat, spec.n_lon // 2 + 1), dtype=complex)
+    m = np.arange(L + 1.0)
+    for g, kind in enumerate(kinds):
+        Hg = H[g, ..., : L + 1]
+        if kind == "value":
+            Hg.real, Hg.imag = spectra[0, :, 0], spectra[0, :, 1]
+        elif kind == "dphi":
+            np.multiply(spectra[0, :, 1], -m, out=Hg.real)
+            np.multiply(spectra[0, :, 0], m, out=Hg.imag)
+        elif kind == "dtheta":
+            inv_cos = (1.0 / spec.cos_theta)[:, None]
+            np.multiply(spectra[1, :, 0], inv_cos, out=Hg.real)
+            np.multiply(spectra[1, :, 1], inv_cos, out=Hg.imag)
+        else:
+            raise ValueError(f"unknown synthesis kind {kind!r}")
+    return np.fft.irfft(H, n=spec.n_lon, axis=-1, norm="forward")
+
+
+def _grid_coeffs(c: SpectralField, spec: GridSpec) -> np.ndarray:
+    if spec.L < c.L:
+        raise ValueError(f"grid truncation {spec.L} < field truncation {c.L}")
+    return pad_to(c, spec.L).coeffs
+
+
+def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
+    """Inverse transform: pointwise sum of c_j^m Y_j^m on the grid."""
+    values = _synth_values([_grid_coeffs(c, spec)], spec, ("value",))[0, 0]
+    return GridField(values=values, spec=spec)
 
 
 def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dtheta of the field represented by c, evaluated on the grid."""
-    if spec.L < c.L:
-        raise ValueError(f"grid truncation {spec.L} < field truncation {c.L}")
-    C = pad_to(c, spec.L).coeffs
-    return GridField(values=_synth_values(C, grid_tables(spec)["dP"], spec.n_lon), spec=spec)
+    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dtheta",))[0, 0]
+    return GridField(values=values, spec=spec)
 
 
 def synthesize_dphi(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dphi of the field represented by c (spectral: multiply by i*m)."""
-    if spec.L < c.L:
-        raise ValueError(f"grid truncation {spec.L} < field truncation {c.L}")
-    C = pad_to(c, spec.L).coeffs.copy()
-    m = np.arange(spec.L + 1)
-    C *= 1j * m[:, None]
-    return GridField(values=_synth_values(C, grid_tables(spec)["P"], spec.n_lon), spec=spec)
+    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dphi",))[0, 0]
+    return GridField(values=values, spec=spec)
+
+
+def synthesize_gradients(fields, spec: GridSpec) -> np.ndarray:
+    """d/dphi and d/dtheta grids of several fields from one Legendre contraction.
+
+    Returns G of shape (2, len(fields), n_lat, n_lon) with G[0, i] the
+    d/dphi and G[1, i] the d/dtheta grid of fields[i]: the same values as
+    `synthesize_dphi` and `synthesize_dtheta`, from one batched matmul of
+    4 rows per field and one irfft.
+    """
+    return _synth_values([_grid_coeffs(c, spec) for c in fields], spec, ("dphi", "dtheta"))
 
 
 def eval_point(c: SpectralField, phi, theta):
@@ -288,6 +352,7 @@ def eval_point(c: SpectralField, phi, theta):
     phi_b, theta_b = np.broadcast_arrays(phi_arr, theta_arr)
     shape = phi_b.shape
     mu = np.sin(theta_b.ravel())
+    _check_real_m0(c.coeffs)
     G = _legendre_contract(c.coeffs, norm_legendre_table(c.L, mu))
     vals = G[0].real.copy()
     for m in range(1, c.L + 1):

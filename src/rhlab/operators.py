@@ -17,8 +17,7 @@ from .harmonics import (
     analyze,
     from_coeff_dict,
     inner_l2,
-    synthesize_dphi,
-    synthesize_dtheta,
+    synthesize_gradients,
 )
 
 # sin(theta) = sqrt(4 pi / 3) Y_1^0
@@ -79,10 +78,9 @@ def velocity_from_stream(psi: SpectralField, spec: GridSpec | None = None):
         from .harmonics import default_grid
 
         spec = default_grid(psi.L)
-    u_phi = GridField(values=-synthesize_dtheta(psi, spec).values, spec=spec)
-    u_theta = GridField(
-        values=synthesize_dphi(psi, spec).values / spec.cos_theta[:, None], spec=spec
-    )
+    dpsi_phi, dpsi_th = synthesize_gradients((psi,), spec)[:, 0]
+    u_phi = GridField(values=-dpsi_th, spec=spec)
+    u_theta = GridField(values=dpsi_phi / spec.cos_theta[:, None], spec=spec)
     return u_phi, u_theta
 
 
@@ -96,8 +94,9 @@ def advection_tendency(
 
     psi = omega sin(theta) - G(zeta) in coupled mode, or the prescribed
     `stream` when given.  The Jacobian is assembled on the grid as
-    (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta) and
-    analyzed back to degree <= L.
+    (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta) from
+    the four gradient grids of one `synthesize_gradients` call, and
+    analyzed back to degree <= L (`jacobian_tendency`).
     """
     _require_zero_mean(zeta, "advection_tendency")
     if spec is None:
@@ -105,15 +104,23 @@ def advection_tendency(
 
         spec = default_grid(zeta.L)
     psi = stream if stream is not None else stream_function(zeta, omega)
-    dpsi_phi = synthesize_dphi(psi, spec).values
-    dpsi_th = synthesize_dtheta(psi, spec).values
-    dz_phi = synthesize_dphi(zeta, spec).values
-    dz_th = synthesize_dtheta(zeta, spec).values
-    jac = (dpsi_phi * dz_th - dpsi_th * dz_phi) / spec.cos_theta[:, None]
-    out = analyze(GridField(values=-jac, spec=spec), zeta.L)
-    C = out.coeffs.copy()
-    C[0, 0] = 0.0  # transport preserves the mean; drop quadrature dust
-    return SpectralField(L=zeta.L, coeffs=C)
+    grads = synthesize_gradients((psi, zeta), spec)
+    return jacobian_tendency(grads[:, 0], grads[:, 1], spec, zeta.L)
+
+
+def jacobian_tendency(dpsi, dzeta, spec: GridSpec, L: int) -> SpectralField:
+    """-J(psi, zeta) analyzed to degree <= L, from the gradient grids.
+
+    dpsi and dzeta are (d/dphi, d/dtheta) grid pairs; the Jacobian is
+    (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta).  The
+    mean of the result is set to zero: transport preserves it, so a
+    nonzero c_0^0 is quadrature dust.
+    """
+    (dpsi_phi, dpsi_th), (dz_phi, dz_th) = dpsi, dzeta
+    minus_jac = (dpsi_th * dz_phi - dpsi_phi * dz_th) / spec.cos_theta[:, None]
+    C = analyze(GridField(values=minus_jac, spec=spec), L).coeffs
+    C[0, 0] = 0.0
+    return SpectralField(L=L, coeffs=C)
 
 
 def poincare_gap(f: SpectralField, j: int) -> float:

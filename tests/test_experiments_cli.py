@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,9 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhlab import cli
 from rhlab.experiments import (
+    _FLOAT_KEYS,
+    _INT_KEYS,
     ExperimentConfig,
     config_from_mapping,
     default_rearrange_stream,
@@ -82,6 +87,75 @@ class TestConfigParsing:
     def test_epsilons_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
             ExperimentConfig(epsilons=(1e-3, 1e-2))
+
+    @pytest.mark.parametrize("key, value, bad", [
+        ("L", "abc", "abc"),
+        ("seed", "1.5", "1.5"),
+        ("omega", "nan", "nan"),
+        ("alpha", "inf", "inf"),
+        ("t_end", "inf", "inf"),
+        ("dt", "-inf", "-inf"),
+        ("delta", "", ""),
+        ("epsilons", "0.01,x", "x"),
+        ("Y", "1,2,3,4,nan", "nan"),
+    ])
+    def test_bad_value_names_its_key_and_value(self, key, value, bad):
+        with pytest.raises(ValueError) as err:
+            config_from_mapping({key: value})
+        assert repr(key) in str(err.value) and repr(bad) in str(err.value)
+
+
+CONFIG_KEYS = sorted(_FLOAT_KEYS | _INT_KEYS | {"epsilons", "Y", "name", "output_path", "group"})
+# any text UTF-8 can encode (lone surrogates cannot be written to a file)
+CONFIG_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
+
+
+class TestConfigFuzz:
+    @given(text=CONFIG_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_parse_config_file_returns_stripped_pairs_or_rejects_the_line(
+            self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            out = parse_config_file(path)
+        except ValueError as err:
+            assert "bad config line" in str(err)
+            return
+        for key, value in out.items():
+            assert key == key.strip() and value == value.strip()
+            assert "#" not in key + value and "\n" not in key + value
+
+    @given(mapping=st.dictionaries(st.sampled_from(CONFIG_KEYS + ["junk"]),
+                                   st.one_of(CONFIG_TEXT, st.floats().map(repr),
+                                             st.integers().map(str)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_config_from_mapping_builds_a_finite_config_or_raises_value_error(self, mapping):
+        try:
+            cfg = config_from_mapping(mapping)
+        except ValueError:
+            return
+        floats = [getattr(cfg, k) for k in _FLOAT_KEYS]
+        floats += list(cfg.epsilons) + list(cfg.Y.as_tuple())
+        assert all(math.isfinite(v) for v in floats)
+
+    @given(values=st.fixed_dictionaries({
+        "L": st.integers(2, 300), "seed": st.integers(0, 2**63), "omega": st.floats(-1e3, 1e3),
+        "dt": st.floats(1e-6, 1.0), "t_end": st.floats(0.0, 1e3),
+        "Y": st.lists(st.floats(-10, 10), min_size=5, max_size=5),
+        "epsilons": st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4, unique=True)}))
+    @settings(max_examples=100, deadline=None)
+    def test_written_config_round_trips(self, values, tmp_path_factory):
+        values["epsilons"] = sorted(values["epsilons"], reverse=True)
+        lines = [f"{k} = {','.join(map(repr, v)) if isinstance(v, list) else repr(v)}  # comment"
+                 for k, v in values.items()]
+        path = tmp_path_factory.mktemp("cfg") / "round.cfg"
+        path.write_text("\n".join(["# header"] + lines) + "\n")
+        cfg = config_from_mapping(parse_config_file(path))
+        assert (cfg.L, cfg.seed, cfg.omega, cfg.dt, cfg.t_end) == tuple(
+            values[k] for k in ("L", "seed", "omega", "dt", "t_end"))
+        assert cfg.Y.as_tuple() == tuple(values["Y"])
+        assert cfg.epsilons == tuple(values["epsilons"])
 
 
 SMALL_Y = E2Coeffs(0.1, 0.06, 0.02, 0.04, 0.02)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhlab.dynamics import SolverConfig, Stepper
 from rhlab.functionals import (
@@ -168,3 +170,30 @@ class TestRegistry:
     def test_arnold2_requires_reference(self):
         with pytest.raises(ValueError, match="reference"):
             make_functional("arnold2")
+
+    @pytest.mark.parametrize("name, message", [
+        ("e_deg2[alpha=nan]", "malformed argument 'alpha=nan'"),
+        ("e_deg1_b[a=-inf]", "malformed argument 'a=-inf'"),
+        ("e_deg2[beta=1.0]", "unknown argument 'beta'"),
+        ("arnold1[alpha=1.0]", "unknown argument 'alpha'"),
+        ("arnold1\n", "bad functional name"),
+    ])
+    def test_non_finite_or_unknown_argument_rejected(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            make_functional(name)
+
+    @given(name=st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+           | st.from_regex(r"(e_deg2|e_deg1_b|arnold1|energy_proxy)\[[^\]]*\]", fullmatch=True))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_name_resolves_or_raises_value_error(self, name):
+        try:
+            fn = make_functional(name, zeta_ref=random_spectral(4, np.random.default_rng(0)))
+        except ValueError:
+            return
+        assert callable(fn)
+
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=50, deadline=None)
+    def test_finite_argument_round_trips(self, value):
+        f = random_spectral(4, np.random.default_rng(1))
+        assert make_functional(f"e_deg2[alpha={value!r}]")(f) == e_deg2(f, value)

@@ -22,7 +22,11 @@ from rhlab.harmonics import (
     save_spectral,
     spectral_to_e2,
     synthesize,
+    synthesize_dphi,
+    synthesize_dtheta,
+    synthesize_gradients,
 )
+from rhlab.operators import advection_tendency
 from tests.conftest import random_spectral
 
 
@@ -65,6 +69,35 @@ class TestAssocLegendre:
         g1 = synthesize(from_coeff_dict(L, {(3, 2): 1.0}), spec)
         g2 = synthesize(from_coeff_dict(L, {(5, 2): 1.0}), spec)
         assert abs(integrate(GridField(values=g1.values * g2.values, spec=spec))) < 1e-12
+
+
+def per_order_legendre_table(L, mu):
+    """The recurrence run one order m at a time: the reference loop."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    n = mu.size
+    s = np.sqrt(np.clip(1.0 - mu ** 2, 0.0, None))
+    P = np.zeros((L + 1, L + 1, n))
+    P[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
+    for m in range(1, L + 1):
+        P[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
+    for m in range(0, L + 1):
+        eps_prev = 0.0
+        prev2 = np.zeros(n)
+        prev1 = P[m, m]
+        for j in range(m + 1, L + 1):
+            eps = np.sqrt((j * j - m * m) / (4.0 * j * j - 1.0))
+            cur = (mu * prev1 - eps_prev * prev2) / eps
+            P[m, j] = cur
+            prev2, prev1, eps_prev = prev1, cur, eps
+    return P
+
+
+class TestLegendreRecurrence:
+    @pytest.mark.parametrize("L", [0, 1, 2, 7, 30, 91])
+    def test_all_orders_at_once_equal_the_per_order_loop(self, L):
+        # same arithmetic in the same order, so the bits must agree
+        mu = np.concatenate([[-1.0, -0.999, 0.0, 0.3, 1.0], build_grid(max(L, 2)).mu_nodes])
+        assert np.array_equal(norm_legendre_table(L, mu), per_order_legendre_table(L, mu))
 
 
 class TestTransformPair:
@@ -126,38 +159,126 @@ class TestTransformPair:
 
 
 class TestLegendreContraction:
-    """The real-arithmetic kernel against a direct complex einsum."""
+    """The real-arithmetic kernel against a direct complex einsum.
+
+    Every transform reads the grid's one table of degree L + 1, through
+    the view P[:L+1, :L+1]; analysis weights the Fourier coefficients.
+    """
 
     L = 90
 
+    def _table(self):
+        spec = default_grid(self.L)
+        return spec, grid_tables(spec)[: self.L + 1, : self.L + 1]
+
+    def _weighted_fourier(self, spec, rng):
+        shape = (spec.n_lat, self.L + 1)
+        F = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return F * spec.weights[:, None]
+
     def test_synthesis_direction_matches_complex_einsum(self, rng):
-        P = grid_tables(default_grid(self.L))["P"]
+        _, P = self._table()
         C = random_spectral(self.L, rng, zero_mean=False).coeffs
         want = np.einsum("mj,mjk->mk", C, P)
         got = _legendre_contract(C, P)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_analysis_direction_matches_complex_einsum(self, rng):
-        spec = default_grid(self.L)
-        Pw = grid_tables(spec)["Pw"]
-        F = rng.normal(size=(spec.n_lat, self.L + 1)) + 1j * rng.normal(size=(spec.n_lat, self.L + 1))
-        want = np.einsum("mjk,km->mj", Pw, F)
-        got = _legendre_contract(F.T, Pw.transpose(0, 2, 1))
+        spec, P = self._table()
+        F = self._weighted_fourier(spec, rng)
+        want = np.einsum("mjk,km->mj", P, F)
+        got = _legendre_contract(F.T, P.transpose(0, 2, 1))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng):
-        spec = default_grid(self.L)
-        Pw = grid_tables(spec)["Pw"]
-        F = rng.normal(size=(spec.n_lat, self.L + 1)) + 1j * rng.normal(size=(spec.n_lat, self.L + 1))
-        want = np.einsum("mjk,km->mj", Pw, F)
-        got = _legendre_quadrature(Pw, F)
+        spec, P = self._table()
+        F = self._weighted_fourier(spec, rng)
+        want = np.einsum("mjk,km->mj", P, F)
+        got = _legendre_quadrature(P, F)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_shared_tables_are_read_only(self):
-        tables = grid_tables(build_grid(5))
-        for name in ("P", "Pw", "dP"):
+        table = grid_tables(build_grid(5))
+        for view in (table, table[:6, :6]):
             with pytest.raises(ValueError, match="read-only"):
-                tables[name][0, 0, 0] = 1.0
+                view[0, 0, 0] = 1.0
+
+
+class TestDthetaSynthesis:
+    """d/dtheta synthesis from the one table, against oracles of its own."""
+
+    def test_y10_closed_form(self):
+        # Y_1^0 = sqrt(3 / 4pi) sin(theta)
+        spec = build_grid(5)
+        got = synthesize_dtheta(from_coeff_dict(5, {(1, 0): 1.0}), spec).values
+        want = np.sqrt(3.0 / (4.0 * np.pi)) * spec.cos_theta[:, None] * np.ones(spec.n_lon)
+        assert np.abs(got - want).max() < 1e-13
+
+    def test_y21_closed_form(self):
+        # 2 Re(c Y_2^1) = -sqrt(15 / 8pi) sin(2 theta) Re(c e^{i phi})
+        c = 0.3 - 0.7j
+        spec = build_grid(6)
+        got = synthesize_dtheta(from_coeff_dict(6, {(2, 1): c}), spec).values
+        theta = np.arcsin(spec.mu_nodes)[:, None]
+        want = (-2.0 * np.sqrt(15.0 / (8.0 * np.pi)) * np.cos(2.0 * theta)
+                * np.real(c * np.exp(1j * spec.phi))[None, :])
+        assert np.abs(got - want).max() < 1e-13
+
+    @pytest.mark.parametrize("L, h", [(21, 2e-4), (170, 3e-5)])
+    def test_matches_centred_difference_of_eval_point(self, L, h):
+        spec = build_grid(L)
+        rng = np.random.default_rng(L)
+        f = random_spectral(L, rng)
+        # the two nodes nearest each pole, the equator side, and random nodes
+        k = np.r_[0, 1, spec.n_lat - 2, spec.n_lat - 1, spec.n_lat // 2,
+                  rng.integers(0, spec.n_lat, 20)]
+        n = rng.integers(0, spec.n_lon, k.size)
+        theta, phi = np.arcsin(spec.mu_nodes[k]), spec.phi[n]
+        fd = (eval_point(f, phi, theta - 2 * h) - 8 * eval_point(f, phi, theta - h)
+              + 8 * eval_point(f, phi, theta + h) - eval_point(f, phi, theta + 2 * h)) / (12 * h)
+        got = synthesize_dtheta(f, spec).values[k, n]
+        assert np.abs(got - fd).max() < 1e-9 * np.abs(got).max()
+
+    @pytest.mark.parametrize("L", [5, 42])
+    def test_fused_gradients_equal_per_field_wrappers(self, L):
+        spec = build_grid(L)
+        rng = np.random.default_rng(7)
+        psi, zeta = random_spectral(L, rng), random_spectral(L, rng)
+        grids = synthesize_gradients((psi, zeta), spec)
+        assert grids.shape == (2, 2, spec.n_lat, spec.n_lon)
+        for i, f in enumerate((psi, zeta)):
+            for got, want in ((grids[0, i], synthesize_dphi(f, spec).values),
+                              (grids[1, i], synthesize_dtheta(f, spec).values)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestRealM0Check:
+    """An imaginary m = 0 part is judged against the coefficient scale."""
+
+    PATHS = {
+        "synthesize": lambda f, spec: synthesize(f, spec).values,
+        "dphi": lambda f, spec: synthesize_dphi(f, spec).values,
+        "dtheta": lambda f, spec: synthesize_dtheta(f, spec).values,
+        "gradients": lambda f, spec: synthesize_gradients((f,), spec),
+        "advection": lambda f, spec: advection_tendency(f, 0.5, spec).coeffs,
+        "eval_point": lambda f, spec: eval_point(f, 0.3, 0.4),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_tiny_imaginary_m0_is_rejected(self, path):
+        f = from_coeff_dict(3, {(2, 0): 1e-13j})
+        with pytest.raises(ValueError, match="imaginary residue"):
+            self.PATHS[path](f, build_grid(3))
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_huge_field_with_relative_dust_is_accepted(self, path, rng):
+        real = SpectralField(21, 1e6 * random_spectral(21, rng).coeffs)
+        C = real.coeffs.copy()
+        C[0, 2] += 1e-17j * np.abs(C).max()
+        spec = build_grid(21)
+        got = self.PATHS[path](SpectralField(21, C), spec)
+        want = self.PATHS[path](real, spec)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestEvalPoint:
