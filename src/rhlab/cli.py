@@ -40,16 +40,23 @@ def _add_experiment_args(sub):
 
 
 def _build_config(args):
-    mapping = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    for item in args.overrides:
-        if "=" not in item:
-            raise SystemExit(f"override {item!r} is not of the form key=value")
-        key, value = item.split("=", 1)
-        mapping[key.strip()] = value.strip()
-    group = mapping.get("group", "polar")
-    return config_from_mapping({k: v for k, v in mapping.items() if k != "group"}), group
+    """The config file with overrides applied, and the orbit group.
+
+    A config that cannot be read or parsed ends the process with one
+    line on stderr and exit code 2.
+    """
+    try:
+        mapping = parse_config_file(args.config) if args.config else {}
+        for item in args.overrides:
+            if "=" not in item:
+                raise ValueError(f"override {item!r} is not of the form key=value")
+            key, value = item.split("=", 1)
+            mapping[key.strip()] = value.strip()
+        group = mapping.pop("group", "polar")
+        return config_from_mapping(mapping), group
+    except (OSError, ValueError) as err:
+        print(f"rhlab {args.command}: {err}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _report(result: ExperimentResult) -> int:

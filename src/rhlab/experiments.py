@@ -1,8 +1,8 @@
 """Scripted experiments: traveling-wave verification, orbital-stability
 sweeps, orbit traversal, and the rearrangement maximality bound.
 
-Each experiment evolves an initial state with the dynamics module,
-measures the relevant distance or functional along the way, checks its
+Each experiment builds an initial state, observes the states that
+`dynamics.evolve` yields (one CSV row per yielded state), checks its
 in-run assertions, and can write a CSV whose comment header records the
 seed, configuration, and package version for reproducibility.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import SolverConfig
-from .functionals import e_deg2, e_deg2_max, energy_proxy
+from .dynamics import SolverConfig, evolve
+from .functionals import c1_phase_corrected, e_deg2, e_deg2_max, energy_proxy
 from .harmonics import (
     E2Coeffs,
     SpectralField,
@@ -96,6 +96,11 @@ def _rh_ingredients(cfg: ExperimentConfig):
     return Y, state, zeta0
 
 
+def _solver_config(cfg: ExperimentConfig, stream: SpectralField | None = None) -> SolverConfig:
+    return SolverConfig(L=cfg.L, omega=cfg.omega, dt=cfg.dt, t_end=cfg.t_end,
+                        stream=stream, diag_every=cfg.diag_every)
+
+
 def _comments(cfg: ExperimentConfig, extra=()):
     lines = [
         f"rhlab {__version__}",
@@ -121,30 +126,16 @@ def _write_csv(cfg: ExperimentConfig, header, rows, extra_comments=()):
 def exp_rh_exactness(cfg: ExperimentConfig, err_tol: float = 1e-6) -> ExperimentResult:
     """Evolve an RH state and compare against its closed-form evolution."""
     _, state, zeta0 = _rh_ingredients(cfg)
-    solver = SolverConfig(L=cfg.L, omega=cfg.omega, dt=cfg.dt, t_end=cfg.t_end,
-                          diag_every=cfg.diag_every)
     rows = []
-    messages = []
-
-    zeta = zeta0
-    from .dynamics import Stepper
-
-    stepper = Stepper(solver)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    max_err = 0.0
-    for k in range(0, n_steps + 1):
-        if k > 0:
-            zeta = stepper.step(zeta, step_index=k)
-        if k % cfg.diag_every == 0 or k == n_steps:
-            t = k * cfg.dt
-            ex = exact_state(state, t)
-            err = norm_l2(SpectralField(cfg.L, zeta.coeffs - ex.coeffs)) / norm_l2(ex)
-            rows.append((t, err))
-            max_err = max(max_err, err)
+    for t, zeta in evolve(zeta0, _solver_config(cfg)):
+        ex = exact_state(state, t)
+        rows.append((t, norm_l2(SpectralField(cfg.L, zeta.coeffs - ex.coeffs)) / norm_l2(ex)))
+    max_err = max(err for _, err in rows)
     ok = max_err < err_tol
-    messages.append(f"max relative L2 deviation {max_err:.3e} ({'<' if ok else '>='} {err_tol:g})")
-    _write_csv(cfg, ("t", "rel_l2_error"), rows)
-    return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows), ("t", "rel_l2_error"))
+    messages = (f"max relative L2 deviation {max_err:.3e} ({'<' if ok else '>='} {err_tol:g})",)
+    header = ("t", "rel_l2_error")
+    _write_csv(cfg, header, rows)
+    return ExperimentResult(cfg.name, ok, messages, tuple(rows), header)
 
 
 def exp_stability(cfg: ExperimentConfig, group: str = "polar",
@@ -164,43 +155,29 @@ def exp_stability(cfg: ExperimentConfig, group: str = "polar",
         raise ValueError(f"unknown group {group!r}")
     Y, state, zeta0 = _rh_ingredients(cfg)
     eta = random_bandlimited(cfg.L, cfg.seed, cfg.max_degree)
-    solver = SolverConfig(L=cfg.L, omega=cfg.omega, dt=cfg.dt, t_end=cfg.t_end,
-                          diag_every=cfg.diag_every)
+    solver = _solver_config(cfg)
     target = zeta0
     rows = []
     sups = []
     messages = []
     ok = True
-    from .dynamics import Stepper
-    from .functionals import c1_triple
-
     for eps in cfg.epsilons:
         z0 = SpectralField(cfg.L, zeta0.coeffs + eps * eta.coeffs)
-        stepper = Stepper(solver)
-        zeta = z0
-        n_steps = int(round(cfg.t_end / cfg.dt))
-        sup_d = 0.0
-        e0 = energy_proxy(z0)
-        c1_0 = np.asarray(c1_triple(z0))
-        drift_e = 0.0
-        drift_c1 = 0.0
-        for k in range(0, n_steps + 1):
-            if k > 0:
-                zeta = stepper.step(zeta, step_index=k)
-            if k % cfg.diag_every == 0 or k == n_steps:
-                t = k * cfg.dt
-                if group == "polar":
-                    d, _ = dist_polar_orbit(zeta, target, cfg.p)
-                else:
-                    d, _ = dist_so3_orbit(zeta, target, cfg.p)
-                rows.append((eps, t, d))
-                sup_d = max(sup_d, d)
-                # conservation side-channel on the same run
-                drift_e = max(drift_e, abs(energy_proxy(zeta) - e0) / abs(e0))
-                c1m, c10, c1p = c1_triple(zeta)
-                ph = np.exp(-1j * cfg.omega * t)
-                corrected = np.asarray((c1m / ph, c10, c1p * ph))
-                drift_c1 = max(drift_c1, float(np.max(np.abs(corrected - c1_0))))
+        sup_d = drift_e = drift_c1 = 0.0
+        for t, zeta in evolve(z0, solver):
+            if group == "polar":
+                d, _ = dist_polar_orbit(zeta, target, cfg.p)
+            else:
+                d, _ = dist_so3_orbit(zeta, target, cfg.p)
+            rows.append((eps, t, d))
+            sup_d = max(sup_d, d)
+            # conservation side-channel on the same run
+            e = energy_proxy(zeta)
+            c1 = c1_phase_corrected(zeta, cfg.omega, t)
+            if t == 0.0:
+                e0, c1_0 = e, c1
+            drift_e = max(drift_e, abs(e - e0) / abs(e0))
+            drift_c1 = max(drift_c1, float(np.max(np.abs(c1 - c1_0))))
         sups.append(sup_d)
         if drift_e >= 1e-6 or drift_c1 >= 1e-8:
             ok = False
@@ -242,20 +219,8 @@ def exp_orbit_traversal(cfg: ExperimentConfig, dip_time_slack: float = 0.05) -> 
     t_pred = cfg.beta_target / pert.speed_c
     if t_pred < 0:
         t_pred = (cfg.beta_target - 2.0 * np.pi) / pert.speed_c
-    z0 = exact_state(pert, 0.0)
-    solver = SolverConfig(L=cfg.L, omega=cfg.omega, dt=cfg.dt, t_end=cfg.t_end,
-                          diag_every=cfg.diag_every)
-    from .dynamics import Stepper
-
-    stepper = Stepper(solver)
-    rows = []
-    zeta = z0
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    for k in range(0, n_steps + 1):
-        if k > 0:
-            zeta = stepper.step(zeta, step_index=k)
-        if k % cfg.diag_every == 0 or k == n_steps:
-            rows.append((k * cfg.dt, lp_distance(zeta, target, cfg.p)))
+    rows = [(t, lp_distance(zeta, target, cfg.p))
+            for t, zeta in evolve(exact_state(pert, 0.0), _solver_config(cfg))]
     header = ("t", "distance_to_target")
     _write_csv(cfg, header, rows, (f"delta={delta:g}",))
     threshold = 2.0 * delta * SIN_THETA_NORM
@@ -291,39 +256,25 @@ def exp_rearrangement_bound(cfg: ExperimentConfig, stream: SpectralField | None 
     Y, state, zeta0 = _rh_ingredients(cfg)
     chi = stream if stream is not None else default_rearrange_stream(cfg.L)
     M = e_deg2_max(cfg.alpha, norm_l2(Y) ** 2)
-    solver = SolverConfig(L=cfg.L, omega=cfg.omega, dt=cfg.dt, t_end=cfg.t_end,
-                          stream=chi, diag_every=cfg.diag_every)
-    from .dynamics import Stepper
-
-    stepper = Stepper(solver)
-    m0 = np.asarray(moments_numeric(zeta0, 7))
     rows = []
-    zeta = zeta0
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    max_excess = -np.inf
-    max_moment_drift = 0.0
-    final_gap = 0.0
-    for k in range(0, n_steps + 1):
-        if k > 0:
-            zeta = stepper.step(zeta, step_index=k)
-        if k % cfg.diag_every == 0 or k == n_steps:
-            t = k * cfg.dt
-            val = e_deg2(zeta, cfg.alpha)
-            mom = np.asarray(moments_numeric(zeta, 7))
-            drift = float(np.max(np.abs(mom - m0) / np.maximum(np.abs(m0), 1e-30)))
-            rows.append((t, val, val - M, drift))
-            max_excess = max(max_excess, val - M)
-            max_moment_drift = max(max_moment_drift, drift)
-            final_gap = val - M
+    for t, zeta in evolve(zeta0, _solver_config(cfg, stream=chi)):
+        val = e_deg2(zeta, cfg.alpha)
+        mom = np.asarray(moments_numeric(zeta, 7))
+        if t == 0.0:
+            m0 = mom
+        drift = float(np.max(np.abs(mom - m0) / np.maximum(np.abs(m0), 1e-30)))
+        rows.append((t, val, val - M, drift))
+    max_excess = max(r[2] for r in rows)
+    max_moment_drift = max(r[3] for r in rows)
     ok = max_excess <= bound_tol and max_moment_drift < moment_tol
-    messages = [
+    messages = (
         f"max (e_deg2 - M) = {max_excess:.3e} (bound {bound_tol:g})",
         f"max moment drift = {max_moment_drift:.3e} (bound {moment_tol:g})",
-        f"final e_deg2 - M = {final_gap:.3e}",
-    ]
-    _write_csv(cfg, ("t", "e_deg2", "excess_over_max", "moment_drift"), rows)
-    return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows),
-                            ("t", "e_deg2", "excess_over_max", "moment_drift"))
+        f"final e_deg2 - M = {rows[-1][2]:.3e}",
+    )
+    header = ("t", "e_deg2", "excess_over_max", "moment_drift")
+    _write_csv(cfg, header, rows)
+    return ExperimentResult(cfg.name, ok, messages, tuple(rows), header)
 
 
 # --------------------------------------------------------------------------

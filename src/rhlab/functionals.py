@@ -8,9 +8,6 @@ complex basis, with c_1^{-1} = -conj(c_1^1) by reality.
 
 from __future__ import annotations
 
-import math
-import re
-
 import numpy as np
 
 from .harmonics import SpectralField, inner_l2
@@ -31,6 +28,17 @@ def c1_triple(f: SpectralField) -> tuple[complex, float, complex]:
     """(c_1^{-1}, c_1^0, c_1^1) of f."""
     c11 = complex(f.coeffs[1, 1])
     return (-np.conj(c11), float(f.coeffs[0, 1].real), c11)
+
+
+def c1_phase_corrected(f: SpectralField, omega: float, t: float) -> np.ndarray:
+    """(c_1^{-1} e^{i omega t}, c_1^0, c_1^1 e^{-i omega t}) of f.
+
+    The rotation makes the degree-1 coefficients of an Euler solution
+    precess at rate omega; this combination is conserved along it.
+    """
+    c1m, c10, c1p = c1_triple(f)
+    ph = np.exp(-1j * omega * t)
+    return np.asarray((c1m / ph, c10, c1p * ph))
 
 
 def e_deg1_a(f: SpectralField, Y1: tuple[complex, complex, complex]) -> float:
@@ -83,56 +91,3 @@ def e_deg2_max(alpha: float, y_norm_sq: float) -> float:
     """The maximum of e_deg2 over the rearrangement class of alpha sin(theta) + Y."""
     beta = SINTHETA_C10 * alpha
     return beta ** 2 / 6.0 + y_norm_sq / 12.0
-
-
-_NAME_RE = re.compile(r"(\w+)(?:\[(.*)\])?")
-# registry name -> the arguments it takes in brackets
-_ARGUMENTS = {"arnold1": (), "arnold2": (), "e_deg2": ("alpha",), "e_deg1_b": ("a",),
-              "energy_proxy": ()}
-
-
-def make_functional(name: str, omega: float = 0.0, zeta_ref: SpectralField | None = None):
-    """Resolve a registry name like "arnold1" or "e_deg2[alpha=1.0]" to a callable.
-
-    Returned callables map SpectralField -> float and are suitable for the
-    diagnostics list of dynamics.run.  A malformed name, an unknown
-    functional or argument, or a non-finite argument value raises a
-    ValueError naming it.
-    """
-    m = _NAME_RE.fullmatch(name)
-    if not m:
-        raise ValueError(f"bad functional name {name!r}")
-    base, argstr = m.group(1), m.group(2)
-    if base not in _ARGUMENTS:
-        raise ValueError(f"unknown functional {base!r}")
-    kwargs = {}
-    if argstr:
-        for part in argstr.split(","):
-            k, sep, v = part.partition("=")
-            k = k.strip()
-            if sep and k:
-                try:
-                    value = float(v)
-                except ValueError:
-                    value = None
-                if value is not None and math.isfinite(value):
-                    if k not in _ARGUMENTS[base]:
-                        raise ValueError(f"functional {name!r}: unknown argument {k!r}, "
-                                         f"{base} takes {list(_ARGUMENTS[base])}")
-                    kwargs[k] = value
-                    continue
-            raise ValueError(f"functional {name!r}: malformed argument {part.strip()!r}, "
-                             "expected key=finite number")
-    if base == "arnold1":
-        return lambda f: e_arnold1(f, omega)
-    if base == "arnold2":
-        if zeta_ref is None:
-            raise ValueError("arnold2 needs a reference state")
-        return lambda f: e_arnold2(f, omega, zeta_ref)
-    if base == "e_deg2":
-        alpha = kwargs.get("alpha", 0.0)
-        return lambda f: e_deg2(f, alpha)
-    if base == "e_deg1_b":
-        a = kwargs.get("a", 0.0)
-        return lambda f: e_deg1_b(f, a)
-    return energy_proxy

@@ -135,10 +135,6 @@ class SpectralField:
         return (-1) ** (-m) * np.conj(complex(self.coeffs[-m, j]))
 
 
-def spectral_zeros(L: int) -> SpectralField:
-    return SpectralField(L=L, coeffs=np.zeros((L + 1, L + 1), dtype=complex))
-
-
 def from_coeff_dict(L: int, entries: dict[tuple[int, int], complex]) -> SpectralField:
     """Build a field from {(j, m >= 0): c_j^m}; unspecified coefficients are 0."""
     C = np.zeros((L + 1, L + 1), dtype=complex)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from rhlab.dynamics import (
-    SolverConfig,
-    Stepper,
-    read_diagnostics_csv,
-    run,
-    step_rk4,
-    write_diagnostics_csv,
-)
-from rhlab.functionals import e_deg2, make_functional
+from rhlab.dynamics import SolverConfig, Stepper, evolve
+from rhlab.functionals import c1_phase_corrected, e_deg2, energy_proxy
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
@@ -32,13 +25,13 @@ class TestStepRK4:
         L = 10
         zon = from_coeff_dict(L, {(1, 0): 1.0, (3, 0): 0.4})
         cfg = SolverConfig(L=L, omega=0.6, dt=1e-2, t_end=1.0)
-        out = step_rk4(zon, cfg)
+        out = Stepper(cfg).step(zon)
         assert np.abs(out.coeffs - zon.coeffs).max() < 1e-13
 
     def test_single_step_matches_closed_form(self):
         s, z0 = rh_setup(L=21, alpha=1.0, omega=0.5)
         cfg = SolverConfig(L=21, omega=0.5, dt=1e-3, t_end=1e-3)
-        out = step_rk4(z0, cfg)
+        _, out = list(evolve(z0, cfg))[-1]
         exact = exact_state(s, 1e-3)
         assert np.abs(out.coeffs - exact.coeffs).max() < 1e-12
 
@@ -70,56 +63,63 @@ class TestStepRK4:
         c = from_coeff_dict(6, {(0, 0): 1.0})
         cfg = SolverConfig(L=6, omega=0.0, dt=1e-2, t_end=1.0)
         with pytest.raises(ValueError, match="zero-mean"):
-            step_rk4(c, cfg)
-
-    def test_filter_damps_top_degrees(self, rng):
-        L = 8
-        f = random_spectral(L, rng)
-        cfg_off = SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0)
-        cfg_on = SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, filter_on=True)
-        z_off = Stepper(cfg_off).step(f)
-        z_on = Stepper(cfg_on).step(f)
-        assert abs(z_on.coeffs[0, L]) < abs(z_off.coeffs[0, L])
+            next(evolve(c, cfg))
 
 
 class TestRun:
+    """The evolve loop: which states it yields, and what they conserve."""
+
     def test_records_cover_endpoints(self, rng):
         L = 8
         z0 = random_spectral(L, rng, max_degree=4)
         cfg = SolverConfig(L=L, omega=0.2, dt=1e-2, t_end=0.1, diag_every=3)
-        _, recs = run(z0, cfg)
-        assert recs[0].t == 0.0
-        assert recs[-1].t == pytest.approx(0.1)
+        times = [t for t, _ in evolve(z0, cfg)]
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(0.1)
 
     def test_energy_and_phase_conservation_short(self, rng):
         L = 10
         z0 = random_spectral(L, rng, max_degree=5)
         z0 = SpectralField(L, 0.3 * z0.coeffs / norm_l2(z0))
         cfg = SolverConfig(L=L, omega=0.4, dt=1e-3, t_end=1.0, diag_every=250)
-        _, recs = run(z0, cfg)
-        e0 = recs[0].energy_proxy
-        c0 = np.asarray(recs[0].c1)
-        for r in recs:
-            assert abs(r.energy_proxy - e0) < 1e-10 * abs(e0)
-            assert np.max(np.abs(np.asarray(r.c1) - c0)) < 1e-10
+        e0 = energy_proxy(z0)
+        c0 = c1_phase_corrected(z0, cfg.omega, 0.0)
+        for t, z in evolve(z0, cfg):
+            assert abs(energy_proxy(z) - e0) < 1e-10 * abs(e0)
+            assert np.max(np.abs(c1_phase_corrected(z, cfg.omega, t) - c0)) < 1e-10
 
     def test_result_independent_of_diag_interval(self, rng):
         L = 8
         z0 = random_spectral(L, rng, max_degree=4)
         cfg1 = SolverConfig(L=L, omega=0.1, dt=1e-2, t_end=0.2, diag_every=1)
         cfg2 = SolverConfig(L=L, omega=0.1, dt=1e-2, t_end=0.2, diag_every=7)
-        z1, _ = run(z0, cfg1)
-        z2, _ = run(z0, cfg2)
+        _, z1 = list(evolve(z0, cfg1))[-1]
+        _, z2 = list(evolve(z0, cfg2))[-1]
         assert np.array_equal(z1.coeffs, z2.coeffs)
 
-    def test_functional_registry_names_in_records(self, rng):
-        L = 8
+    @pytest.mark.parametrize("t_end, steps", [
+        (0.1, [0, 4, 8, 10]),  # 10 steps: the last is off the cadence of 4
+        (0.08, [0, 4, 8]),     # 8 steps: the last is on it, yielded once
+    ])
+    def test_last_step_yielded_once(self, rng, t_end, steps):
+        L = 6
         z0 = random_spectral(L, rng, max_degree=3)
-        cfg = SolverConfig(L=L, omega=0.0, dt=1e-2, t_end=0.05, diag_every=5)
-        fns = [("arnold1", make_functional("arnold1", omega=0.0)),
-               ("e_deg2[alpha=1.0]", make_functional("e_deg2[alpha=1.0]"))]
-        _, recs = run(z0, cfg, functionals=fns)
-        assert set(recs[0].functional_values) == {"arnold1", "e_deg2[alpha=1.0]"}
+        cfg = SolverConfig(L=L, omega=0.1, dt=1e-2, t_end=t_end, diag_every=4)
+        assert [t for t, _ in evolve(z0, cfg)] == [k * 1e-2 for k in steps]
+
+    def test_zero_end_time_yields_the_initial_field_only(self, rng):
+        L = 6
+        z0 = random_spectral(L, rng, max_degree=3)
+        cfg = SolverConfig(L=L, omega=0.1, dt=1e-2, t_end=0.0)
+        states = list(evolve(z0, cfg))
+        assert len(states) == 1
+        assert states[0][0] == 0.0 and states[0][1] is z0
+
+    def test_rejects_mismatched_truncation(self, rng):
+        z0 = random_spectral(6, rng)
+        cfg = SolverConfig(L=8, omega=0.0, dt=1e-2, t_end=1.0)
+        with pytest.raises(ValueError, match="truncation 6 != config L 8"):
+            next(evolve(z0, cfg))
 
 
 class TestPrescribedStream:
@@ -146,29 +146,3 @@ class TestPrescribedStream:
         for k in range(500):
             z = st.step(z)
         assert norm_l2(z) == pytest.approx(norm_l2(z0), rel=1e-10)
-
-
-class TestDiagnosticsCSV:
-    def test_roundtrip(self, rng, tmp_path):
-        L = 8
-        z0 = random_spectral(L, rng, max_degree=4)
-        cfg = SolverConfig(L=L, omega=0.3, dt=1e-2, t_end=0.05, diag_every=2)
-        fns = [("arnold1", make_functional("arnold1", omega=0.3))]
-        _, recs = run(z0, cfg, functionals=fns)
-        path = tmp_path / "diag.csv"
-        write_diagnostics_csv(recs, ["arnold1"], path, comments=["seed=0"])
-        header, rows, comments = read_diagnostics_csv(path)
-        assert header[:2] == ["t", "energy_proxy"]
-        assert header[-1] == "arnold1"
-        assert comments == ["seed=0"]
-        assert len(rows) == len(recs)
-        assert rows[0][1] == recs[0].energy_proxy
-        assert rows[-1][0] == recs[-1].t
-
-    def test_header_schema(self, tmp_path):
-        from rhlab.dynamics import CSV_BASE_HEADER
-
-        assert CSV_BASE_HEADER == [
-            "t", "energy_proxy", "I2", "I3", "I4", "I5", "I6", "I7",
-            "c1m_re", "c1m_im", "c10", "c1p_re", "c1p_im",
-        ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab import cli
+from rhlab import __version__, cli
 from rhlab.experiments import (
     _FLOAT_KEYS,
     _INT_KEYS,
@@ -328,14 +328,68 @@ class TestCLI:
         assert "never dipped" in out
 
 
+def _python(*args):
+    """Run `python args` in a fresh process with rhlab's source on the path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("config, override, message", [
+        ("L=8\n", "L=abc", "config key 'L': 'abc' is not an integer"),
+        ("L=8\njust words\n", "t_end=0.1", "bad config line: just words"),
+    ])
+    def test_one_line_and_exit_code_two(self, tmp_path, config, override, message):
+        p = tmp_path / "c.cfg"
+        p.write_text(config)
+        proc = _python("-m", "rhlab.cli", "rh-verify", "--config", str(p), override)
+        assert proc.returncode == 2
+        assert proc.stderr == f"rhlab rh-verify: {message}\n"
+        assert proc.stdout == ""
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("command, config, header, n_eps", [
+        ("rh-verify", "rh_exactness.cfg", "t,rel_l2_error", 1),
+        ("stability", "stability_polar.cfg", "epsilon,t,orbit_distance", 3),
+        ("stability", "stability_so3.cfg", "epsilon,t,orbit_distance", 3),
+        ("traversal", "traversal.cfg", "t,distance_to_target", 1),
+        ("rearrange", "rearrangement.cfg", "t,e_deg2,excess_over_max,moment_drift", 1),
+    ])
+    def test_short_run_writes_its_csv(self, tmp_path, capsys, command, config, header, n_eps):
+        # 20 steps: the diagnostics cadence of every shipped config is
+        # longer, so each epsilon gives the rows at t = 0 and t = 0.02;
+        # pass or fail is not checked, since traversal cannot dip so early
+        out = tmp_path / "out.csv"
+        settings = parse_config_file(SHIPPED / config)
+        rc = cli.main([command, "--config", str(SHIPPED / config),
+                       "t_end=0.02", f"output_path={out}"])
+        assert rc in (0, 1)
+        assert capsys.readouterr().out.splitlines()[-1] in (
+            f"{settings['name']}: PASS", f"{settings['name']}: FAIL")
+        lines = out.read_text().splitlines()
+        comments = [l for l in lines if l.startswith("#")]
+        assert lines[:len(comments)] == comments
+        assert comments[0] == f"# rhlab {__version__}"
+        assert comments[1].startswith(f"# experiment={settings['name']} L={settings['L']} ")
+        assert f"seed={settings.get('seed', 0)} " in comments[3]
+        assert "t_end=0.02 " in comments[3]
+        assert lines[len(comments)] == header
+        rows = [[float(v) for v in l.split(",")] for l in lines[len(comments) + 1:]]
+        assert len(rows) == 2 * n_eps
+        t = header.split(",").index("t")
+        assert [r[t] for r in rows] == [0.0, 0.02] * n_eps
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_optimize_out(self):
         # scipy.optimize takes ~0.5 s to import; only p != 2 distances need it
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, rhlab.cli; print('scipy.optimize' in sys.modules)"],
-            capture_output=True, text=True, env=env, check=True, timeout=60)
+        out = _python("-c", "import sys, rhlab.cli; print('scipy.optimize' in sys.modules)")
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rhlab.dynamics import SolverConfig, Stepper
 from rhlab.functionals import (
@@ -13,7 +11,6 @@ from rhlab.functionals import (
     e_deg2,
     e_deg2_max,
     energy_proxy,
-    make_functional,
 )
 from rhlab.harmonics import (
     E2Coeffs,
@@ -139,61 +136,3 @@ class TestDeg2:
         f = random_spectral(9, rng)
         assert e_deg2(rotate_polar(f, 0.9), 0.7) == pytest.approx(
             e_deg2(f, 0.7), abs=1e-12)
-
-
-class TestRegistry:
-    def test_known_names(self, rng):
-        f = random_spectral(6, rng)
-        assert make_functional("arnold1", omega=0.5)(f) == pytest.approx(
-            e_arnold1(f, 0.5))
-        assert make_functional("e_deg2[alpha=0.7]")(f) == pytest.approx(
-            e_deg2(f, 0.7))
-        assert make_functional("energy_proxy")(f) == pytest.approx(energy_proxy(f))
-        ref = random_spectral(6, np.random.default_rng(3))
-        assert make_functional("arnold2", omega=0.2, zeta_ref=ref)(f) == pytest.approx(
-            e_arnold2(f, 0.2, ref))
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_functional("nope")
-
-    @pytest.mark.parametrize("name, arg", [
-        ("e_deg2[alpha]", "alpha"),
-        ("e_deg2[alpha=one]", "alpha=one"),
-        ("e_deg1_b[=0.5]", "=0.5"),
-    ])
-    def test_malformed_argument_rejected(self, name, arg):
-        with pytest.raises(ValueError, match="malformed argument") as err:
-            make_functional(name)
-        assert name in str(err.value) and repr(arg) in str(err.value)
-
-    def test_arnold2_requires_reference(self):
-        with pytest.raises(ValueError, match="reference"):
-            make_functional("arnold2")
-
-    @pytest.mark.parametrize("name, message", [
-        ("e_deg2[alpha=nan]", "malformed argument 'alpha=nan'"),
-        ("e_deg1_b[a=-inf]", "malformed argument 'a=-inf'"),
-        ("e_deg2[beta=1.0]", "unknown argument 'beta'"),
-        ("arnold1[alpha=1.0]", "unknown argument 'alpha'"),
-        ("arnold1\n", "bad functional name"),
-    ])
-    def test_non_finite_or_unknown_argument_rejected(self, name, message):
-        with pytest.raises(ValueError, match=message):
-            make_functional(name)
-
-    @given(name=st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
-           | st.from_regex(r"(e_deg2|e_deg1_b|arnold1|energy_proxy)\[[^\]]*\]", fullmatch=True))
-    @settings(max_examples=300, deadline=None)
-    def test_fuzzed_name_resolves_or_raises_value_error(self, name):
-        try:
-            fn = make_functional(name, zeta_ref=random_spectral(4, np.random.default_rng(0)))
-        except ValueError:
-            return
-        assert callable(fn)
-
-    @given(value=st.floats(allow_nan=False, allow_infinity=False))
-    @settings(max_examples=50, deadline=None)
-    def test_finite_argument_round_trips(self, value):
-        f = random_spectral(4, np.random.default_rng(1))
-        assert make_functional(f"e_deg2[alpha={value!r}]")(f) == e_deg2(f, value)

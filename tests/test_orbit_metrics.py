@@ -119,9 +119,10 @@ class TestSO3Orbit:
         d, _ = dist_so3_orbit(f, target)
         assert d <= 1e-3 + 1e-9
 
-    def test_degenerate_frame_falls_back_to_grid(self):
+    def test_zonal_degree_two_target_exact_member(self):
         # a zonal degree-2 part has a repeated quadratic-form eigenvalue,
-        # so the eigenframe seeding is ambiguous and the grid search runs
+        # so no eigenframe singles out the rotation; the spectral
+        # correlation over all of SO(3) still finds the orbit member
         L = 4
         target = SpectralField(
             L,
