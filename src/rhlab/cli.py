@@ -14,6 +14,7 @@ import sys
 
 from .experiments import (
     ExperimentResult,
+    check_stability_group,
     config_from_mapping,
     exp_orbit_traversal,
     exp_rearrangement_bound,
@@ -42,8 +43,9 @@ def _add_experiment_args(sub):
 def _build_config(args):
     """The config file with overrides applied, and the orbit group.
 
-    A config that cannot be read or parsed ends the process with one
-    line on stderr and exit code 2.
+    A config that cannot be read or parsed, holds an out-of-range value,
+    or names a stability group that does not apply ends the process with
+    one line on stderr and exit code 2.
     """
     try:
         mapping = parse_config_file(args.config) if args.config else {}
@@ -53,7 +55,10 @@ def _build_config(args):
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
         group = mapping.pop("group", "polar")
-        return config_from_mapping(mapping), group
+        cfg = config_from_mapping(mapping)
+        if args.command == "stability":
+            check_stability_group(group, cfg.alpha)
+        return cfg, group
     except (OSError, ValueError) as err:
         print(f"rhlab {args.command}: {err}", file=sys.stderr)
         raise SystemExit(2) from None

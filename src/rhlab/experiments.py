@@ -60,6 +60,14 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        if self.L < 2:
+            raise ValueError(f"L must be >= 2, got {self.L}")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt:g}")
+        if self.t_end < 0:
+            raise ValueError(f"t_end must be nonnegative, got {self.t_end:g}")
+        if self.diag_every < 1:
+            raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
         eps = tuple(self.epsilons)
         if any(e <= 0 for e in eps) or any(
             eps[i] <= eps[i + 1] for i in range(len(eps) - 1)
@@ -138,6 +146,16 @@ def exp_rh_exactness(cfg: ExperimentConfig, err_tol: float = 1e-6) -> Experiment
     return ExperimentResult(cfg.name, ok, messages, tuple(rows), header)
 
 
+def check_stability_group(group: str, alpha: float) -> None:
+    """Raise ValueError unless `group` names an orbit whose stability is stated at alpha."""
+    if group not in ("polar", "so3"):
+        raise ValueError(f"unknown group {group!r} (expected polar or so3)")
+    if group == "polar" and alpha == 0.0:
+        raise ValueError("polar-orbit stability is stated for alpha != 0")
+    if group == "so3" and alpha != 0.0:
+        raise ValueError("rotation-orbit stability is stated for alpha = 0")
+
+
 def exp_stability(cfg: ExperimentConfig, group: str = "polar",
                   trend_slack: float = 1.1) -> ExperimentResult:
     """Epsilon sweep of the orbit distance along perturbed RH evolutions.
@@ -147,12 +165,7 @@ def exp_stability(cfg: ExperimentConfig, group: str = "polar",
     passes when sup_t d(t) does not increase as epsilon shrinks, within
     the stated slack.
     """
-    if group == "polar" and cfg.alpha == 0.0:
-        raise ValueError("polar-orbit stability is stated for alpha != 0")
-    if group == "so3" and cfg.alpha != 0.0:
-        raise ValueError("rotation-orbit stability is stated for alpha = 0")
-    if group not in ("polar", "so3"):
-        raise ValueError(f"unknown group {group!r}")
+    check_stability_group(group, cfg.alpha)
     Y, state, zeta0 = _rh_ingredients(cfg)
     eta = random_bandlimited(cfg.L, cfg.seed, cfg.max_degree)
     solver = _solver_config(cfg)

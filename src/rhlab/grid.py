@@ -32,9 +32,10 @@ class GridSpec:
     """Gauss-Legendre x equiangular-longitude grid for truncation degree L.
 
     n_lat >= L+1 and n_lon >= 2L+1 make the spherical-harmonic transform
-    pair exact on bandlimited fields; the defaults n_lat = 2(L+1),
-    n_lon = 4(L+1) add the margin needed so quadratic products of two
-    degree-L fields are analyzed without aliasing.  Grids from
+    pair exact on bandlimited fields.  A grid of `exact_shape(d)`
+    integrates every field bandlimited to degree d exactly; the default
+    grid, `exact_shape(3L)`, analyzes quadratic products of two degree-L
+    fields to degree L without aliasing (Orszag's 3/2 rule).  Grids from
     `build_grid` are shared, so their arrays are read-only.
     """
 
@@ -58,21 +59,52 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, an FFT length with only small prime factors."""
+    m = max(n, 1)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
+def exact_shape(degree: int) -> tuple[int, int]:
+    """The (n_lat, n_lon) grid shape that integrates degree-`degree` fields exactly.
+
+    Over a longitude circle only the order-0 part of a field survives,
+    and n equispaced points sum e^{ik phi} to zero for 0 < |k| < n, so
+    degree + 1 longitudes suffice; n_lon rounds that up to a 5-smooth FFT
+    length.  The order-0 part is a polynomial of that degree in mu, which
+    n Gauss-Legendre nodes integrate exactly when 2n - 1 >= degree, so
+    n_lat is the fewest such n.
+    """
+    return (degree + 2) // 2, smooth_length(degree + 1)
+
+
 def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> GridSpec:
     """The GridSpec for (L, n_lat, n_lon), validating the transform-exactness bounds.
 
-    Grids are cached by value: equal arguments after defaulting return the
-    same object, so the Legendre table keyed on it is built once.  At
-    most two grids are kept (a run uses its stepping grid plus at most one
-    measurement grid, and the table of the default grid at L=170 takes
-    about 81 MB).
+    A defaulted size comes from `exact_shape(3L)`: the analysis of a
+    product of two degree-L fields against a degree-L harmonic integrates
+    degree 3L, so n_lat = ceil((3L+1)/2) and n_lon is the smallest
+    5-smooth length >= 3L+1 (at L=170, 256 x 512).  Grids are cached by
+    value: equal arguments after defaulting return the same object, so
+    the Legendre table keyed on it is built once.  At most two grids are
+    kept, since the table of the default grid at L=170 takes about 61 MB;
+    a `Stepper` holds its own grid, and so its table, for a whole run,
+    and the two places serve the measurement grids.
     """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")
+    default_lat, default_lon = exact_shape(3 * L)
     if n_lat is None:
-        n_lat = 2 * (L + 1)
+        n_lat = default_lat
     if n_lon is None:
-        n_lon = 4 * (L + 1)
+        n_lon = default_lon
     if n_lat < L + 1:
         raise ValueError(f"n_lat={n_lat} violates n_lat >= L+1 = {L + 1}")
     if n_lon < 2 * L + 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridField, build_grid, integrate
+from .grid import GridField, build_grid, exact_shape, integrate
 from .harmonics import E2Coeffs, SpectralField, synthesize
 
 PI = np.pi
@@ -198,17 +198,16 @@ def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:
 
 
 def moments_numeric(f: SpectralField, m_max: int) -> list[float]:
-    """Moments int f^m d_sigma for m = 2..m_max by oversampled quadrature.
+    """Moments int f^m d_sigma for m = 2..m_max by exact quadrature.
 
-    The grid is sized so f^m_max is still integrated exactly (bandlimited
-    to degree m_max * L, with an equal margin in mu-polynomial degree).
+    f^m_max is bandlimited to degree m_max * L, so the grid of
+    `exact_shape(m_max * L)` integrates every power exactly: at L=90 and
+    m_max=7 that is 316 x 640 nodes.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    L = f.L
-    n_lat = max(m_max * L + 1, 2 * (L + 1))
-    n_lon = max(2 * m_max * L + 2, 4 * (L + 1))
-    spec = build_grid(L, n_lat=n_lat, n_lon=n_lon)
+    n_lat, n_lon = exact_shape(m_max * f.L)
+    spec = build_grid(f.L, n_lat=n_lat, n_lon=n_lon)
     vals = synthesize(f, spec).values
     out = []
     power = vals.copy()

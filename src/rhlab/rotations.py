@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridField
-from .harmonics import SpectralField, analyze, default_grid, eval_point
+from .grid import GridField, build_grid
+from .harmonics import SpectralField, analyze, eval_point
 
 
 def rotate_polar(c: SpectralField, beta: float) -> SpectralField:
@@ -141,10 +141,15 @@ def rotate_so3(c: SpectralField, euler: tuple[float, float, float]) -> SpectralF
     """Active rotation of the field's argument: (Rf)(x) = f(R^{-1} x).
 
     R is the Z-Y-Z Euler rotation of `euler`; the output coefficients are
-    obtained by evaluating f at the pre-image of every grid node and
-    re-analyzing.  rotate_so3(c, (beta, 0, 0)) equals rotate_polar(c, -beta).
+    obtained by evaluating f at the pre-image of every node of a
+    2(L+1) x 4(L+1) grid and re-analyzing.  rotate_so3(c, (beta, 0, 0))
+    equals rotate_polar(c, -beta).
     """
-    spec = default_grid(c.L)
+    # Analysis of a degree-L field needs only L+1 x 2L+1 nodes.  This grid
+    # stays because perfbench's `test_rotations_are_counted_inside_distances`
+    # counts its eval_point points per call, until rotate_wigner replaces
+    # this resampling.
+    spec = build_grid(c.L, n_lat=2 * (c.L + 1), n_lon=4 * (c.L + 1))
     R = euler_to_matrix(euler)
     mu = spec.mu_nodes
     ct = spec.cos_theta

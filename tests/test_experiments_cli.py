@@ -328,6 +328,9 @@ class TestCLI:
         assert "never dipped" in out
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
 def _python(*args):
     """Run `python args` in a fresh process with rhlab's source on the path."""
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -350,8 +353,22 @@ class TestConfigErrors:
         assert proc.stderr == f"rhlab rh-verify: {message}\n"
         assert proc.stdout == ""
 
-
-SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    @pytest.mark.parametrize("command, config, overrides, message", [
+        ("rh-verify", "rh_exactness.cfg", ["dt=0"], "dt must be positive, got 0"),
+        ("rh-verify", "rh_exactness.cfg", ["L=1"], "L must be >= 2, got 1"),
+        ("rh-verify", "rh_exactness.cfg", ["t_end=-1"], "t_end must be nonnegative, got -1"),
+        ("rh-verify", "rh_exactness.cfg", ["diag_every=0"], "diag_every must be >= 1, got 0"),
+        ("stability", "stability_so3.cfg", ["group=euclid"],
+         "unknown group 'euclid' (expected polar or so3)"),
+        ("stability", "stability_polar.cfg", ["group=polar", "alpha=0"],
+         "polar-orbit stability is stated for alpha != 0"),
+    ])
+    def test_out_of_range_value_is_one_line_and_exit_code_two(
+            self, command, config, overrides, message):
+        proc = _python("-m", "rhlab.cli", command, "--config", str(SHIPPED / config), *overrides)
+        assert proc.returncode == 2
+        assert proc.stderr == f"rhlab {command}: {message}\n"
+        assert proc.stdout == ""
 
 
 class TestShippedConfigs:

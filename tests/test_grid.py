@@ -1,11 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhlab import grid
-from rhlab.grid import GridField, build_grid, gauss_legendre, integrate
-from rhlab.harmonics import synthesize
+from rhlab.grid import (
+    GridField,
+    build_grid,
+    exact_shape,
+    gauss_legendre,
+    integrate,
+    smooth_length,
+)
+from rhlab.harmonics import inner_l2, synthesize
+from rhlab.invariants_algebra import moments_numeric
+from rhlab.operators import advection_tendency
 from rhlab.orbit_metrics import lp_distance
 from rhlab.rotations import rotate_so3
 from tests.conftest import random_spectral
@@ -45,10 +56,12 @@ class TestGaussLegendre:
 
 class TestBuildGrid:
     def test_default_sizes(self):
-        spec = build_grid(2)
-        assert (spec.n_lat, spec.n_lon) == (6, 12)
-        spec = build_grid(21)
-        assert (spec.n_lat, spec.n_lon) == (44, 88)
+        # the 3/2 rule: ceil((3L+1)/2) latitudes, the smallest 5-smooth
+        # length >= 3L+1 longitudes
+        for L in (2, 12, 21, 90, 170):
+            spec = build_grid(L)
+            assert spec.n_lat == math.ceil((3 * L + 1) / 2)
+            assert spec.n_lon == smooth_length(3 * L + 1)
 
     def test_rejects_undersized_latitudes(self):
         with pytest.raises(ValueError, match="n_lat"):
@@ -68,10 +81,60 @@ class TestBuildGrid:
         assert abs(spec.weights.sum() - 2.0) < 1e-14
 
 
+class TestExactnessRule:
+    def test_smooth_length_matches_brute_force(self):
+        smooth = sorted(2**a * 3**b * 5**c
+                        for a in range(12) for b in range(8) for c in range(6))
+        for n in range(1, 2001):
+            assert smooth_length(n) == next(s for s in smooth if s >= n)
+
+    def test_exact_shape_integrates_products_exactly(self, rng):
+        # f g has degree 2L; Parseval gives its integral
+        for L in (4, 9, 20):
+            n_lat, n_lon = exact_shape(2 * L)
+            spec = build_grid(L, n_lat=n_lat, n_lon=n_lon)
+            f, g = random_spectral(L, rng), random_spectral(L, rng)
+            fg = synthesize(f, spec).values * synthesize(g, spec).values
+            assert integrate(GridField(values=fg, spec=spec)) == pytest.approx(
+                inner_l2(f, g), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("L", [6, 21, 42])
+    def test_default_grid_tendency_is_alias_free(self, L, rng):
+        f = random_spectral(L, rng)
+        old = build_grid(L, n_lat=2 * (L + 1), n_lon=4 * (L + 1))
+        ref = advection_tendency(f, 0.7, old).coeffs
+        got = advection_tendency(f, 0.7, build_grid(L)).coeffs
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("L", [6, 21, 42])
+    def test_smaller_grids_alias(self, L, rng):
+        # the rule is tight up to its margin: one latitude or two
+        # longitudes fewer than the smallest alias-free grid aliases
+        f = random_spectral(L, rng)
+        ref = advection_tendency(f, 0.7, build_grid(L)).coeffs
+        for n_lat, n_lon in ((math.ceil((3 * L - 1) / 2) - 1, None), (None, 3 * L - 2)):
+            got = advection_tendency(f, 0.7, build_grid(L, n_lat=n_lat, n_lon=n_lon)).coeffs
+            assert np.abs(got - ref).max() > 1e-6 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("L", [21, 90])
+    def test_moments_match_the_oversampled_quadrature(self, L, rng):
+        # the (7L+1) x (14L+2) grid moments_numeric used before it was
+        # sized by exact_shape; roundoff scales with int |f|^m
+        f = random_spectral(L, rng)
+        spec = build_grid(L, n_lat=7 * L + 1, n_lon=14 * L + 2)
+        vals = synthesize(f, spec).values
+        got = moments_numeric(f, 7)
+        for m, I in zip(range(2, 8), got):
+            ref = integrate(GridField(values=vals**m, spec=spec))
+            scale = integrate(GridField(values=np.abs(vals)**m, spec=spec))
+            assert abs(I - ref) < 1e-13 * scale
+
+
 class TestGridCache:
     def test_equal_shapes_share_one_grid(self):
         L = 7
-        assert build_grid(L) is build_grid(L, n_lat=2 * (L + 1), n_lon=4 * (L + 1))
+        assert build_grid(L) is build_grid(L, n_lat=math.ceil((3 * L + 1) / 2),
+                                           n_lon=smooth_length(3 * L + 1))
         assert build_grid(L) is not build_grid(L, n_lat=4 * (L + 1))
 
     def test_at_most_two_grids_are_kept(self):
