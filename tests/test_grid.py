@@ -118,8 +118,8 @@ class TestExactnessRule:
 
     @pytest.mark.parametrize("L", [21, 90])
     def test_moments_match_the_oversampled_quadrature(self, L, rng):
-        # the (7L+1) x (14L+2) grid moments_numeric used before it was
-        # sized by exact_shape; roundoff scales with int |f|^m
+        # oracle: quadrature on the 4x larger (7L+1) x (14L+2) grid;
+        # roundoff scales with int |f|^m
         f = random_spectral(L, rng)
         spec = build_grid(L, n_lat=7 * L + 1, n_lon=14 * L + 2)
         vals = synthesize(f, spec).values
