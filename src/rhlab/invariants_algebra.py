@@ -13,6 +13,7 @@ identifiability results exercised here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,14 +68,23 @@ class ReducedInvariants:
         return (self.a, self.u, self.v, self.w)
 
 
-def _moment_polynomials(alpha, a, b, c, d, e):
-    """The closed-form moments I2..I7, one literal expression each."""
-    I2 = (4 * PI / 15) * (12 * a**2 + 5 * alpha**2 + 4 * b**2 + 4 * c**2 + 4 * d**2 + 4 * e**2)
-    I3 = (16 * PI / 35) * (
+# I_m = _MOMENT_FACTORS[m - 2] * X_m for (X_2, ..., X_7) = (A, ..., F)
+_MOMENT_FACTORS = (4 * PI / 15, 16 * PI / 35, 4 * PI / 105,
+                   32 * PI / 231, 4 * PI / 3003, 16 * PI / 429)
+
+
+def _moment_scalars(alpha, a, b, c, d, e):
+    """The scalars A..F, one literal integer polynomial each.
+
+    Integer coefficients keep the evaluation exact when the arguments are
+    `Fraction`s.
+    """
+    A = 12 * a**2 + 5 * alpha**2 + 4 * b**2 + 4 * c**2 + 4 * d**2 + 4 * e**2
+    B = (
         4 * a**3 + 7 * a * alpha**2 + 2 * a * b**2 + 2 * a * c**2 - 4 * a * d**2
         - 4 * a * e**2 + 2 * b**2 * d + 4 * b * c * e - 2 * c**2 * d
     )
-    I4 = (4 * PI / 105) * (
+    C = (
         144 * a**4 + 264 * a**2 * alpha**2 + 96 * a**2 * b**2 + 96 * a**2 * c**2
         + 96 * a**2 * d**2 + 96 * a**2 * e**2 + 21 * alpha**4 + 72 * alpha**2 * b**2
         + 72 * alpha**2 * c**2 + 24 * alpha**2 * d**2 + 24 * alpha**2 * e**2
@@ -82,7 +92,7 @@ def _moment_polynomials(alpha, a, b, c, d, e):
         + 16 * c**4 + 32 * c**2 * d**2 + 32 * c**2 * e**2 + 16 * d**4
         + 32 * d**2 * e**2 + 16 * e**4
     )
-    I5 = (32 * PI / 231) * (
+    D = (
         48 * a**5 + 176 * a**3 * alpha**2 + 40 * a**3 * b**2 + 40 * a**3 * c**2
         - 32 * a**3 * d**2 - 32 * a**3 * e**2 + 24 * a**2 * b**2 * d
         + 48 * a**2 * b * c * e - 24 * a**2 * c**2 * d + 33 * a * alpha**4
@@ -95,7 +105,7 @@ def _moment_polynomials(alpha, a, b, c, d, e):
         + 16 * b * c**3 * e + 16 * b * c * d**2 * e + 16 * b * c * e**3
         - 8 * c**4 * d - 8 * c**2 * d**3 - 8 * c**2 * d * e**2
     )
-    I6 = (4 * PI / 3003) * (
+    E = (
         10176 * a**6 + 45552 * a**4 * alpha**2 + 10176 * a**4 * b**2
         + 10176 * a**4 * c**2 + 5568 * a**4 * d**2 + 5568 * a**4 * e**2
         + 1536 * a**3 * b**2 * d + 3072 * a**3 * b * c * e - 1536 * a**3 * c**2 * d
@@ -127,7 +137,7 @@ def _moment_polynomials(alpha, a, b, c, d, e):
         + 960 * c**2 * e**4 + 320 * d**6 + 960 * d**4 * e**2 + 960 * d**2 * e**4
         + 320 * e**6
     )
-    I7 = (16 * PI / 429) * (
+    F = (
         576 * a**7 + 3792 * a**5 * alpha**2 + 672 * a**5 * b**2 + 672 * a**5 * c**2
         - 192 * a**5 * d**2 - 192 * a**5 * e**2 + 288 * a**4 * b**2 * d
         + 576 * a**4 * b * c * e - 288 * a**4 * c**2 * d + 2028 * a**3 * alpha**4
@@ -170,19 +180,13 @@ def _moment_polynomials(alpha, a, b, c, d, e):
         - 64 * c**4 * d**3 - 64 * c**4 * d * e**2 - 32 * c**2 * d**5
         - 64 * c**2 * d**3 * e**2 - 32 * c**2 * d * e**4
     )
-    return (I2, I3, I4, I5, I6, I7)
+    return (A, B, C, D, E, F)
 
 
 def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:
     """Closed-form moments of alpha sin(theta) + Y(a,b,c,d,e), plus A..F, b1..b6."""
-    I = _moment_polynomials(alpha, *y.as_tuple())
-    I2, I3, I4, I5, I6, I7 = I
-    A = (15 / (4 * PI)) * I2
-    B = (35 / (16 * PI)) * I3
-    C = (105 / (4 * PI)) * I4
-    D = (231 / (32 * PI)) * I5
-    E = (3003 / (4 * PI)) * I6
-    F = (429 / (16 * PI)) * I7
+    A, B, C, D, E, F = _moment_scalars(alpha, *y.as_tuple())
+    I = tuple(k * s for k, s in zip(_MOMENT_FACTORS, (A, B, C, D, E, F)))
     b1 = 0.25 * (A - 5 * alpha**2)
     b2 = B
     a2 = alpha**2
@@ -252,14 +256,18 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
     """Residuals of the six identities linking (a, u, v, w) to A..F.
 
     Returns (residuals, scales): residuals[i] = LHS_i - RHS_i and
-    scales[i] a magnitude reference for relative comparison.
+    scales[i] a magnitude reference for relative comparison.  Both sides
+    are evaluated in exact rational arithmetic on the given floats, since
+    in floating point the sixth right-hand side cancels terms of order
+    |E| down to order alpha^2, and that roundoff can exceed 1e-10 of the
+    result.  A nonzero residual therefore means a failed identity.
     """
     if alpha == 0.0:
         raise ValueError("the identities require alpha != 0")
-    ms = moments_analytic(alpha, y)
-    a, u, v, w = reduced_invariants(y).as_tuple()
-    a2 = alpha**2
-    A, B, C, D, E, F = ms.A, ms.B, ms.C, ms.D, ms.E, ms.F
+    x = tuple(Fraction(t) for t in (alpha, *y.as_tuple()))
+    A, B, C, D, E, F = _moment_scalars(*x)
+    a, u, v, w = reduced_invariants(E2Coeffs(*x[1:])).as_tuple()
+    a2 = x[0] ** 2
     lhs = (
         12 * a**2 + 5 * a2 + 4 * u + 4 * v,
         4 * a**3 + 7 * a * a2 + 2 * a * u - 4 * a * v + 2 * w,
@@ -272,13 +280,13 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
     rhs = (
         A,
         B,
-        0.25 * (C - A**2),
-        0.5 * (D - A * B),
-        (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / 48.0,
-        (17 * A * C + 96 * B**2 - 12 * A**3 - E) / 16.0,
+        (C - A**2) / 4,
+        (D - A * B) / 2,
+        (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / 48,
+        (17 * A * C + 96 * B**2 - 12 * A**3 - E) / 16,
     )
-    residuals = tuple(l - r for l, r in zip(lhs, rhs))
-    scales = tuple(max(abs(l), abs(r), 1.0) for l, r in zip(lhs, rhs))
+    residuals = tuple(float(l - r) for l, r in zip(lhs, rhs))
+    scales = tuple(float(max(abs(l), abs(r), 1)) for l, r in zip(lhs, rhs))
     return residuals, scales
 
 
