@@ -50,6 +50,16 @@ class GridSpec:
         return _read_only(np.sqrt(1.0 - self.mu_nodes ** 2))
 
     @cached_property
+    def area_weights(self) -> np.ndarray:
+        """Quadrature weight of each node of a latitude: 2 pi / n_lon times its Gauss weight."""
+        return _read_only((2.0 * np.pi / self.n_lon) * self.weights)
+
+    @cached_property
+    def sec_theta(self) -> np.ndarray:
+        """1 / cos(latitude) of each latitude."""
+        return _read_only(1.0 / self.cos_theta)
+
+    @cached_property
     def phi(self) -> np.ndarray:
         return _read_only(2.0 * np.pi * np.arange(self.n_lon) / self.n_lon)
 

@@ -64,41 +64,96 @@ def norm_legendre_table(L: int, mu: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _dtheta_weights(L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m Y_{j-1}^m - j eps_{j+1}^m Y_{j+1}^m.
+def _derivative_weights(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights of the d/dphi and d/dtheta rows of `_synth_values`, indexed like one of its rows.
 
-    Returns (down, up), each indexed [m, 0, j] for 0 <= m, j <= L: the
-    weight that carries c_j^m to degree j-1 and to degree j+1.  Read-only,
-    since the cache hands the same arrays to every caller.
+    Returns (dphi, down, up).  cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m
+    Y_{j-1}^m - j eps_{j+1}^m Y_{j+1}^m: down[m W + j - 1] and up[m W + j]
+    carry c_j^m to degree j-1 and to degree j+1, for orders m <= L and
+    degrees j < W = `table_degree(L)` + 1, zero for j > L; they are laid
+    out to multiply the coefficients shifted by one degree.  dphi[part, m,
+    j] = (-m, m): d/dphi multiplies c_j^m by i m, so its real part is -m
+    times the imaginary part and its imaginary part m times the real part.
+    Read-only, since the cache hands the same arrays to every caller.
     """
+    width = table_degree(L) + 1
     eps = _recurrence_eps(L + 1)[: L + 1]
     j = np.arange(L + 1)
-    down = ((j + 1.0) * eps[:, : L + 1])[:, None, :]
-    up = (-j * eps[:, 1:])[:, None, :]
-    down.setflags(write=False)
-    up.setflags(write=False)
-    return down, up
+    down = np.zeros((L + 1, width))
+    up = np.zeros((L + 1, width))
+    down[:, : L + 1] = (j + 1.0) * eps[:, : L + 1]
+    up[:, : L + 1] = -j * eps[:, 1:]
+    m = np.broadcast_to(np.arange(L + 1.0)[:, None], (L + 1, width))
+    dphi = np.stack((-m, m))
+    weights = (dphi, down.ravel()[1:], up.ravel()[:-1])
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
+def table_degree(L: int) -> int:
+    """Degree of the Legendre table of a truncation-L grid: L + 1, or L + 2 for odd L.
+
+    d/dtheta reaches degree L + 1.  The degree is odd, so that every
+    order has an even number of degrees 0..L', half with j - m even and
+    half with j - m odd (see `grid_tables`).
+    """
+    return L + 1 + L % 2
+
+
+@lru_cache(maxsize=8)
+def _degree_slots(L: int, L_out: int) -> np.ndarray:
+    """Where the analysis matmul leaves c_j^m, for m, j <= L_out, on a table of degree L.
+
+    flat[m, j] = m (L+1) + s indexes the flattened [m, slot] output, and
+    slot s = p (L+1)/2 + i of order m holds degree m + 2i + p (see
+    `grid_tables`).  A degree j < m maps to a slot past degree L, where
+    the table, and so the output, is zero.
+    """
+    n = L + 1
+    m, j = np.arange(L_out + 1)[:, None], np.arange(L_out + 1)
+    offset = (j - m) % n
+    flat = (offset % 2) * (n // 2) + offset // 2 + n * m
+    flat.setflags(write=False)
+    return flat
 
 
 _TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, np.ndarray]" = weakref.WeakKeyDictionary()
 
 
 def grid_tables(spec: GridSpec) -> np.ndarray:
-    """The grid's cached Legendre table: P of degree spec.L + 1 at its nodes.
+    """The grid's cached Legendre table: its northern nodes, degrees split by parity.
 
-    One (L+2, L+2, n_lat) table `norm_legendre_table(spec.L + 1, mu)`
-    serves every transform on the grid: synthesis of values and d/dphi
-    contracts P[:L+1], d/dtheta contracts it against coefficients moved
-    one degree up and down (see `_dtheta_weights`), which is why the
-    table reaches degree L + 1, and analysis to any degree <= L + 1
-    reads the view P[:L'+1, :L'+1].  The table is shared by every caller
-    on `spec`, so it is read-only.
+    Gauss nodes come in pairs +-mu, and P_j^m(-mu) = (-1)^(j-m) P_j^m(mu),
+    so the table holds only the ceil(n_lat/2) nodes with mu >= 0, in
+    ascending order (the first is the equator when n_lat is odd):
+
+        table[m, p, i, k] = N_j^m P_j^m(mu_k),  j = m + 2i + p,
+
+    for orders and degrees up to L' = `table_degree(spec.L)` and
+    0 <= i < (L'+1)/2, zero where j > L'.  Parity p = 0 holds the degrees
+    with j - m even, whose part of a sum over j is even in mu, and p = 1
+    those with j - m odd, whose part is odd.  So a transform contracts
+    each parity once, at half the nodes, in one batched matmul, and forms
+    the two hemispheres from the sum and difference of the two parts.
+    At L=170 the table takes about 30 MB (61 MB over all nodes).
+
+    It is built by `norm_legendre_table` at the northern nodes and put
+    into this order in place, one order m at a time.  The table is shared
+    by every caller on `spec`, so it is read-only.
     """
     table = _TABLE_CACHE.get(spec)
     if table is None:
-        table = norm_legendre_table(spec.L + 1, spec.mu_nodes)
-        table.setflags(write=False)
-        _TABLE_CACHE[spec] = table
+        L = table_degree(spec.L)
+        table = norm_legendre_table(L, spec.mu_nodes[spec.n_lat // 2:])
+        split = table.reshape(L + 1, 2, (L + 1) // 2, -1)
+        for m in range(L + 1):
+            degrees = table[m, m:].copy()
+            table[m] = 0.0
+            split[m, 0, : (L + 2 - m) // 2] = degrees[0::2]
+            split[m, 1, : (L + 1 - m) // 2] = degrees[1::2]
+        split.setflags(write=False)
+        table = _TABLE_CACHE[spec] = split
     return table
 
 
@@ -179,39 +234,48 @@ def inner_l2(c1: SpectralField, c2: SpectralField) -> float:
 def analyze(f: GridField, L: int) -> SpectralField:
     """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma.
 
-    Longitude discrete Fourier sum, scaled by the Gauss weights of each
-    latitude, then the Legendre quadrature `_legendre_quadrature` against
-    the view P[:L+1, :L+1] of the grid's table, so any L <= spec.L + 1
-    needs no table of its own; exact to roundoff for fields bandlimited
-    to degree <= L.  The result is bitwise repeatable under the contract
-    stated in `_synth_values` (fixed numpy/BLAS build and
-    OPENBLAS_NUM_THREADS).
+    The rows of each mirrored pair of latitudes +-mu are summed and
+    differenced and scaled by their quadrature weight, then transformed
+    by a longitude discrete Fourier sum and the Legendre quadrature
+    `_legendre_quadrature` against the grid's half-latitude table, which
+    serves any L <= spec.L + 1; a larger L raises ValueError.  Exact to
+    roundoff for fields bandlimited to degree <= L.  The result is
+    bitwise repeatable under the contract stated in `_synth_values`
+    (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
     spec = f.spec
     if spec.n_lat < L + 1:
         raise ValueError(f"n_lat={spec.n_lat} < L+1={L + 1}: undersized grid")
     if spec.n_lon < 2 * L + 1:
         raise ValueError(f"n_lon={spec.n_lon} < 2L+1={2 * L + 1}: undersized grid")
-    if L <= spec.L + 1:
-        table = grid_tables(spec)[: L + 1, : L + 1]
-    else:
-        table = norm_legendre_table(L, spec.mu_nodes)
-    fourier = np.fft.rfft(f.values, axis=1)[:, : L + 1]
-    fourier *= ((2.0 * np.pi / spec.n_lon) * spec.weights)[:, None]
-    C = _legendre_quadrature(table, fourier)
+    if L > spec.L + 1:
+        raise ValueError(f"analysis degree L={L} exceeds spec.L+1={spec.L + 1}, "
+                         f"the largest the grid's table serves")
+    # [parity, northern node, longitude]: the sum and the difference of the
+    # rows at mu and -mu, weighted; the equator row of an odd n_lat enters once
+    half, eq = spec.n_lat // 2, spec.n_lat % 2
+    pair = np.empty((2, half + eq, spec.n_lon))
+    north, south = f.values[half + eq:], f.values[half - 1 :: -1]
+    np.add(north, south, out=pair[0, eq:])
+    np.subtract(north, south, out=pair[1, eq:])
+    if eq:
+        pair[:, 0] = f.values[half]
+    pair *= spec.area_weights[half:, None]
+    fourier = np.fft.rfft(pair, axis=-1)[..., : L + 1]
+    C = _legendre_quadrature(grid_tables(spec), fourier)
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
-    C[0] = C[0].real
+    C.imag[0] = 0.0
     return SpectralField(L=L, coeffs=C)
 
 
 def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
     """G[m, n] = sum_i C[m, i] table[m, i, n] for complex C and a real table.
 
-    The Legendre kernel of point evaluation (`_synth_values` builds its
-    rows itself, analysis uses `_legendre_quadrature`).  It runs in real
-    arithmetic: the real and imaginary parts of C are stacked as two rows
-    per m and contracted with one batched matmul, so the table is read
-    once and never promoted to complex.
+    The Legendre kernel of point evaluation, against a table of
+    `norm_legendre_table`.  It runs in real arithmetic: the real and
+    imaginary parts of C are stacked as two rows per m and contracted with
+    one batched matmul, so the table is read once and never promoted to
+    complex.
     """
     rows = np.stack((C.real, C.imag), axis=1)
     out = np.matmul(rows, table)
@@ -219,16 +283,23 @@ def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _legendre_quadrature(table: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """C[m, j] = sum_k table[m, j, k] F[k, m] for a real table and complex F.
+    """C[m, j] = sum_k N_j^m P_j^m(mu_k) F_k[m] over all n_lat nodes, from the half table.
 
-    The analysis counterpart of `_legendre_contract`: the table is read in
-    its stored layout, against F as two real columns (real and imaginary
-    part) per m, in one batched matmul.  Same determinism contract as
+    `table` is a grid's table (`grid_tables`).  F[p, q, m] holds the
+    weighted Fourier rows F_k of the grid's mirrored nodes +-mu_q, as
+    their sum (p = 0) and difference (p = 1); an equator node is its own
+    mirror and enters both once.  P_j^m is even in mu when j - m is even
+    and odd otherwise, so the sum is contracted with the table's even
+    parity and the difference with its odd parity: one batched real
+    matmul, which reads F as two real columns (real and imaginary part)
+    per m and parity in place.  Same determinism contract as
     `_synth_values`.
     """
-    cols = np.stack((F.real.T, F.imag.T), axis=-1)
-    out = np.matmul(table, cols)
-    return out.view(complex)[..., 0]
+    L = F.shape[2] - 1
+    cols = F.view(float).reshape(2, F.shape[1], L + 1, 2).transpose(2, 0, 1, 3)
+    out = np.matmul(table[: L + 1], cols)
+    # out[m, p, i] is degree m + 2i + p; gather the degrees j <= L
+    return out.view(complex).ravel().take(_degree_slots(table.shape[0] - 1, L))
 
 
 M0_IMAG_RTOL = 1e-12
@@ -241,8 +312,8 @@ def _check_real_m0(C: np.ndarray) -> None:
     imaginary c_j^0 would vanish silently.  The bound is relative to the
     largest coefficient, so it means the same for tiny and huge fields.
     """
-    imag0 = np.abs(C[0].imag).max()
-    if imag0 > 0.0:
+    if C[0].imag.any():
+        imag0 = np.abs(C[0].imag).max()
         scale = np.abs(C).max()
         if imag0 > M0_IMAG_RTOL * scale:
             raise ValueError(f"m=0 synthesis has imaginary residue {imag0:.3e}, "
@@ -254,12 +325,17 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
 
     Returns shape (len(kinds), len(Cs), n_lat, n_lon).  A kind is "value"
     (the field), "dphi" (i m times the value spectrum) or "dtheta".  For
-    d/dtheta the coefficients are recombined with `_dtheta_weights` into
-    those of cos(theta) d/dtheta, which reach degree L + 1, and the
-    spectrum is divided by cos(theta) (Gauss nodes exclude the poles).
-    Every grid comes from one batched real matmul of 2 rows per field
-    (real and imaginary part), plus 2 more per field when d/dtheta is
-    asked for, against P[:L+1] of the grid's table, and one irfft.
+    d/dtheta the coefficients are recombined with `_derivative_weights`
+    into those of cos(theta) d/dtheta, which reach degree L + 1, and the
+    grid is divided by cos(theta) (Gauss nodes exclude the poles).
+
+    Each kind's coefficients become 2 real rows per field (real and
+    imaginary part), read in the table's slot order (`grid_tables`), and
+    one batched real matmul contracts them with both parities of the
+    table at the northern nodes.  The field at a northern node is the
+    even part plus the odd part, and at its mirror image -mu the even
+    part minus the odd part (an equator node has no odd part); both are
+    written into the spectrum of one irfft.
 
     Determinism: the Legendre sum is a BLAS matmul, so the output is
     bitwise repeatable for the same inputs on one numpy/BLAS build with
@@ -269,37 +345,64 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     `analyze` and `eval_point` share this contract.
     """
     L, n_lat = spec.L, spec.n_lat
-    nf = len(Cs)
-    dtheta = "dtheta" in kinds
-    rows = np.zeros((L + 1, 2 * nf * (1 + dtheta), L + 2))
+    nf, nk = len(Cs), len(kinds)
+    table = grid_tables(spec)
+    h = table.shape[2]
+    # rows[kind, (field, real or imaginary part), m, j] for the table's 2h
+    # degrees j, zero past each kind's top degree, and L zeros after them
+    # for the read below; values[(field, part), m, j] are the coefficients
+    width, R = 2 * h, 2 * nk * nf
+    buffer = np.zeros(R * (L + 1) * width + L)
+    rows = buffer[: R * (L + 1) * width].reshape(nk, 2 * nf, L + 1, width)
+    if "value" in kinds:
+        values = rows[kinds.index("value")]
+    else:
+        values = np.zeros((2 * nf, L + 1, width))
     for i, C in enumerate(Cs):
-        _check_real_m0(C)
-        rows[:, 2 * i, : L + 1] = C.real
-        rows[:, 2 * i + 1, : L + 1] = C.imag
-    if dtheta:
-        down, up = _dtheta_weights(L)
-        values, derivs = rows[:, : 2 * nf], rows[:, 2 * nf:]
-        np.multiply(down[..., 1:], values[..., 1 : L + 1], out=derivs[..., :L])
-        derivs[..., 1:] += up * values[..., : L + 1]
-    out = np.matmul(rows, grid_tables(spec)[: L + 1])
-    # (value or cos(theta) d/dtheta, field, real or imaginary part, latitude, m)
-    spectra = out.reshape(L + 1, 1 + dtheta, nf, 2, n_lat).transpose(1, 2, 3, 4, 0)
-    H = np.zeros((len(kinds), nf, n_lat, spec.n_lon // 2 + 1), dtype=complex)
-    m = np.arange(L + 1.0)
+        values[2 * i, :, : L + 1] = C.real
+        values[2 * i + 1, :, : L + 1] = C.imag
+    if values[1::2, 0].any():
+        for C in Cs:
+            _check_real_m0(C)
+    dphi, down, up = _derivative_weights(L)
     for g, kind in enumerate(kinds):
-        Hg = H[g, ..., : L + 1]
-        if kind == "value":
-            Hg.real, Hg.imag = spectra[0, :, 0], spectra[0, :, 1]
-        elif kind == "dphi":
-            np.multiply(spectra[0, :, 1], -m, out=Hg.real)
-            np.multiply(spectra[0, :, 0], m, out=Hg.imag)
+        if kind == "dphi":
+            # the parts swapped, then scaled by -m and m
+            pairs = (nf, 2, L + 1, width)
+            np.multiply(values.reshape(pairs)[:, ::-1], dphi, out=rows[g].reshape(pairs))
         elif kind == "dtheta":
-            inv_cos = (1.0 / spec.cos_theta)[:, None]
-            np.multiply(spectra[1, :, 0], inv_cos, out=Hg.real)
-            np.multiply(spectra[1, :, 1], inv_cos, out=Hg.imag)
-        else:
+            # each row's orders laid end to end, so a shift by one degree
+            # crosses into the next order only where the weight is zero
+            flat, derivs = values.reshape(2 * nf, -1), rows[g].reshape(2 * nf, -1)
+            np.multiply(down, flat[:, 1:], out=derivs[:, :-1])
+            derivs[:, 1:] += up * flat[:, :-1]
+        elif kind != "value":
             raise ValueError(f"unknown synthesis kind {kind!r}")
-    return np.fft.irfft(H, n=spec.n_lon, axis=-1, norm="forward")
+    # Read rows[r, m, m + 2i + p] as split[m, p, r, i]: a strided view,
+    # since the offset is linear in (m, p, i).  Past a row's end it reads
+    # the next row (or the trailing zeros), where the table is zero.
+    item = buffer.itemsize
+    split = np.ndarray((L + 1, 2, R, h), float, buffer, 0,
+                       ((width + 1) * item, item, (L + 1) * width * item, 2 * item))
+    lhs = np.ascontiguousarray(split)
+    # [(kind, field), m, part, northern node] for each parity
+    out = np.matmul(lhs, table[: L + 1]).reshape(L + 1, 2, nk * nf, 2, -1)
+    even, odd = out[:, 0].swapaxes(0, 1), out[:, 1].swapaxes(0, 1)
+    # H[(kind, field), latitude, m] as floats in the same order, from the
+    # northern rows up and from the southern rows down
+    n_freq = spec.n_lon // 2 + 1
+    H = np.zeros((nk * nf, n_lat, n_freq), dtype=complex)
+    half, eq = n_lat // 2, n_lat % 2
+    strides = (n_lat * n_freq * 2 * item, 2 * item, item, n_freq * 2 * item)
+    north = np.ndarray((nk * nf, L + 1, 2, n_lat - half), float, H, half * strides[3], strides)
+    south = np.ndarray((nk * nf, L + 1, 2, half), float, H, (half - 1) * strides[3],
+                       strides[:3] + (-strides[3],))
+    np.add(even, odd, out=north)
+    np.subtract(even[..., eq:], odd[..., eq:], out=south)
+    grids = np.fft.irfft(H, n=spec.n_lon, axis=-1, norm="forward").reshape(nk, nf, n_lat, -1)
+    if "dtheta" in kinds:
+        grids[kinds.index("dtheta")] *= spec.sec_theta[:, None]
+    return grids
 
 
 def _grid_coeffs(c: SpectralField, spec: GridSpec) -> np.ndarray:

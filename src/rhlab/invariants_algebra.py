@@ -12,6 +12,7 @@ identifiability results exercised here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ PI = np.pi
 class MomentSet:
     """Moments I2..I7 of alpha sin(theta) + Y and the derived scalars.
 
-    b3..b6 involve division by alpha^2 and are None when alpha = 0.
+    b3..b6 involve division by alpha^2 and are None when alpha = 0; a
+    value too large for a float is +-inf.
     """
 
     alpha: float
@@ -183,20 +185,38 @@ def _moment_scalars(alpha, a, b, c, d, e):
     return (A, B, C, D, E, F)
 
 
+def _round(q: Fraction) -> float:
+    """The float nearest to q, with IEEE overflow to infinity."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.copysign(math.inf, q)
+
+
 def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:
-    """Closed-form moments of alpha sin(theta) + Y(a,b,c,d,e), plus A..F, b1..b6."""
-    A, B, C, D, E, F = _moment_scalars(alpha, *y.as_tuple())
+    """Closed-form moments of alpha sin(theta) + Y(a,b,c,d,e), plus A..F, b1..b6.
+
+    A..F and b1..b6 are evaluated in exact rational arithmetic on the
+    given floats and rounded once, as in `verify_abcde_system`: in
+    floating point b6 cancels terms of order |E| down to order alpha^2
+    before dividing by alpha^2, which cost it up to 1e-11 of relative
+    accuracy at alpha >= 0.2, growing as 1/alpha^2 below.  The moments
+    I_m are the rounded scalars times their factors.
+    """
+    x = tuple(Fraction(t) for t in (alpha, *y.as_tuple()))
+    A, B, C, D, E, F = scalars = _moment_scalars(*x)
+    a2 = x[0] ** 2
+    b = [(A - 5 * a2) / 4, B]
+    if alpha != 0.0:
+        b += [
+            (C - A**2) / (16 * a2) + a2 / 4,
+            (D - A * B) / (2 * a2),
+            (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / (48 * a2 * a2),
+            (17 * A * C + 96 * B**2 - 12 * A**3 - E) / (16 * a2) + 9 * a2 * a2,
+        ]
+    A, B, C, D, E, F = (_round(q) for q in scalars)
+    b1, b2, b3, b4, b5, b6 = [_round(q) for q in b] + [None] * (6 - len(b))
     I = tuple(k * s for k, s in zip(_MOMENT_FACTORS, (A, B, C, D, E, F)))
-    b1 = 0.25 * (A - 5 * alpha**2)
-    b2 = B
-    a2 = alpha**2
-    if a2 * a2 != 0.0:  # b5 divides by alpha^4, which underflows first
-        b3 = (C - A**2) / (16 * a2) + 0.25 * a2
-        b4 = (D - A * B) / (2 * a2)
-        b5 = (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / (48 * a2 * a2)
-        b6 = (17 * A * C + 96 * B**2 - 12 * A**3 - E) / (16 * a2) + 9 * a2 * a2
-    else:
-        b3 = b4 = b5 = b6 = None
     return MomentSet(alpha=alpha, I=I, A=A, B=B, C=C, D=D, E=E, F=F,
                      b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b6=b6)
 

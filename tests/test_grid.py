@@ -53,6 +53,16 @@ class TestGaussLegendre:
             exact = 2.0 / (k + 1)
             assert np.dot(weights, nodes**k) == pytest.approx(exact, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [19, 32, 136, 256, 316])
+    def test_nodes_and_weights_mirror_exactly(self, n):
+        # the half-latitude Legendre table stores only mu >= 0 and reads
+        # the southern nodes as -mu, so the symmetry must hold bit for bit
+        nodes, weights = gauss_legendre(n)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        if n % 2:
+            assert nodes[n // 2] == 0.0
+
 
 class TestBuildGrid:
     def test_default_sizes(self):

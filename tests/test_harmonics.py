@@ -25,6 +25,7 @@ from rhlab.harmonics import (
     synthesize_dphi,
     synthesize_dtheta,
     synthesize_gradients,
+    table_degree,
 )
 from rhlab.operators import advection_tendency
 from tests.conftest import random_spectral
@@ -100,6 +101,67 @@ class TestLegendreRecurrence:
         assert np.array_equal(norm_legendre_table(L, mu), per_order_legendre_table(L, mu))
 
 
+class TestLegendreOracle:
+    """The table against scipy at the largest shipped L, and the grid
+    table's parity mirror against a full-node table."""
+
+    @pytest.fixture(scope="class")
+    def largest(self):
+        sph_harm_y = getattr(pytest.importorskip("scipy.special"), "sph_harm_y", None)
+        if sph_harm_y is None:
+            pytest.skip("scipy.special.sph_harm_y needs scipy >= 1.15")
+
+        # L = 170 is the largest shipped truncation; its table has degree 171
+        spec = build_grid(170)
+        mu = spec.mu_nodes[spec.n_lat // 2:]
+        P = norm_legendre_table(171, mu)
+        m, j = np.triu_indices(172)
+        # phi = 0 makes Y real; scipy's polar angle is the colatitude
+        want = sph_harm_y(j[:, None], m[:, None], np.arccos(mu)[None, :], 0.0).real
+        return mu, P, m, j, want
+
+    def test_matches_scipy_at_the_northern_nodes_of_L170(self, largest):
+        mu, P, m, j, want = largest
+        err = np.abs(P[m, j] - want).max(axis=0)
+        # measured 8.3e-13 at the node nearest the pole, 6.2e-14 elsewhere
+        assert err.max() < 2e-12
+        assert err[mu < 0.99].max() < 2e-13
+
+    def test_near_pole_seed_underflows_harmlessly(self, largest):
+        mu, P, m, j, want = largest
+        # P_m^m ~ cos(theta)^m with cos(theta) = 0.0094 at the node nearest
+        # the pole: subnormal from m = 152, exactly zero from m = 160, and
+        # so is every P_j^m of those orders there
+        seed = np.abs(P[np.arange(172), np.arange(172), -1])
+        tiny = np.finfo(float).tiny
+        assert np.all(seed[:152] >= tiny)
+        assert np.all((seed[152:160] > 0.0) & (seed[152:160] < tiny))
+        assert np.all(P[160:, :, -1] == 0.0)
+        # what the zeros stand for is below 1e-300
+        assert np.abs(want[m >= 160, -1]).max() < 1e-300
+
+    @pytest.mark.parametrize("L, n_lat", [(12, None), (12, 20), (21, None), (21, 33)])
+    def test_grid_table_mirrors_a_full_node_table(self, L, n_lat):
+        spec = build_grid(L, n_lat=n_lat)
+        table = grid_tables(spec)
+        degree = table_degree(L)
+        full = norm_legendre_table(degree, spec.mu_nodes)
+        half = spec.n_lat // 2
+        assert table.shape == (degree + 1, 2, (degree + 1) // 2, spec.n_lat - half)
+        # P_j^m(-mu) = (-1)^(j-m) P_j^m(mu): bitwise, since the nodes are
+        # exactly symmetric and the recurrence only flips signs
+        for m in range(degree + 1):
+            for p in range(2):
+                for i in range(table.shape[2]):
+                    j = m + 2 * i + p
+                    row = table[m, p, i]
+                    if j > degree:
+                        assert np.all(row == 0.0)
+                        continue
+                    assert np.array_equal(row, full[m, j, half:])
+                    assert np.array_equal((-1) ** p * row[::-1][:half], full[m, j, :half])
+
+
 class TestTransformPair:
     def test_analyze_recovers_single_harmonic(self, rng):
         L = 8
@@ -157,19 +219,28 @@ class TestTransformPair:
         with pytest.raises(ValueError):
             analyze(g, 40)
 
+    def test_degree_above_the_table_rejected(self):
+        spec = build_grid(4)  # 7 x 13 nodes, enough for degree 6
+        g = GridField(values=np.zeros((spec.n_lat, spec.n_lon)), spec=spec)
+        analyze(g, spec.L + 1)
+        with pytest.raises(ValueError, match=r"spec.L\+1=5"):
+            analyze(g, spec.L + 2)
+
 
 class TestLegendreContraction:
-    """The real-arithmetic kernel against a direct complex einsum.
+    """The real-arithmetic kernels against a direct complex einsum.
 
-    Every transform reads the grid's one table of degree L + 1, through
-    the view P[:L+1, :L+1]; analysis weights the Fourier coefficients.
+    The oracle table is a full-node `norm_legendre_table` of the grid's
+    table degree L + 1, viewed as P[:L+1, :L+1]; analysis weights the
+    Fourier coefficients.
     """
 
     L = 90
 
     def _table(self):
         spec = default_grid(self.L)
-        return spec, grid_tables(spec)[: self.L + 1, : self.L + 1]
+        full = norm_legendre_table(spec.L + 1, spec.mu_nodes)
+        return spec, full[: self.L + 1, : self.L + 1]
 
     def _weighted_fourier(self, spec, rng):
         shape = (spec.n_lat, self.L + 1)
@@ -194,7 +265,10 @@ class TestLegendreContraction:
         spec, P = self._table()
         F = self._weighted_fourier(spec, rng)
         want = np.einsum("mjk,km->mj", P, F)
-        got = _legendre_quadrature(P, F)
+        # the sums and differences of the rows at +-mu (n_lat is even here)
+        half = spec.n_lat // 2
+        north, south = F[half:], F[half - 1 :: -1]
+        got = _legendre_quadrature(grid_tables(spec), np.stack((north + south, north - south)))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_shared_tables_are_read_only(self):

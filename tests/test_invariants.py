@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,18 @@ class TestMomentsAnalytic:
             # magnitude I2^(m/2)
             scale = max(1.0, abs(ms.I[0])) ** (m / 2.0)
             assert m_num == pytest.approx(m_ana, rel=1e-11, abs=1e-12 * scale)
+
+    @given(alpha=st.floats(0.05, 2.0), y=coeff5)
+    @settings(max_examples=40, deadline=None)
+    def test_b_vector_rounds_the_exact_value(self, alpha, y):
+        # oracle: b1..b6 as the polynomials of the system in the reduced
+        # invariants, evaluated exactly on the same floats
+        yc = E2Coeffs(*y)
+        x = reduced_invariants(E2Coeffs(*map(Fraction, y))).as_tuple()
+        want = [float(v) for v in speo1_equations(Fraction(alpha), x)]
+        got = moments_analytic(alpha, yc).b_vector()
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4 * np.spacing(abs(w))
 
     def test_moments_numeric_rejects_small_order(self):
         f = e2_to_spectral(E2Coeffs(1.0, 0.0, 0.0, 0.0, 0.0), 4)
