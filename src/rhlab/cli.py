@@ -40,12 +40,24 @@ def _add_experiment_args(sub):
                      help="config overrides applied after the file")
 
 
+# keys that only one experiment reads; every other key is read, or
+# recorded in the CSV header, by every experiment
+_KEY_OWNERS = {
+    "epsilons": "stability",
+    "max_degree": "stability",
+    "group": "stability",
+    "delta": "traversal",
+    "beta_target": "traversal",
+}
+
+
 def _build_config(args):
     """The config file with overrides applied, and the orbit group.
 
     A config that cannot be read or parsed, holds an out-of-range value,
-    or names a stability group that does not apply ends the process with
-    one line on stderr and exit code 2.
+    sets a key that only another subcommand reads, or names a stability
+    group that does not apply ends the process with one line on stderr
+    and exit code 2.
     """
     try:
         mapping = parse_config_file(args.config) if args.config else {}
@@ -54,6 +66,10 @@ def _build_config(args):
                 raise ValueError(f"override {item!r} is not of the form key=value")
             key, value = item.split("=", 1)
             mapping[key.strip()] = value.strip()
+        for key in mapping:
+            owner = _KEY_OWNERS.get(key, args.command)
+            if owner != args.command:
+                raise ValueError(f"config key {key!r} is read only by rhlab {owner}")
         group = mapping.pop("group", "polar")
         cfg = config_from_mapping(mapping)
         if args.command == "stability":

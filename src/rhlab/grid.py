@@ -104,8 +104,8 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     5-smooth length >= 3L+1 (at L=170, 256 x 512).  Grids are cached by
     value: equal arguments after defaulting return the same object, so
     the Legendre table keyed on it is built once.  At most two grids are
-    kept, since the table of the default grid at L=170 takes about 61 MB;
-    a `Stepper` holds its own grid, and so its table, for a whole run,
+    kept, since the table of the default grid at L=170 takes 15.3 MB
+    (`harmonics.grid_tables`); a `Stepper` holds its own grid, and so its table, for a whole run,
     and the two places serve the measurement grids.
     """
     if L < 2:

@@ -39,28 +39,46 @@ def _recurrence_eps(L: int) -> np.ndarray:
     return np.sqrt(num / np.abs(4.0 * j * j - 1.0))
 
 
-def norm_legendre_table(L: int, mu: np.ndarray) -> np.ndarray:
+def norm_legendre_table(L: int, mu: np.ndarray, sink=None) -> np.ndarray | None:
     """Table P[m, j, k] = N_j^m P_j^m(mu_k) for 0 <= m <= j <= L.
 
     Seeded from the normalized diagonal term and filled with the stable
     three-term recurrence in j, one degree at a time for every order
     m < j at once; entries with m > j are zero.  Valid for any mu in
     [-1, 1], poles included.
+
+    With a `sink`, nothing is stored: each degree's column P[:j+1, j] is
+    passed as sink(j, column) once it is complete, and only the last
+    three columns are kept, so `grid_tables` can lay the values out in
+    its own order without a table-sized temporary.  Returns None then.
     """
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     n = mu.size
     s = np.sqrt(np.clip(1.0 - mu ** 2, 0.0, None))
-    P = np.zeros((L + 1, L + 1, n))
-    P[0, 0] = 1.0 / SQRT4PI
-    for m in range(1, L + 1):
-        P[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
+    if sink is None:
+        P = np.zeros((L + 1, L + 1, n))
+        columns = P.swapaxes(0, 1)
+    else:
+        # degree j in slot j % 3; entries m > j stay zero, since the
+        # column that slot held before had no order above j - 3
+        ring = np.zeros((3, L + 1, n))
+        columns = [ring[j % 3] for j in range(L + 1)]
     eps = _recurrence_eps(L)[:, :, None]
-    if L >= 1:
-        P[0, 1] = mu * P[0, 0] / eps[0, 1]
-    for j in range(2, L + 1):
-        # P[j-1, j-2] and eps[j-1, j-1] are zero, so order m = j-1 needs no case
-        P[:j, j] = (mu * P[:j, j - 1] - eps[:j, j - 1] * P[:j, j - 2]) / eps[:j, j]
-    return P
+    for j in range(L + 1):
+        col = columns[j]
+        if j == 0:
+            col[0] = 1.0 / SQRT4PI
+        else:
+            prev = columns[j - 1]
+            col[j] = -np.sqrt((2 * j + 1) / (2.0 * j)) * s * prev[j - 1]
+            if j == 1:
+                col[0] = mu * prev[0] / eps[0, 1]
+            else:
+                # the order m = j-1 entry of column j-2 and eps[j-1, j-1] are zero
+                col[:j] = (mu * prev[:j] - eps[:j, j - 1] * columns[j - 2][:j]) / eps[:j, j]
+        if sink is not None:
+            sink(j, col[: j + 1])
+    return P if sink is None else None
 
 
 @lru_cache(maxsize=4)
@@ -68,15 +86,16 @@ def _derivative_weights(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights of the d/dphi and d/dtheta rows of `_synth_values`, indexed like one of its rows.
 
     Returns (dphi, down, up).  cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m
-    Y_{j-1}^m - j eps_{j+1}^m Y_{j+1}^m: down[m W + j - 1] and up[m W + j]
+    Y_{j-1}^m - j eps_{j+1}^m Y_{j+1}^m: down[m w + j - 1] and up[m w + j]
     carry c_j^m to degree j-1 and to degree j+1, for orders m <= L and
-    degrees j < W = `table_degree(L)` + 1, zero for j > L; they are laid
-    out to multiply the coefficients shifted by one degree.  dphi[part, m,
-    j] = (-m, m): d/dphi multiplies c_j^m by i m, so its real part is -m
-    times the imaginary part and its imaginary part m times the real part.
+    degrees j < w = `table_degree(L)` + 2, the row width of
+    `_synth_values`, zero for j > L; they are laid out to multiply the
+    coefficients shifted by one degree.  dphi[part, m, j] = (-m, m):
+    d/dphi multiplies c_j^m by i m, so its real part is -m times the
+    imaginary part and its imaginary part m times the real part.
     Read-only, since the cache hands the same arrays to every caller.
     """
-    width = table_degree(L) + 1
+    width = table_degree(L) + 2
     eps = _recurrence_eps(L + 1)[: L + 1]
     j = np.arange(L + 1)
     down = np.zeros((L + 1, width))
@@ -94,26 +113,42 @@ def _derivative_weights(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def table_degree(L: int) -> int:
     """Degree of the Legendre table of a truncation-L grid: L + 1, or L + 2 for odd L.
 
-    d/dtheta reaches degree L + 1.  The degree is odd, so that every
-    order has an even number of degrees 0..L', half with j - m even and
-    half with j - m odd (see `grid_tables`).
+    d/dtheta reaches degree L + 1.  The degree L' is odd, so that the
+    orders pair up as m and L' - m (see `grid_tables`).
     """
     return L + 1 + L % 2
+
+
+@lru_cache(maxsize=8)
+def _fold_orders(L: int, L_out: int) -> np.ndarray:
+    """The orders of the analysis matmul's Fourier columns on a table of degree L: (q, L - q) per pair q.
+
+    Only the pairs with an order <= L_out are contracted; an order above
+    L_out reads column L_out instead, and its output is never gathered.
+    """
+    pairs = np.arange(min((L + 1) // 2, L_out + 1))
+    orders = np.minimum(np.stack((pairs, L - pairs), axis=1).ravel(), L_out)
+    orders.setflags(write=False)
+    return orders
 
 
 @lru_cache(maxsize=8)
 def _degree_slots(L: int, L_out: int) -> np.ndarray:
     """Where the analysis matmul leaves c_j^m, for m, j <= L_out, on a table of degree L.
 
-    flat[m, j] = m (L+1) + s indexes the flattened [m, slot] output, and
-    slot s = p (L+1)/2 + i of order m holds degree m + 2i + p (see
-    `grid_tables`).  A degree j < m maps to a slot past degree L, where
-    the table, and so the output, is zero.
+    flat[m, j] indexes the flattened complex [pair, parity, slot, order
+    of the pair] output at the slot that `grid_tables` gives degree j of
+    order m.  A degree j < m maps to the unused odd slot of pair 0,
+    where the table, and so the output, is zero.
     """
-    n = L + 1
+    h = (L + 1) // 2
     m, j = np.arange(L_out + 1)[:, None], np.arange(L_out + 1)
-    offset = (j - m) % n
-    flat = (offset % 2) * (n // 2) + offset // 2 + n * m
+    d = j - m
+    top = m >= h
+    pair = np.where(top, L - m, m)
+    slot = np.where(top, h - d // 2, d // 2)
+    flat = ((2 * pair + d % 2) * (h + 1) + slot) * 2 + top
+    flat[d < 0] = 2 * ((h + 1) + h)
     flat.setflags(write=False)
     return flat
 
@@ -122,38 +157,59 @@ _TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, np.ndarray]" = weakref.WeakKe
 
 
 def grid_tables(spec: GridSpec) -> np.ndarray:
-    """The grid's cached Legendre table: its northern nodes, degrees split by parity.
+    """The grid's cached Legendre table: its northern nodes, degrees split by parity, orders folded in pairs.
 
     Gauss nodes come in pairs +-mu, and P_j^m(-mu) = (-1)^(j-m) P_j^m(mu),
     so the table holds only the ceil(n_lat/2) nodes with mu >= 0, in
-    ascending order (the first is the equator when n_lat is odd):
+    ascending order (the first is the equator when n_lat is odd).  Parity
+    p = 0 holds the degrees with j - m even, whose part of a sum over j
+    is even in mu, and p = 1 those with j - m odd, whose part is odd.
+    So a transform contracts each parity once, at half the nodes, and
+    forms the two hemispheres from the sum and difference of the parts.
 
-        table[m, p, i, k] = N_j^m P_j^m(mu_k),  j = m + 2i + p,
+    Order m has the L' + 1 - m degrees m..L', L' = `table_degree(spec.L)`
+    (odd, h = (L'+1)/2), so orders m and L' - m together have h + 1
+    degrees of even parity and h of odd parity.  They share one rectangle
+    of h + 1 slots per parity (rectangular full packed storage): for
+    pair q < h,
 
-    for orders and degrees up to L' = `table_degree(spec.L)` and
-    0 <= i < (L'+1)/2, zero where j > L'.  Parity p = 0 holds the degrees
-    with j - m even, whose part of a sum over j is even in mu, and p = 1
-    those with j - m odd, whose part is odd.  So a transform contracts
-    each parity once, at half the nodes, in one batched matmul, and forms
-    the two hemispheres from the sum and difference of the two parts.
-    At L=170 the table takes about 30 MB (61 MB over all nodes).
+        table[q, p, i, k]     = N_j^m P_j^m(mu_k),  m = q,       j = m + 2i + p,
+        table[q, p, h - i, k] = N_j^m P_j^m(mu_k),  m = L' - q,  j = m + 2i + p,
 
-    It is built by `norm_legendre_table` at the northern nodes and put
-    into this order in place, one order m at a time.  The table is shared
-    by every caller on `spec`, so it is read-only.
+    order q filling the slots from the bottom and order L' - q from the
+    top; the one slot left over, of parity 1, is zero.  Apart from that
+    slot only the P_j^m with j >= m are stored: at L=170 the table takes
+    15.3 MB (30.3 MB with every order padded to h slots, 61 MB over all
+    nodes).
+
+    `norm_legendre_table` runs at the northern nodes and hands each
+    degree's column to a scatter into the folded slots, so no table-sized
+    temporary is built.  The table is shared by every caller on `spec`,
+    so it is read-only.
     """
     table = _TABLE_CACHE.get(spec)
     if table is None:
         L = table_degree(spec.L)
-        table = norm_legendre_table(L, spec.mu_nodes[spec.n_lat // 2:])
-        split = table.reshape(L + 1, 2, (L + 1) // 2, -1)
-        for m in range(L + 1):
-            degrees = table[m, m:].copy()
-            table[m] = 0.0
-            split[m, 0, : (L + 2 - m) // 2] = degrees[0::2]
-            split[m, 1, : (L + 1 - m) // 2] = degrees[1::2]
-        split.setflags(write=False)
-        table = _TABLE_CACHE[spec] = split
+        h = (L + 1) // 2
+        mu = spec.mu_nodes[spec.n_lat // 2:]
+        table = np.zeros((h, 2, h + 1, mu.size))
+        rows = table.reshape(-1, mu.size)
+        step = 4 * (h + 1) - 1
+
+        def scatter(j, column):
+            # orders m = j - p - 2i of parity p: row (2m + p)(h + 1) + i
+            # from the bottom for m < h, row (2(L - m) + p)(h + 1) + h - i
+            # from the top for m >= h; both rows move by `step` per i
+            for p in range(min(2, j + 1)):
+                orders = column[j - p :: -2]
+                top = max(0, (j - p - h) // 2 + 1)
+                bottom = (2 * (j - p) + p) * (h + 1) - top * step
+                rows[bottom::-step][: len(orders) - top] = orders[top:]
+                rows[(2 * (L - j + p) + p) * (h + 1) + h :: step][:top] = orders[:top]
+
+        norm_legendre_table(L, mu, sink=scatter)
+        table.setflags(write=False)
+        _TABLE_CACHE[spec] = table
     return table
 
 
@@ -237,7 +293,7 @@ def analyze(f: GridField, L: int) -> SpectralField:
     The rows of each mirrored pair of latitudes +-mu are summed and
     differenced and scaled by their quadrature weight, then transformed
     by a longitude discrete Fourier sum and the Legendre quadrature
-    `_legendre_quadrature` against the grid's half-latitude table, which
+    `_legendre_quadrature` against the grid's folded table, which
     serves any L <= spec.L + 1; a larger L raises ValueError.  Exact to
     roundoff for fields bandlimited to degree <= L.  The result is
     bitwise repeatable under the contract stated in `_synth_values`
@@ -283,23 +339,25 @@ def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _legendre_quadrature(table: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """C[m, j] = sum_k N_j^m P_j^m(mu_k) F_k[m] over all n_lat nodes, from the half table.
+    """C[m, j] = sum_k N_j^m P_j^m(mu_k) F_k[m] over all n_lat nodes, from the folded table.
 
     `table` is a grid's table (`grid_tables`).  F[p, q, m] holds the
     weighted Fourier rows F_k of the grid's mirrored nodes +-mu_q, as
     their sum (p = 0) and difference (p = 1); an equator node is its own
     mirror and enters both once.  P_j^m is even in mu when j - m is even
     and odd otherwise, so the sum is contracted with the table's even
-    parity and the difference with its odd parity: one batched real
-    matmul, which reads F as two real columns (real and imaginary part)
-    per m and parity in place.  Same determinism contract as
+    parity and the difference with its odd parity.  Each pair's rectangle
+    meets four real columns, the real and imaginary parts of both its
+    orders' Fourier rows, in one batched real matmul; each order keeps
+    the slots of its own degrees.  Same determinism contract as
     `_synth_values`.
     """
-    L = F.shape[2] - 1
-    cols = F.view(float).reshape(2, F.shape[1], L + 1, 2).transpose(2, 0, 1, 3)
-    out = np.matmul(table[: L + 1], cols)
-    # out[m, p, i] is degree m + 2i + p; gather the degrees j <= L
-    return out.view(complex).ravel().take(_degree_slots(table.shape[0] - 1, L))
+    L, top = F.shape[2] - 1, 2 * table.shape[0] - 1
+    # cols[pair, parity, node, (order of the pair, part)]
+    cols = F.take(_fold_orders(top, L), axis=2).view(float)
+    cols = cols.reshape(2, F.shape[1], -1, 4).transpose(2, 0, 1, 3)
+    out = np.matmul(table[: cols.shape[0]], cols)
+    return out.view(complex).ravel().take(_degree_slots(top, L))
 
 
 M0_IMAG_RTOL = 1e-12
@@ -320,6 +378,14 @@ def _check_real_m0(C: np.ndarray) -> None:
                              f"{imag0 / scale:.3e} of the largest coefficient")
 
 
+@lru_cache(maxsize=4)
+def _upper_triangle(L: int) -> np.ndarray:
+    """Mask of the coefficient slots C[m, j] with j >= m; read-only."""
+    mask = np.arange(L + 1) >= np.arange(L + 1)[:, None]
+    mask.setflags(write=False)
+    return mask
+
+
 def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     """Grids of each kind for each coefficient array C[m, j] (m, j <= spec.L) in Cs.
 
@@ -330,12 +396,16 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     grid is divided by cos(theta) (Gauss nodes exclude the poles).
 
     Each kind's coefficients become 2 real rows per field (real and
-    imaginary part), read in the table's slot order (`grid_tables`), and
-    one batched real matmul contracts them with both parities of the
-    table at the northern nodes.  The field at a northern node is the
-    even part plus the odd part, and at its mirror image -mu the even
-    part minus the odd part (an equator node has no odd part); both are
-    written into the spectrum of one irfft.
+    imaginary part).  For each pair of orders m and L' - m of the folded
+    table (`grid_tables`) and each parity, the rows of order m, in its
+    slot order and zero on the slots of L' - m, stand above those of
+    order L' - m, zero on the slots of m, and one batched real matmul
+    contracts this block-diagonal left side with the table at the
+    northern nodes, so each rectangle is read once.  The field at a
+    northern node is the even part plus the odd part, and at its mirror
+    image -mu the even part minus the odd part (an equator node has no
+    odd part); both are written into the spectrum of one irfft.  The
+    slots C[m, j < m] are never read.
 
     Determinism: the Legendre sum is a BLAS matmul, so the output is
     bitwise repeatable for the same inputs on one numpy/BLAS build with
@@ -344,23 +414,43 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     at L = 21, 90 and 170); pin the variable where bits are compared.
     `analyze` and `eval_point` share this contract.
     """
-    L, n_lat = spec.L, spec.n_lat
+    # the coefficient rows and the matmul's operands are freed before the
+    # spectra are built, and the matmul output before the irfft
+    spectra = _hemisphere_spectra(_legendre_sums(Cs, spec, kinds), spec)
+    grids = np.fft.irfft(spectra, n=spec.n_lon, axis=-1, norm="forward")
+    grids = grids.reshape(len(kinds), len(Cs), spec.n_lat, -1)
+    if "dtheta" in kinds:
+        grids[kinds.index("dtheta")] *= spec.sec_theta[:, None]
+    return grids
+
+
+def _legendre_sums(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
+    """The even and odd Legendre sums of `_synth_values` at the northern nodes.
+
+    Returns out[pair, parity, order of the pair, (kind, field), part,
+    northern node] for the pairs of orders (q, L' - q) of the folded table.
+    """
+    L = spec.L
     nf, nk = len(Cs), len(kinds)
     table = grid_tables(spec)
-    h = table.shape[2]
-    # rows[kind, (field, real or imaginary part), m, j] for the table's 2h
-    # degrees j, zero past each kind's top degree, and L zeros after them
-    # for the read below; values[(field, part), m, j] are the coefficients
-    width, R = 2 * h, 2 * nk * nf
-    buffer = np.zeros(R * (L + 1) * width + L)
-    rows = buffer[: R * (L + 1) * width].reshape(nk, 2 * nf, L + 1, width)
+    h, slots = table.shape[0], table.shape[2]
+    top = 2 * h - 1
+    # rows[kind, (field, real or imaginary part), m, j] for degrees
+    # j <= L' + 1, zero past each kind's top degree, and orders m <= L;
+    # each kind's block ends in zero orders up to L' + 1.  values[(field,
+    # part), m, j] are the coefficients, zero for j < m.
+    width, R = top + 2, 2 * nk * nf
+    block = (top + 2) * width
+    buffer = np.zeros(R * block)
+    rows = buffer.reshape(nk, 2 * nf, top + 2, width)[:, :, : L + 1]
     if "value" in kinds:
         values = rows[kinds.index("value")]
     else:
         values = np.zeros((2 * nf, L + 1, width))
+    upper = _upper_triangle(L)
     for i, C in enumerate(Cs):
-        values[2 * i, :, : L + 1] = C.real
-        values[2 * i + 1, :, : L + 1] = C.imag
+        parts = C[..., None].view(float).transpose(2, 0, 1)
+        np.copyto(values[2 * i : 2 * i + 2, :, : L + 1], parts, where=upper)
     if values[1::2, 0].any():
         for C in Cs:
             _check_real_m0(C)
@@ -378,31 +468,50 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
             derivs[:, 1:] += up * flat[:, :-1]
         elif kind != "value":
             raise ValueError(f"unknown synthesis kind {kind!r}")
-    # Read rows[r, m, m + 2i + p] as split[m, p, r, i]: a strided view,
-    # since the offset is linear in (m, p, i).  Past a row's end it reads
-    # the next row (or the trailing zeros), where the table is zero.
+    # Read rows[r, q, q + 2i + p] as first[q, p, r, i] and rows[r, L'-q,
+    # L'-q + 2(h-i) + p] as second[q, p, r, i]: strided views, since the
+    # offsets are linear in (q, p, r, i).  Past a row's end they read the
+    # next row's slots j < m, which hold zeros, or a zero order.
     item = buffer.itemsize
-    split = np.ndarray((L + 1, 2, R, h), float, buffer, 0,
-                       ((width + 1) * item, item, (L + 1) * width * item, 2 * item))
-    lhs = np.ascontiguousarray(split)
-    # [(kind, field), m, part, northern node] for each parity
-    out = np.matmul(lhs, table[: L + 1]).reshape(L + 1, 2, nk * nf, 2, -1)
-    even, odd = out[:, 0].swapaxes(0, 1), out[:, 1].swapaxes(0, 1)
-    # H[(kind, field), latitude, m] as floats in the same order, from the
-    # northern rows up and from the southern rows down
+    shape = (h, 2, R, slots)
+    first = np.ndarray(shape, float, buffer, 0,
+                       ((width + 1) * item, item, block * item, 2 * item))
+    second = np.ndarray(shape, float, buffer, (top * (width + 1) + 2 * h) * item,
+                        (-(width + 1) * item, item, block * item, -2 * item))
+    lhs = np.empty((h, 2, 2, R, slots))
+    lhs[:, :, 0] = first
+    lhs[:, :, 1] = second
+    out = np.matmul(lhs.reshape(h, 2, 2 * R, slots), table)
+    return out.reshape(h, 2, 2, nk * nf, 2, -1)
+
+
+def _hemisphere_spectra(out: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The irfft input H[(kind, field), latitude, m] of `_synth_values` from its Legendre sums.
+
+    A northern row is the even part plus the odd part, and its mirror
+    image the even part minus the odd part; orders 0..h-1 come from the
+    first order of each pair of `out` (`_legendre_sums`), orders L..h from
+    the second.
+    """
+    L, n_lat = spec.L, spec.n_lat
+    h, n_grids = out.shape[0], out.shape[3]
     n_freq = spec.n_lon // 2 + 1
-    H = np.zeros((nk * nf, n_lat, n_freq), dtype=complex)
+    H = np.zeros((n_grids, n_lat, n_freq), dtype=complex)
+    # H as floats [m, (kind, field), part, latitude], from the northern
+    # rows up and from the southern rows down
     half, eq = n_lat // 2, n_lat % 2
-    strides = (n_lat * n_freq * 2 * item, 2 * item, item, n_freq * 2 * item)
-    north = np.ndarray((nk * nf, L + 1, 2, n_lat - half), float, H, half * strides[3], strides)
-    south = np.ndarray((nk * nf, L + 1, 2, half), float, H, (half - 1) * strides[3],
-                       strides[:3] + (-strides[3],))
-    np.add(even, odd, out=north)
-    np.subtract(even[..., eq:], odd[..., eq:], out=south)
-    grids = np.fft.irfft(H, n=spec.n_lon, axis=-1, norm="forward").reshape(nk, nf, n_lat, -1)
-    if "dtheta" in kinds:
-        grids[kinds.index("dtheta")] *= spec.sec_theta[:, None]
-    return grids
+    item = out.itemsize
+    lat = n_freq * 2 * item
+    strides = (2 * item, n_lat * lat, item, lat)
+    north = np.ndarray((L + 1, n_grids, 2, n_lat - half), float, H, half * lat, strides)
+    south = np.ndarray((L + 1, n_grids, 2, half), float, H, (half - 1) * lat,
+                       strides[:3] + (-lat,))
+    for i, pairs, orders in ((0, slice(0, h), slice(0, h)),
+                             (1, slice(2 * h - 1 - L, h), slice(L, h - 1, -1))):
+        even, odd = out[pairs, 0, i], out[pairs, 1, i]
+        np.add(even, odd, out=north[orders])
+        np.subtract(even[..., eq:], odd[..., eq:], out=south[orders])
+    return H
 
 
 def _grid_coeffs(c: SpectralField, spec: GridSpec) -> np.ndarray:

@@ -370,6 +370,25 @@ class TestConfigErrors:
         assert proc.stderr == f"rhlab {command}: {message}\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command, config, override, owner", [
+        ("rh-verify", "rh_exactness.cfg", "delta=0.3", "traversal"),
+        ("rh-verify", "rh_exactness.cfg", "group=so3", "stability"),
+        ("rh-verify", "rh_exactness.cfg", "epsilons=0.5", "stability"),
+        ("rh-verify", "rh_exactness.cfg", "max_degree=3", "stability"),
+        ("rearrange", "rearrangement.cfg", "beta_target=1.0", "traversal"),
+        ("traversal", "traversal.cfg", "epsilons=0.5", "stability"),
+        ("stability", "stability_so3.cfg", "delta=0.3", "traversal"),
+    ])
+    def test_key_of_another_subcommand_is_one_line_and_exit_code_two(
+            self, command, config, override, owner):
+        # the shipped configs themselves run: TestShippedConfigs
+        proc = _python("-m", "rhlab.cli", command, "--config", str(SHIPPED / config),
+                       "t_end=0.01", override)
+        key = override.split("=")[0]
+        assert proc.returncode == 2
+        assert proc.stderr == f"rhlab {command}: config key {key!r} is read only by rhlab {owner}\n"
+        assert proc.stdout == ""
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("command, config, header, n_eps", [

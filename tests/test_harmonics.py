@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhlab import harmonics
 from rhlab.grid import GridField, build_grid, integrate
 from rhlab.harmonics import (
     E2Coeffs,
@@ -102,8 +105,8 @@ class TestLegendreRecurrence:
 
 
 class TestLegendreOracle:
-    """The table against scipy at the largest shipped L, and the grid
-    table's parity mirror against a full-node table."""
+    """The table against scipy at the largest shipped L, and every slot of
+    the folded grid table against a full-node table."""
 
     @pytest.fixture(scope="class")
     def largest(self):
@@ -140,6 +143,29 @@ class TestLegendreOracle:
         # what the zeros stand for is below 1e-300
         assert np.abs(want[m >= 160, -1]).max() < 1e-300
 
+    @staticmethod
+    def assert_folded(table, degree, P):
+        """Every slot of the folded grid table against P[m, j] at the same nodes.
+
+        Pair q holds order m = q from the bottom (slot i of parity p is
+        degree m + 2i + p) and order degree - q from the top (slot h - i);
+        used slots must equal P bitwise, the rest must be exactly zero.
+        """
+        h = (degree + 1) // 2
+        assert table.shape == (h, 2, h + 1, P.shape[-1])
+        used = np.zeros(table.shape[:3], dtype=bool)
+        for q in range(h):
+            for m, from_top in ((q, False), (degree - q, True)):
+                for j in range(m, degree + 1):
+                    i, p = divmod(j - m, 2)
+                    slot = h - i if from_top else i
+                    assert not used[q, p, slot]
+                    used[q, p, slot] = True
+                    assert np.array_equal(table[q, p, slot], P[m, j])
+        # one odd slot per pair is left over
+        assert used[:, 0].all() and np.all((~used[:, 1]).sum(axis=1) == 1)
+        assert np.all(table[~used] == 0.0)
+
     @pytest.mark.parametrize("L, n_lat", [(12, None), (12, 20), (21, None), (21, 33)])
     def test_grid_table_mirrors_a_full_node_table(self, L, n_lat):
         spec = build_grid(L, n_lat=n_lat)
@@ -147,19 +173,33 @@ class TestLegendreOracle:
         degree = table_degree(L)
         full = norm_legendre_table(degree, spec.mu_nodes)
         half = spec.n_lat // 2
-        assert table.shape == (degree + 1, 2, (degree + 1) // 2, spec.n_lat - half)
+        self.assert_folded(table, degree, full[:, :, half:])
         # P_j^m(-mu) = (-1)^(j-m) P_j^m(mu): bitwise, since the nodes are
         # exactly symmetric and the recurrence only flips signs
-        for m in range(degree + 1):
-            for p in range(2):
-                for i in range(table.shape[2]):
-                    j = m + 2 * i + p
-                    row = table[m, p, i]
-                    if j > degree:
-                        assert np.all(row == 0.0)
-                        continue
-                    assert np.array_equal(row, full[m, j, half:])
-                    assert np.array_equal((-1) ** p * row[::-1][:half], full[m, j, :half])
+        parity = (-1.0) ** (np.arange(degree + 1)[None, :] - np.arange(degree + 1)[:, None])
+        mirrored = parity[:, :, None] * full[:, :, half:][:, :, ::-1][:, :, :half]
+        assert np.array_equal(mirrored, full[:, :, :half])
+
+    def test_grid_table_of_L170_is_folded(self, largest):
+        mu, P = largest[:2]
+        spec = build_grid(170)
+        assert np.array_equal(spec.mu_nodes[spec.n_lat // 2:], mu)
+        table = grid_tables(spec)
+        self.assert_folded(table, 171, P)
+        # only the nonzero P_j^m are stored: 86 pairs x 2 parities x 87 slots
+        assert table.nbytes == 86 * 2 * 87 * 128 * 8 <= 16e6
+
+    def test_table_build_keeps_no_dense_temporary(self):
+        spec = build_grid(90)
+        harmonics._TABLE_CACHE.pop(spec, None)
+        tracemalloc.start()
+        try:
+            table = grid_tables(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense table at the northern nodes is twice the folded one
+        assert peak <= 1.5 * table.nbytes
 
 
 class TestTransformPair:
@@ -261,19 +301,26 @@ class TestLegendreContraction:
         got = _legendre_contract(F.T, P.transpose(0, 2, 1))
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng):
-        spec, P = self._table()
-        F = self._weighted_fourier(spec, rng)
+    @pytest.mark.parametrize("L_out", [2, L - 1, L, L + 1])
+    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng, L_out):
+        # `analyze` serves every degree up to spec.L + 1 from the one table
+        spec = default_grid(self.L)
+        P = norm_legendre_table(spec.L + 1, spec.mu_nodes)[: L_out + 1, : L_out + 1]
+        shape = (spec.n_lat, L_out + 1)
+        F = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * spec.weights[:, None]
         want = np.einsum("mjk,km->mj", P, F)
         # the sums and differences of the rows at +-mu (n_lat is even here)
         half = spec.n_lat // 2
         north, south = F[half:], F[half - 1 :: -1]
         got = _legendre_quadrature(grid_tables(spec), np.stack((north + south, north - south)))
+        assert got.shape == (L_out + 1, L_out + 1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # the slots j < m are exactly zero
+        assert np.all(got[np.tril_indices(L_out + 1, -1)] == 0.0)
 
     def test_shared_tables_are_read_only(self):
         table = grid_tables(build_grid(5))
-        for view in (table, table[:6, :6]):
+        for view in (table, table[:2, :1]):
             with pytest.raises(ValueError, match="read-only"):
                 view[0, 0, 0] = 1.0
 
