@@ -105,8 +105,11 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     value: equal arguments after defaulting return the same object, so
     the Legendre table keyed on it is built once.  At most two grids are
     kept, since the table of the default grid at L=170 takes 15.3 MB
-    (`harmonics.grid_tables`); a `Stepper` holds its own grid, and so its table, for a whole run,
-    and the two places serve the measurement grids.
+    (`harmonics.grid_tables`).  A `Stepper` holds its own grid, and so
+    its table, for a whole run, and the two places serve it and one
+    measurement grid: the moment grid of `moments_numeric`, which
+    builds no table, or the grid of `rotate_so3`.  p = 2 distances use
+    no grid; p != 2 adds a 4(L+1) x 4(L+1) one.
     """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")

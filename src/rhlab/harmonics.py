@@ -514,6 +514,51 @@ def _hemisphere_spectra(out: np.ndarray, spec: GridSpec) -> np.ndarray:
     return H
 
 
+def _synth_streamed(C: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The grid values of the coefficients C[m, j], with no Legendre table.
+
+    The same sum as `_synth_values` in the same conventions, for a grid
+    that is synthesized on too seldom to pay for a table: the Legendre
+    recurrence is streamed through the sums (`_streamed_spectrum`).  The
+    sums are freed before the irfft's output is allocated.
+    """
+    return np.fft.irfft(_streamed_spectrum(C, spec), n=spec.n_lon, axis=-1, norm="forward")
+
+
+def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The irfft input H[latitude, m] of `_synth_streamed`.
+
+    `norm_legendre_table` runs once at the northern nodes, and its sink
+    adds each degree j's column, for every order m <= j, into the
+    Legendre sum of the degrees of j's parity.  The row at a northern
+    node mu is the sum of the two, and the row at -mu is (-1)^m times
+    their difference, since P_j^m(-mu) = (-1)^(j-m) P_j^m(mu); an
+    equator row comes once.  The slots C[m, j < m] are never read.
+    """
+    C = np.asarray(C, dtype=complex)
+    L = C.shape[1] - 1
+    _check_real_m0(C)
+    half, eq = spec.n_lat // 2, spec.n_lat % 2
+    mu = spec.mu_nodes[half:]
+    parts = C[..., None].view(float)
+    # sums[j % 2, m, part, northern node]: the degrees j of each parity
+    sums = np.zeros((2, L + 1, 2, mu.size))
+
+    def accumulate(j, column):
+        sums[j % 2, : j + 1] += parts[: j + 1, j, :, None] * column[:, None, :]
+
+    norm_legendre_table(L, mu, sink=accumulate)
+    even_j, odd_j = sums.transpose(0, 3, 1, 2)
+    H = np.zeros((spec.n_lat, spec.n_lon // 2 + 1), dtype=complex)
+    # H as floats [latitude, m, part]; the southern rows from the equator down
+    spectrum = H.view(float).reshape(spec.n_lat, -1, 2)[:, : L + 1]
+    south = spectrum[half - 1 :: -1]
+    np.add(even_j, odd_j, out=spectrum[half:])
+    np.subtract(even_j[eq:], odd_j[eq:], out=south)
+    south[:, 1::2] *= -1.0
+    return H
+
+
 def _grid_coeffs(c: SpectralField, spec: GridSpec) -> np.ndarray:
     if spec.L < c.L:
         raise ValueError(f"grid truncation {spec.L} < field truncation {c.L}")

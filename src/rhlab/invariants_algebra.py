@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .grid import GridField, build_grid, exact_shape, integrate
-from .harmonics import E2Coeffs, SpectralField, synthesize
+from .harmonics import E2Coeffs, SpectralField, _synth_streamed
 
 PI = np.pi
 
@@ -226,17 +226,22 @@ def moments_numeric(f: SpectralField, m_max: int) -> list[float]:
 
     f^m_max is bandlimited to degree m_max * L, so the grid of
     `exact_shape(m_max * L)` integrates every power exactly: at L=90 and
-    m_max=7 that is 316 x 640 nodes.
+    m_max=7 that is 316 x 640 nodes.  The grid gives only its nodes and
+    weights: f is synthesized there with the Legendre recurrence
+    streamed through the sums (`harmonics._synth_streamed`), so no
+    Legendre table is built or kept for it, and the powers are formed
+    in one buffer.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     n_lat, n_lon = exact_shape(m_max * f.L)
     spec = build_grid(f.L, n_lat=n_lat, n_lon=n_lon)
-    vals = synthesize(f, spec).values
+    values = _synth_streamed(f.coeffs, spec)
+    power = values * values
     out = []
-    power = vals.copy()
     for m in range(2, m_max + 1):
-        power = power * vals
+        if m > 2:
+            power *= values
         out.append(integrate(GridField(values=power, spec=spec)))
     return out
 

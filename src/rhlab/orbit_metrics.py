@@ -10,8 +10,10 @@ Newton-polished, so the result is the global optimum up to the sampling
 resolution.  The polynomial only locates the optimum: its expanded form
 cancels catastrophically near the orbit, so the returned distance is
 measured at the optimal orbit member, and is therefore also a certified
-upper bound.  For p != 2 a local refinement of lp_distance starts from
-the p = 2 optimum.
+upper bound.  At p = 2 that measurement is Parseval's norm_l2 of the
+difference (lp_distance), so it needs no quadrature grid.  For p != 2 a
+local refinement of lp_distance, integrated on a grid, starts from the
+p = 2 optimum.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField, build_grid, integrate
-from .harmonics import SpectralField, norm_l2, synthesize
+from .harmonics import SpectralField, _upper_triangle, norm_l2, synthesize
 from .rotations import (
     angular_momentum,
     degree_vector,
@@ -32,34 +34,36 @@ from .rotations import (
     wigner_D,
 )
 
-P2_CROSSCHECK_TOL = 1e-8
 SO3_POLISH = 8            # sampled correlation maxima polished by Newton
 SO3_NEWTON_MAXITER = 30
 SO3_TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
 SO3_LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement
 
 
-def _margin_grid(L: int):
-    return build_grid(L, n_lat=4 * (L + 1), n_lon=4 * (L + 1))
-
-
 def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
-    """(int |f - g|^p d_sigma)^(1/p); p = 2 is cross-checked spectrally."""
+    """(int |f - g|^p d_sigma)^(1/p).
+
+    p = 2 is norm_l2(f - g) by Parseval, with no grid.  Any other p is
+    integrated on a 4(L+1) x 4(L+1) grid.  Parseval counts every stored
+    coefficient, while synthesis reads only the slots j >= m, so a
+    nonzero f - g in a structural-zero slot m > j would make the two
+    disagree: it raises ValueError for every p.
+    """
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     if f.L != g.L:
         raise ValueError("fields must share a truncation degree")
     diff = SpectralField(f.L, f.coeffs - g.coeffs)
-    spec = _margin_grid(f.L)
-    vals = synthesize(diff, spec).values
-    d = integrate(GridField(values=np.abs(vals) ** p, spec=spec)) ** (1.0 / p)
+    stray = (diff.coeffs != 0.0) & ~_upper_triangle(f.L)
+    if stray.any():
+        m, j = np.argwhere(stray)[0]
+        raise ValueError(f"f - g has a nonzero coefficient in the structural-zero slot "
+                         f"(j, m) = ({j}, {m}), m > j")
     if p == 2.0:
-        d_spec = norm_l2(diff)
-        if abs(d - d_spec) > P2_CROSSCHECK_TOL * max(d_spec, 1.0):
-            raise AssertionError(
-                f"p=2 quadrature {d:.3e} disagrees with spectral norm {d_spec:.3e}"
-            )
-    return float(d)
+        return norm_l2(diff)
+    spec = build_grid(f.L, n_lat=4 * (f.L + 1), n_lon=4 * (f.L + 1))
+    vals = synthesize(diff, spec).values
+    return float(integrate(GridField(values=np.abs(vals) ** p, spec=spec)) ** (1.0 / p))
 
 
 def _polar_sweep(f: SpectralField, target: SpectralField, p: float):
@@ -249,10 +253,12 @@ def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
     SO3_POLISH periodic local maxima are Newton-polished in local
     rotation coordinates, and the distance is measured at each polished
     rotation R* that ties for the largest correlation as
-    lp_distance(f, rotate_so3(target, R*), 2).  The result is the global
-    minimum up to the sampling resolution, and always the measured
-    distance to an actual orbit member.  For p != 2, Nelder-Mead over
-    local rotation coordinates refines the p = 2 optimum of the same pair.
+    lp_distance(f, rotate_so3(target, R*), 2), by Parseval: the only grid
+    is that of `rotate_so3`.  The result is the global minimum up to the
+    sampling resolution, and always the measured distance to an actual
+    orbit member.  For p != 2, Nelder-Mead over local rotation
+    coordinates refines the p = 2 optimum of the same pair, and each
+    lp_distance also integrates on its own 4(L+1) x 4(L+1) grid.
     """
     if f.L != target.L:
         raise ValueError("fields must share a truncation degree")

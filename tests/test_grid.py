@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab import grid
+from rhlab import cli, grid
 from rhlab.grid import (
     GridField,
     build_grid,
@@ -176,6 +177,22 @@ class TestGridCache:
             lp_distance(f, g, 3.0)
         # the rotation grid 2(L+1) x 4(L+1) and the margin grid 4(L+1) x 4(L+1)
         assert sorted(calls) == [2 * (L + 1), 4 * (L + 1)]
+
+    def test_so3_stability_sweep_builds_two_grids_once(self, tmp_path, monkeypatch):
+        # the stepping grid, held by each epsilon's Stepper, and the grid of
+        # rotate_so3 both stay in the cache of two; p = 2 distances build none
+        calls = []
+
+        def counting_gauss_legendre(n):
+            calls.append(n)
+            return gauss_legendre(n)
+
+        monkeypatch.setattr(grid, "gauss_legendre", counting_gauss_legendre)
+        grid._shared_grid.cache_clear()
+        config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "stability_so3.cfg"
+        assert cli.main(["stability", "--config", str(config), "L=12", "t_end=0.1",
+                         f"output_path={tmp_path / 'out.csv'}"]) == 0
+        assert calls == [19, 26]
 
 
 class TestIntegrate:

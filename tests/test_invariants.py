@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab.harmonics import E2Coeffs, SpectralField, e2_to_spectral, spectral_to_e2
+from rhlab import grid, harmonics
+from rhlab.grid import GridField, build_grid, exact_shape, integrate
+from rhlab.harmonics import (
+    E2Coeffs,
+    SpectralField,
+    e2_to_spectral,
+    norm_l2,
+    spectral_to_e2,
+    synthesize,
+)
 from rhlab.invariants_algebra import (
     char_poly,
     invariants_csv_row,
@@ -22,6 +32,7 @@ from rhlab.invariants_algebra import (
 )
 from rhlab.operators import sin_theta_field
 from rhlab.rotations import reflect_longitude, rotate_polar, rotate_so3
+from tests.conftest import random_spectral
 
 coeff = st.floats(-2.0, 2.0)
 coeff5 = st.tuples(coeff, coeff, coeff, coeff, coeff)
@@ -86,6 +97,36 @@ class TestMomentsAnalytic:
         f = e2_to_spectral(E2Coeffs(1.0, 0.0, 0.0, 0.0, 0.0), 4)
         with pytest.raises(ValueError):
             moments_numeric(f, 1)
+
+
+class TestMomentsNumeric:
+    @pytest.mark.parametrize("L", [7, 21, 90])
+    def test_streamed_synthesis_matches_the_table_path(self, L):
+        # oracle: powers of the tabled synthesis on the same
+        # exact_shape(7L) grid (L=7: 25 latitudes, one on the equator);
+        # roundoff scales with ||f||_2^m
+        f = random_spectral(L, np.random.default_rng(L))
+        spec = build_grid(L, *exact_shape(7 * L))
+        vals = synthesize(f, spec).values
+        norm = norm_l2(f)
+        for m, I in zip(range(2, 8), moments_numeric(f, 7)):
+            ref = integrate(GridField(values=vals**m, spec=spec))
+            assert abs(I - ref) <= 1e-13 * norm**m
+
+    def test_keeps_no_table(self):
+        # the tabled path peaked at 10.1 MB and kept its 5.5 MB table
+        L = 90
+        f = random_spectral(L, np.random.default_rng(5))
+        grid._shared_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            moments_numeric(f, 7)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        assert kept <= 0.1e6
+        assert build_grid(L, *exact_shape(7 * L)) not in harmonics._TABLE_CACHE
 
 
 class TestAbcdeIdentities:

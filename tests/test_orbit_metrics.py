@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab.harmonics import E2Coeffs, SpectralField, e2_to_spectral, from_coeff_dict, norm_l2
+from rhlab import grid
+from rhlab.grid import GridField, build_grid, gauss_legendre, integrate
+from rhlab.harmonics import (
+    E2Coeffs,
+    SpectralField,
+    e2_to_spectral,
+    from_coeff_dict,
+    norm_l2,
+    synthesize,
+)
 from rhlab.operators import sin_theta_field
 from rhlab.orbit_metrics import dist_polar_orbit, dist_so3_orbit, lp_distance
 from rhlab.rotations import reflect_longitude, rotate_polar, rotate_so3
@@ -37,6 +46,40 @@ class TestLpDistance:
         h = random_spectral(5, r)
         assert lp_distance(f, h, p) <= (
             lp_distance(f, g, p) + lp_distance(g, h, p) + 1e-10)
+
+    @pytest.mark.parametrize("L", [6, 21, 90])
+    def test_p2_matches_the_margin_grid_quadrature(self, L, rng):
+        # oracle: the 4(L+1) x 4(L+1) quadrature that p != 2 integrates on
+        f, g = random_spectral(L, rng), random_spectral(L, rng)
+        spec = build_grid(L, n_lat=4 * (L + 1), n_lon=4 * (L + 1))
+        vals = synthesize(SpectralField(L, f.coeffs - g.coeffs), spec).values
+        quad = integrate(GridField(values=vals**2, spec=spec)) ** 0.5
+        assert lp_distance(f, g, 2.0) == pytest.approx(quad, rel=1e-12)
+
+    def test_p2_builds_no_grid(self, rng, monkeypatch):
+        calls = []
+
+        def counting_gauss_legendre(n):
+            calls.append(n)
+            return gauss_legendre(n)
+
+        monkeypatch.setattr(grid, "gauss_legendre", counting_gauss_legendre)
+        grid._shared_grid.cache_clear()
+        lp_distance(random_spectral(6, rng), random_spectral(6, rng), 2.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_rejects_a_nonzero_structural_zero(self, p):
+        # synthesis never reads C[m, j > m]: its grid integrates to 0,
+        # while Parseval would count it
+        C = np.zeros((4, 4), dtype=complex)
+        C[3, 1] = 1.0
+        zero = SpectralField(3, np.zeros((4, 4), dtype=complex))
+        with pytest.raises(ValueError, match=r"\(j, m\) = \(1, 3\)"):
+            lp_distance(SpectralField(3, C), zero, p)
+        C[2, 0] = 0.5  # the first stray slot in storage order is named
+        with pytest.raises(ValueError, match=r"\(j, m\) = \(0, 2\)"):
+            lp_distance(zero, SpectralField(3, C), p)
 
     def test_rejects_bad_p(self, rng):
         f = random_spectral(4, rng)
