@@ -15,12 +15,12 @@ from .harmonics import (
     spectral_to_e2,
     synthesize,
 )
-from .rh_waves import RHState, exact_state, is_steady, make_rh
+from .rh_waves import RHState, exact_state, make_rh
 
 __all__ = [
     "GridField", "GridSpec", "build_grid", "integrate",
     "E2Coeffs", "SpectralField", "analyze", "synthesize", "eval_point",
     "e2_to_spectral", "spectral_to_e2", "save_spectral", "load_spectral",
-    "RHState", "make_rh", "exact_state", "is_steady",
+    "RHState", "make_rh", "exact_state",
     "__version__",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from .experiments import (
     ExperimentResult,
@@ -24,7 +25,7 @@ from .experiments import (
 )
 from .harmonics import E2Coeffs, load_spectral
 from .invariants_algebra import invariants_csv_row, same_h_orbit_deg2, same_o3_orbit
-from .orbit_metrics import dist_polar_orbit, dist_so3_orbit
+from .orbit_metrics import check_p, dist_polar_orbit, dist_so3_orbit
 
 
 def _parse_e2(text: str) -> E2Coeffs:
@@ -76,8 +77,13 @@ def _build_config(args):
             check_stability_group(group, cfg.alpha)
         return cfg, group
     except (OSError, ValueError) as err:
-        print(f"rhlab {args.command}: {err}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _input_error(args.command, err)
+
+
+def _input_error(command: str, err: Exception) -> NoReturn:
+    """End the process with one line on stderr and exit code 2."""
+    print(f"rhlab {command}: {err}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _report(result: ExperimentResult) -> int:
@@ -139,8 +145,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "orbit-dist":
-        f = load_spectral(args.f)
-        target = load_spectral(args.target)
+        try:
+            f = load_spectral(args.f)
+            target = load_spectral(args.target)
+            check_p(args.p)
+            if f.L != target.L:
+                raise ValueError(f"--f has L = {f.L} but --target has L = {target.L}")
+        except (OSError, ValueError) as err:
+            _input_error(args.command, err)
         if args.group == "polar":
             d, beta = dist_polar_orbit(f, target, args.p,
                                        include_reflection=args.reflection)

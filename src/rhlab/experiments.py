@@ -26,7 +26,7 @@ from .harmonics import (
 )
 from .invariants_algebra import moments_numeric
 from .operators import SINTHETA_C10, sin_theta_field
-from .orbit_metrics import dist_polar_orbit, dist_so3_orbit, lp_distance
+from .orbit_metrics import check_p, dist_polar_orbit, dist_so3_orbit, lp_distance
 from .rh_waves import exact_state, make_rh
 from .rotations import rotate_polar
 
@@ -68,6 +68,7 @@ class ExperimentConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end:g}")
         if self.diag_every < 1:
             raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
+        check_p(self.p)
         eps = tuple(self.epsilons)
         if any(e <= 0 for e in eps) or any(
             eps[i] <= eps[i + 1] for i in range(len(eps) - 1)

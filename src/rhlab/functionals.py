@@ -13,8 +13,6 @@ import numpy as np
 from .harmonics import SpectralField, inner_l2
 from .operators import SINTHETA_C10, green, project_band
 
-REALITY_TOL = 1e-12
-
 
 def energy_proxy(f: SpectralField) -> float:
     """Sum |c_j^m|^2 / (j(j+1)) over j >= 1, both +/-m counted.
@@ -39,41 +37,6 @@ def c1_phase_corrected(f: SpectralField, omega: float, t: float) -> np.ndarray:
     c1m, c10, c1p = c1_triple(f)
     ph = np.exp(-1j * omega * t)
     return np.asarray((c1m / ph, c10, c1p * ph))
-
-
-def e_deg1_a(f: SpectralField, Y1: tuple[complex, complex, complex]) -> float:
-    """|c_1^0 + a|^2 + |c_1^1 + b|^2 + |c_1^{-1} + c|^2 for reference (a, b, c).
-
-    The reference must satisfy the reality pairing b = -conj(c).
-    """
-    a, b, c = Y1
-    if abs(b + np.conj(c)) > REALITY_TOL:
-        raise ValueError("reference degree-1 coefficients violate b = -conj(c)")
-    c1m, c10, c1p = c1_triple(f)
-    return float(abs(c10 + a) ** 2 + abs(c1p + b) ** 2 + abs(c1m + c) ** 2)
-
-
-def e_deg1_b(f: SpectralField, a: float) -> float:
-    """a c_1^0(f) + |c_1^1(f)|^2."""
-    _, c10, c1p = c1_triple(f)
-    return float(a * c10 + abs(c1p) ** 2)
-
-
-def e_arnold1(f: SpectralField, omega: float) -> float:
-    """(1/2) int f G f - omega int sin(theta) f, spectrally."""
-    return 0.5 * energy_proxy(f) - omega * SINTHETA_C10 * float(f.coeffs[0, 1].real)
-
-
-def e_arnold2(f: SpectralField, omega: float, zeta_ref: SpectralField) -> float:
-    """Second-variation Arnold functional with a degree-1 reference term.
-
-    e_arnold1(f) - (1/6) sum_m |c_1^m(f)|^2 + (1/3) <f, P_1 zeta_ref>.
-    """
-    c1m, c10, c1p = c1_triple(f)
-    deg1_f = c10 ** 2 + 2.0 * abs(c1p) ** 2
-    r1m, r10, r1p = c1_triple(zeta_ref)
-    cross = c10 * r10 + 2.0 * float(np.real(c1p * np.conj(r1p)))
-    return e_arnold1(f, omega) - deg1_f / 6.0 + cross / 3.0
 
 
 def e_deg2(f: SpectralField, alpha: float) -> float:

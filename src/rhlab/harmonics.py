@@ -571,6 +571,8 @@ def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
     return GridField(values=values, spec=spec)
 
 
+# synthesize_dtheta and synthesize_dphi are the oracle pair of
+# synthesize_gradients, and the benchmark traces them
 def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dtheta of the field represented by c, evaluated on the grid."""
     values = _synth_values([_grid_coeffs(c, spec)], spec, ("dtheta",))[0, 0]

@@ -396,19 +396,7 @@ def solve_polysys(alpha: float, b) -> tuple[list[tuple[float, float, float, floa
 # Orbit classifiers
 # --------------------------------------------------------------------------
 
-ORBIT_TOL_DEG1 = 1e-10
 ORBIT_TOL_DEG2 = 1e-9
-
-
-def same_h_orbit_deg1(Y, Yp, tol: float = ORBIT_TOL_DEG1) -> bool:
-    """Whether two degree-1 coefficient triples (a, b, c) lie on the same
-    polar-rotation orbit: a' = a and |b'| = |b|."""
-    a, b, c = (complex(v) for v in Y)
-    ap, bp, cp = (complex(v) for v in Yp)
-    for bb, cc in ((b, c), (bp, cp)):
-        if abs(bb + np.conj(cc)) > 1e-12 * max(abs(bb), abs(cc), 1.0):
-            raise ValueError("degree-1 triple violates the reality pairing b = -conj(c)")
-    return abs(a - ap) <= tol and abs(abs(b) - abs(bp)) <= tol
 
 
 def same_h_orbit_deg2(y: E2Coeffs, yp: E2Coeffs, tol: float = ORBIT_TOL_DEG2) -> bool:
@@ -417,17 +405,6 @@ def same_h_orbit_deg2(y: E2Coeffs, yp: E2Coeffs, tol: float = ORBIT_TOL_DEG2) ->
     r = reduced_invariants(y).as_tuple()
     rp = reduced_invariants(yp).as_tuple()
     return all(abs(x - xp) <= tol * max(abs(x), abs(xp), 1.0) for x, xp in zip(r, rp))
-
-
-def quad_form_matrix(y: E2Coeffs) -> np.ndarray:
-    """The traceless symmetric 3x3 matrix whose quadratic form on the unit
-    sphere equals the degree-2 field with coordinates (a, b, c, d, e)."""
-    a, b, c, d, e = y.as_tuple()
-    return np.array([
-        [d - a, e, b],
-        [e, -d - a, c],
-        [b, c, 2 * a],
-    ])
 
 
 def char_poly(y: E2Coeffs) -> tuple[float, float]:

@@ -1,9 +1,10 @@
 """Spectral differential operators on the sphere.
 
-Laplace-Beltrami, its zero-mean inverse (the Green operator), band
-projections, velocity recovery from an absolute-vorticity field, the
-advection tendency of the vorticity equation, and the spectral-gap
-quantity behind the Poincare-type inequality.
+The inverse of the Laplace-Beltrami operator on zero-mean fields (the
+Green operator), band projections, the stream function of an
+absolute-vorticity field, the advection tendency of the vorticity
+equation, and the spectral-gap quantity behind the Poincare-type
+inequality.
 """
 
 from __future__ import annotations
@@ -11,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField, GridSpec
-from .harmonics import (
-    SQRT4PI,
-    SpectralField,
-    analyze,
-    from_coeff_dict,
-    inner_l2,
-    synthesize_gradients,
-)
+from .harmonics import SpectralField, analyze, from_coeff_dict, synthesize_gradients
 
 # sin(theta) = sqrt(4 pi / 3) Y_1^0
 SINTHETA_C10 = float(np.sqrt(4.0 * np.pi / 3.0))
@@ -27,12 +21,6 @@ SINTHETA_C10 = float(np.sqrt(4.0 * np.pi / 3.0))
 def _require_zero_mean(c: SpectralField, what: str) -> None:
     if c.coeffs[0, 0] != 0.0:
         raise ValueError(f"{what} requires a zero-mean field (c_0^0 = 0)")
-
-
-def laplacian(c: SpectralField) -> SpectralField:
-    """Laplace-Beltrami operator: c_j^m -> -j(j+1) c_j^m."""
-    j = np.arange(c.L + 1)
-    return SpectralField(L=c.L, coeffs=c.coeffs * (-j * (j + 1.0))[None, :])
 
 
 def green(c: SpectralField) -> SpectralField:
@@ -60,28 +48,6 @@ def stream_function(zeta: SpectralField, omega: float) -> SpectralField:
     psi = -green(zeta).coeffs
     psi[0, 1] += omega * SINTHETA_C10
     return SpectralField(L=zeta.L, coeffs=psi)
-
-
-def velocity(zeta: SpectralField, omega: float, spec: GridSpec | None = None):
-    """Velocity grids (u_phi, u_theta) of the flow driven by zeta.
-
-    u_phi = -d_theta psi, u_theta = (1/cos theta) d_phi psi with
-    psi = omega sin(theta) - G(zeta).
-    """
-    psi = stream_function(zeta, omega)
-    return velocity_from_stream(psi, spec)
-
-
-def velocity_from_stream(psi: SpectralField, spec: GridSpec | None = None):
-    """Velocity grids of the rotated gradient of an arbitrary stream psi."""
-    if spec is None:
-        from .harmonics import default_grid
-
-        spec = default_grid(psi.L)
-    dpsi_phi, dpsi_th = synthesize_gradients((psi,), spec)[:, 0]
-    u_phi = GridField(values=-dpsi_th, spec=spec)
-    u_theta = GridField(values=dpsi_phi / spec.cos_theta[:, None], spec=spec)
-    return u_phi, u_theta
 
 
 def advection_tendency(

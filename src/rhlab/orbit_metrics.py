@@ -5,15 +5,17 @@ composed with the longitude reflection); dist_so3_orbit minimizes over all
 of SO(3).  For p = 2 both reduce the distance to a correlation that is a
 trigonometric polynomial in the rotation angles (one angle for the polar
 orbit, three Euler angles for SO(3), with the Wigner matrices of
-`rotations`).  It is sampled exhaustively and its best local maxima are
-Newton-polished, so the result is the global optimum up to the sampling
-resolution.  The polynomial only locates the optimum: its expanded form
-cancels catastrophically near the orbit, so the returned distance is
-measured at the optimal orbit member, and is therefore also a certified
-upper bound.  At p = 2 that measurement is Parseval's norm_l2 of the
-difference (lp_distance), so it needs no quadrature grid.  For p != 2 a
-local refinement of lp_distance, integrated on a grid, starts from the
-p = 2 optimum.
+`rotations`; the polar one is the SO(3) one at zero tilt).  One inverse
+FFT samples it on a uniform grid, `_periodic_local_maxima` selects its
+sampled peaks, and Newton polishes them, so the result is the global
+optimum up to the sampling resolution.  The polynomial only locates the
+optimum: its expanded form cancels catastrophically near the orbit, so
+the returned distance is measured at the optimal orbit member, and is
+therefore also a certified upper bound.  At p = 2 that measurement is
+Parseval's norm_l2 of the difference (lp_distance), so it needs no
+quadrature grid.  For p != 2 a local refinement of lp_distance,
+integrated on a grid, starts from the sampled minima of lp_distance
+(polar) or from the p = 2 optimum (SO(3)).
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ SO3_TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all 
 SO3_LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement
 
 
+def check_p(p: float) -> None:
+    """Raise ValueError unless 1 < p < inf; NaN fails too."""
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"p must lie in (1, inf), got {p:g}")
+
+
 def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
     """(int |f - g|^p d_sigma)^(1/p).
 
@@ -49,8 +57,7 @@ def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
     nonzero f - g in a structural-zero slot m > j would make the two
     disagree: it raises ValueError for every p.
     """
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
+    check_p(p)
     if f.L != g.L:
         raise ValueError("fields must share a truncation degree")
     diff = SpectralField(f.L, f.coeffs - g.coeffs)
@@ -66,62 +73,56 @@ def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
     return float(integrate(GridField(values=np.abs(vals) ** p, spec=spec)) ** (1.0 / p))
 
 
+def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:
+    """Flat indices of the samples that no periodic neighbour exceeds, best first."""
+    M = c
+    for axis in range(c.ndim):
+        M = np.maximum(M, np.maximum(np.roll(M, 1, axis), np.roll(M, -1, axis)))
+    peaks = np.flatnonzero(c.ravel() >= M.ravel())
+    return peaks[np.argsort(-c.ravel()[peaks], kind="stable")]
+
+
 def _polar_sweep(f: SpectralField, target: SpectralField, p: float):
     """Minimize beta -> ||rotate_polar(target, beta) - f||_p.
 
-    For p = 2 the squared distance is a trigonometric polynomial in beta
-    of degree <= L; it is sampled on 4L+4 uniform angles, and every
-    sampled local minimum is polished by Newton on the polynomial.  The
-    polynomial only locates beta*: its expanded form cancels
+    For p = 2 this maximizes the correlation <rotate_polar(target, beta),
+    f> = Re[s_0 + 2 sum_{m>=1} s_m e^{i m beta}], s_m = sum_j t_j^m
+    conj(f_j^m): the SO(3) correlation at zero tilt.  One irfft samples
+    it on 4L+4 uniform angles, and every sampled periodic local maximum
+    (`_periodic_local_maxima`) is polished by Newton on the polynomial.
+    The polynomial only locates beta*: its expanded form cancels
     catastrophically near the orbit, so the returned distance is measured
-    as norm_l2(f - rotate_polar(target, beta*)).  For general p the same
-    sampling feeds a bounded golden-section refinement.
+    as norm_l2(f - rotate_polar(target, beta*)).  For general p the
+    sampled local minima of lp_distance feed a bounded golden-section
+    refinement.
     """
     L = f.L
     n = 4 * L + 4
     betas = 2.0 * np.pi * np.arange(n) / n
     if p == 2.0:
-        # <rot(target, b), f> = Re[s_0 + 2 sum_{m>=1} s_m e^{i m b}]
         s = np.einsum("mj,mj->m", target.coeffs, np.conj(f.coeffs))
+        corr = n * np.fft.irfft(s, n)
         s[1:] *= 2.0
-        const = norm_l2(f) ** 2 + norm_l2(target) ** 2
-
-        def dist_sq(b):
-            ph = np.exp(1j * np.arange(L + 1) * b)
-            return const - 2.0 * float(np.real(np.sum(s * ph)))
-
-        def ddist(b):
-            m = np.arange(L + 1)
-            ph = np.exp(1j * m * b)
-            return -2.0 * float(np.real(np.sum(1j * m * s * ph)))
-
-        def d2dist(b):
-            m = np.arange(L + 1)
-            ph = np.exp(1j * m * b)
-            return 2.0 * float(np.real(np.sum(m * m * s * ph)))
-
-        vals = np.array([dist_sq(b) for b in betas])
-        # polish every sampled local minimum: the global basin need not
+        m = np.arange(L + 1)
+        # polish every sampled local maximum: the global basin need not
         # contain the single best sample
-        is_loc_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-        cands = list(betas[is_loc_min]) or [betas[int(np.argmin(vals))]]
         polished = []
-        for b0 in cands:
-            b = b0
+        for k in _periodic_local_maxima(corr):
+            b = betas[k]
             for _ in range(30):
-                h = d2dist(b)
-                if h <= 0:
+                ph = np.exp(1j * m * b)
+                curv = -float(np.real(np.sum(m * m * s * ph)))
+                if curv >= 0:
                     break
-                step = ddist(b) / h
+                step = float(np.real(np.sum(1j * m * s * ph))) / curv
                 b -= step
                 if abs(step) < 1e-15:
                     break
-            polished.append(min(b, b0, key=dist_sq))
-
-        def measured(b):
-            return norm_l2(SpectralField(L, f.coeffs - rotate_polar(target, b).coeffs))
-
-        d, cand = min((measured(b), b) for b in polished)
+            if np.real(np.sum(s * np.exp(1j * m * b))) < corr[k]:
+                b = betas[k]
+            polished.append(b)
+        d, cand = min((norm_l2(SpectralField(L, f.coeffs - rotate_polar(target, b).coeffs)), b)
+                      for b in polished)
         return d, float(cand % (2.0 * np.pi))
 
     # scipy.optimize costs ~0.5 s to import and only p != 2 needs it
@@ -131,9 +132,8 @@ def _polar_sweep(f: SpectralField, target: SpectralField, p: float):
         return lp_distance(f, rotate_polar(target, b), p)
 
     vals = np.array([dist(b) for b in betas])
-    is_loc_min = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
     best_b, best_d = betas[int(np.argmin(vals))], float(vals.min())
-    for b0 in betas[is_loc_min]:
+    for b0 in betas[_periodic_local_maxima(-vals)]:
         lo, hi = b0 - 2.0 * np.pi / n, b0 + 2.0 * np.pi / n
         res = optimize.minimize_scalar(dist, bounds=(lo, hi), method="bounded",
                                        options={"xatol": 1e-12})
@@ -150,6 +150,8 @@ def dist_polar_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
     contains reflect_longitude compositions, and beta_star refers to the
     winning family.
     """
+    if f.L != target.L:
+        raise ValueError("fields must share a truncation degree")
     d, b = _polar_sweep(f, target, p)
     if include_reflection:
         dr, br = _polar_sweep(f, reflect_longitude(target), p)
@@ -189,15 +191,6 @@ def _correlation_samples(fv, tv, n: int) -> np.ndarray:
         A[np.ix_(idx, idx, idx)] += np.einsum(
             "ml,kl->mlk", f_j[:, None] * V.conj(), V * t_j.conj()[:, None])
     return (np.fft.ifftn(A) * n ** 3).real
-
-
-def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:
-    """Flat indices of the samples that no periodic neighbour exceeds, best first."""
-    M = c
-    for axis in range(c.ndim):
-        M = np.maximum(M, np.maximum(np.roll(M, 1, axis), np.roll(M, -1, axis)))
-    peaks = np.flatnonzero(c.ravel() >= M.ravel())
-    return peaks[np.argsort(-c.ravel()[peaks], kind="stable")]
 
 
 def _correlation_derivatives(fv, tv, R: np.ndarray):

@@ -1,5 +1,5 @@
-"""Rossby-Haurwitz states: construction, the exact traveling-wave
-evolution, and steadiness classification.
+"""Rossby-Haurwitz states: construction and the exact traveling-wave
+evolution.
 
 An RH state is zeta(phi, theta, t) = alpha sin(theta) + Y(phi - c t, theta)
 with Y supported on a single spherical-harmonic degree j and traveling
@@ -69,11 +69,3 @@ def exact_state(s: RHState, t: float, L: int | None = None) -> SpectralField:
     traveled = pad_to(rotate_polar(s.Y, -s.speed_c * t), L)
     return SpectralField(L=L, coeffs=zonal.coeffs + traveled.coeffs)
 
-
-def is_steady(s: RHState, tol: float = 1e-10) -> bool:
-    """True iff the state is time-independent: Y zonal or zero speed."""
-    if abs(s.speed_c) < tol:
-        return True
-    nonzonal = 2.0 * (np.abs(s.Y.coeffs[1:]) ** 2).sum()
-    total = nonzonal + (np.abs(s.Y.coeffs[0]) ** 2).sum()
-    return nonzonal < tol * max(total, 1.0)

@@ -128,6 +128,7 @@ def degree_vector(c: SpectralField, j: int) -> np.ndarray:
     return np.concatenate((neg, pos))
 
 
+# the exact replacement for rotate_so3's grid resampling; TestWignerRotation checks it
 def rotate_wigner(c: SpectralField, euler: tuple[float, float, float]) -> SpectralField:
     """rotate_so3 as an exact spectral map: c_j -> D^j(euler) c_j per degree."""
     C = np.zeros_like(c.coeffs, dtype=complex)

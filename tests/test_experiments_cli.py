@@ -362,6 +362,9 @@ class TestConfigErrors:
          "unknown group 'euclid' (expected polar or so3)"),
         ("stability", "stability_polar.cfg", ["group=polar", "alpha=0"],
          "polar-orbit stability is stated for alpha != 0"),
+        # rejected before the evolution runs
+        ("stability", "stability_polar.cfg", ["L=6", "t_end=0.002", "p=0.5"],
+         "p must lie in (1, inf), got 0.5"),
     ])
     def test_out_of_range_value_is_one_line_and_exit_code_two(
             self, command, config, overrides, message):
@@ -387,6 +390,28 @@ class TestConfigErrors:
         key = override.split("=")[0]
         assert proc.returncode == 2
         assert proc.stderr == f"rhlab {command}: config key {key!r} is read only by rhlab {owner}\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("f_name, extra, message", [
+        ("f.dat", ["--p", "inf"], "p must lie in (1, inf), got inf"),
+        ("f.dat", ["--p", "nan"], "p must lie in (1, inf), got nan"),
+        ("f.dat", ["--p", "0.5"], "p must lie in (1, inf), got 0.5"),
+        ("missing.dat", [], "[Errno 2] No such file or directory: '{dir}/missing.dat'"),
+        ("bad.dat", [], "spectral file line 2 ('1 0 x 0'): fields are not "
+                        "'int int float float'"),
+        ("f5.dat", [], "--f has L = 5 but --target has L = 4"),
+    ])
+    def test_orbit_dist_input_is_one_line_and_exit_code_two(
+            self, tmp_path, f_name, extra, message):
+        rng = np.random.default_rng(3)
+        save_spectral(random_spectral(4, rng), tmp_path / "t.dat")
+        save_spectral(random_spectral(4, rng), tmp_path / "f.dat")
+        save_spectral(random_spectral(5, rng), tmp_path / "f5.dat")
+        (tmp_path / "bad.dat").write_text("L 4\n1 0 x 0\n")
+        proc = _python("-m", "rhlab.cli", "orbit-dist", "--f", str(tmp_path / f_name),
+                       "--target", str(tmp_path / "t.dat"), *extra)
+        assert proc.returncode == 2
+        assert proc.stderr == f"rhlab orbit-dist: {message.format(dir=tmp_path)}\n"
         assert proc.stdout == ""
 
 

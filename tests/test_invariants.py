@@ -21,9 +21,7 @@ from rhlab.invariants_algebra import (
     invariants_csv_row,
     moments_analytic,
     moments_numeric,
-    quad_form_matrix,
     reduced_invariants,
-    same_h_orbit_deg1,
     same_h_orbit_deg2,
     same_o3_orbit,
     solve_polysys,
@@ -195,19 +193,6 @@ class TestPolynomialSystem:
 
 
 class TestHOrbitClassifiers:
-    def test_deg1_rotation_equivalence(self):
-        b = 0.4 - 0.2j
-        bp = b * np.exp(1.3j)
-        assert same_h_orbit_deg1((0.7, b, -np.conj(b)), (0.7, bp, -np.conj(bp)))
-
-    def test_deg1_distinguishes_amplitude(self):
-        assert not same_h_orbit_deg1((0.7, 0.4, -0.4), (0.7, 0.5, -0.5))
-        assert not same_h_orbit_deg1((0.7, 0.4, -0.4), (0.6, 0.4, -0.4))
-
-    def test_deg1_rejects_reality_violation(self):
-        with pytest.raises(ValueError, match="conj"):
-            same_h_orbit_deg1((0.0, 1.0, 1.0), (0.0, 1.0, -1.0))
-
     @given(y=coeff5, beta=st.floats(-3.0, 3.0))
     @settings(max_examples=30, deadline=None)
     def test_deg2_rotation_invariance(self, y, beta):
@@ -227,6 +212,18 @@ class TestHOrbitClassifiers:
         yt = spectral_to_e2(f)
         assert not same_h_orbit_deg2(yc, yt)
         assert same_o3_orbit(yc, yt)
+
+
+def quad_form_matrix(y: E2Coeffs) -> np.ndarray:
+    """The traceless symmetric 3x3 matrix whose quadratic form on the unit
+    sphere equals the degree-2 field with coordinates (a, b, c, d, e): the
+    oracle whose eigenvalues are the roots of char_poly."""
+    a, b, c, d, e = y.as_tuple()
+    return np.array([
+        [d - a, e, b],
+        [e, -d - a, c],
+        [b, c, 2 * a],
+    ])
 
 
 class TestCharPolyAndO3:

@@ -81,14 +81,30 @@ class TestLpDistance:
         with pytest.raises(ValueError, match=r"\(j, m\) = \(0, 2\)"):
             lp_distance(zero, SpectralField(3, C), p)
 
-    def test_rejects_bad_p(self, rng):
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
+    def test_rejects_bad_p(self, rng, p):
         f = random_spectral(4, rng)
-        with pytest.raises(ValueError, match="p"):
-            lp_distance(f, f, 1.0)
+        with pytest.raises(ValueError, match=r"p must lie in \(1, inf\)"):
+            lp_distance(f, f, p)
 
     def test_rejects_mismatched_truncation(self, rng):
         with pytest.raises(ValueError, match="truncation"):
             lp_distance(random_spectral(4, rng), random_spectral(5, rng), 2.0)
+
+
+def dense_polar_sweep(f, target, p, n=720, zooms=2):
+    """Brute-force min of lp_distance(f, rotate_polar(target, b), p): n
+    uniform angles, then `zooms` times n angles across the best sample's
+    two neighbouring intervals, fine enough for a sharp minimum at L = 21."""
+    betas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    best = np.inf
+    for _ in range(zooms + 1):
+        vals = [lp_distance(f, rotate_polar(target, b), p) for b in betas]
+        k = int(np.argmin(vals))
+        best = min(best, vals[k])
+        h = betas[1] - betas[0]
+        betas = np.linspace(betas[k] - h, betas[k] + h, n)
+    return best
 
 
 class TestPolarOrbit:
@@ -106,17 +122,28 @@ class TestPolarOrbit:
         d, _ = dist_polar_orbit(f, target)
         assert d == pytest.approx(lp_distance(f, target, 2.0), rel=1e-12)
 
-    @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2.0, 3.0]))
+    @pytest.mark.parametrize("L, p_values, offset", [
+        (4, (2.0, 3.0), None),
+        (21, (2.0,), 1e-2),  # criterion 8a's regime: within 1e-2 of the orbit
+    ])
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=10, deadline=None)
-    def test_against_dense_sweep_oracle(self, seed, p):
+    def test_against_dense_sweep_oracle(self, L, p_values, offset, seed, data):
+        p = data.draw(st.sampled_from(p_values))
         r = np.random.default_rng(seed)
-        f = random_spectral(4, r)
-        target = random_spectral(4, r)
+        f = random_spectral(L, r)
+        target = random_spectral(L, r)
+        if offset is not None:
+            member = rotate_polar(target, r.uniform(0.0, 2.0 * np.pi))
+            f = SpectralField(L, member.coeffs + offset * f.coeffs / norm_l2(f))
         d, _ = dist_polar_orbit(f, target, p=p)
-        dense = min(lp_distance(f, rotate_polar(target, b), p)
-                    for b in np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False))
+        dense = dense_polar_sweep(f, target, p)
         assert d <= dense + 1e-9
         assert d >= dense - 1e-3 * max(dense, 1e-6)
+
+    def test_rejects_mismatched_truncation(self, rng):
+        with pytest.raises(ValueError, match="truncation"):
+            dist_polar_orbit(random_spectral(4, rng), random_spectral(5, rng))
 
     def test_reflection_family(self, rng):
         target = random_spectral(6, rng)

@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from rhlab.harmonics import (
-    E2Coeffs,
-    SpectralField,
-    e2_to_spectral,
-    from_coeff_dict,
-    norm_l2,
-)
+from rhlab.harmonics import E2Coeffs, e2_to_spectral, from_coeff_dict
 from rhlab.invariants_algebra import moments_numeric
 from rhlab.operators import advection_tendency
-from rhlab.rh_waves import exact_state, is_steady, make_rh, rh_speed
+from rhlab.rh_waves import exact_state, make_rh, rh_speed
 
 
 def default_state(alpha=0.7, omega=0.3, L=10):
@@ -80,17 +74,3 @@ class TestExactState:
         for a, b in zip(m0, m1):
             assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
-
-class TestIsSteady:
-    def test_balanced_zonal_coefficient(self):
-        # degree 2 with alpha = 3 omega has zero traveling speed
-        s = default_state(alpha=0.9, omega=0.3)
-        assert is_steady(s)
-
-    def test_zonal_spherical_part(self):
-        Y = from_coeff_dict(6, {(2, 0): 1.3})
-        assert is_steady(make_rh(0.7, 2.0, Y))
-
-    def test_moving_degree_one_wave(self):
-        Y = from_coeff_dict(6, {(1, 1): 1.0})
-        assert not is_steady(make_rh(0.5, 0.0, Y))
