@@ -88,6 +88,18 @@ class TestRun:
             assert abs(energy_proxy(z) - e0) < 1e-10 * abs(e0)
             assert np.max(np.abs(c1_phase_corrected(z, cfg.omega, t) - c0)) < 1e-10
 
+    def test_degree_two_functional_conserved_near_rh_wave(self):
+        # e_deg2 is built from the energy and the degree-1 coefficients,
+        # so the nonlinear flow keeps it, perturbation included
+        L = 12
+        _, z0 = rh_setup(L=L, alpha=0.7, omega=0.3)
+        pert = random_spectral(L, np.random.default_rng(5), max_degree=5)
+        z0 = SpectralField(L, z0.coeffs + 0.01 * pert.coeffs / norm_l2(pert))
+        cfg = SolverConfig(L=L, omega=0.3, dt=1e-3, t_end=0.5, diag_every=500)
+        v0 = e_deg2(z0, 0.7)
+        _, z = list(evolve(z0, cfg))[-1]
+        assert e_deg2(z, 0.7) == pytest.approx(v0, rel=1e-10)
+
     def test_result_independent_of_diag_interval(self, rng):
         L = 8
         z0 = random_spectral(L, rng, max_degree=4)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rhlab.functionals import e_deg2, e_deg2_max, energy_proxy
+from rhlab.functionals import (
+    c1_phase_corrected,
+    c1_triple,
+    e_deg2,
+    e_deg2_max,
+    energy_proxy,
+)
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
@@ -26,6 +32,24 @@ class TestEnergyProxy:
         g = random_spectral(8, np.random.default_rng(99))
         mid = SpectralField(8, 0.5 * (f.coeffs + g.coeffs))
         assert energy_proxy(mid) < 0.5 * (energy_proxy(f) + energy_proxy(g))
+
+
+class TestC1Triple:
+    def test_reads_degree_one_coefficients(self):
+        a, b = 0.7, 0.4 - 0.2j
+        f = from_coeff_dict(6, {(1, 0): a, (1, 1): b, (2, 1): 0.3})
+        assert c1_triple(f) == pytest.approx((-np.conj(b), a, b), abs=1e-15)
+
+    def test_no_degree_one_content(self):
+        f = from_coeff_dict(6, {(2, 1): 1.0, (3, 0): 0.5})
+        assert c1_triple(f) == (0.0, 0.0, 0.0)
+
+    def test_phase_correction_undoes_precession(self):
+        # c_1^1 of an Euler solution turns as e^{i omega t}
+        a, b, omega, t = 0.7, 0.4 - 0.2j, 0.3, 2.5
+        f = from_coeff_dict(6, {(1, 0): a, (1, 1): b * np.exp(1j * omega * t)})
+        got = c1_phase_corrected(f, omega, t)
+        assert np.abs(got - np.array([-np.conj(b), a, b])).max() < 1e-15
 
 
 class TestDeg2:

@@ -204,6 +204,10 @@ class TestHOrbitClassifiers:
         yr = spectral_to_e2(reflect_longitude(e2_to_spectral(yc, 4)))
         assert same_h_orbit_deg2(yc, yr)
 
+    def test_deg2_distinguishes_amplitude(self):
+        yc = E2Coeffs(0.4, -0.3, 0.2, 0.6, -0.1)
+        assert not same_h_orbit_deg2(yc, E2Coeffs(*(1.01 * v for v in yc.as_tuple())))
+
     def test_deg2_distinguishes_tilt(self):
         # rotating off the polar axis leaves the O(3) orbit invariant but
         # moves the field to a different polar-rotation orbit

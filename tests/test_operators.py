@@ -38,6 +38,12 @@ class TestGreen:
         back = green(f).coeffs * (-j * (j + 1.0))[None, :]
         assert np.abs(back + f.coeffs).max() < 1e-13 * np.abs(f.coeffs).max()
 
+    def test_degree_one_and_three_eigenvalues(self):
+        c = from_coeff_dict(4, {(1, 1): 1.0 + 2.0j, (3, 0): 1.2})
+        out = green(c)
+        assert out.coeffs[1, 1] == pytest.approx((1.0 + 2.0j) / 2.0)
+        assert out.coeffs[0, 3] == pytest.approx(0.1)
+
     def test_degree_two_scaling(self):
         c = from_coeff_dict(4, {(2, 1): 3.0 - 1.0j})
         assert green(c).coeffs[1, 2] == pytest.approx((3.0 - 1.0j) / 6.0)

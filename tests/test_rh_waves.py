@@ -52,6 +52,18 @@ class TestExactState:
         s = make_rh(0.3, 0.8, Y)
         assert np.abs(exact_state(s, 3.7).coeffs - exact_state(s, 0.0).coeffs).max() < 1e-14
 
+    def test_balanced_degree_two_is_time_independent(self):
+        # degree 2 with alpha = 3 omega has zero traveling speed
+        s = default_state(alpha=0.9, omega=0.3)
+        assert s.speed_c == pytest.approx(0.0, abs=1e-15)
+        assert np.abs(exact_state(s, 5.0).coeffs - exact_state(s, 0.0).coeffs).max() < 1e-14
+
+    def test_degree_one_wave_travels_at_minus_omega(self):
+        # without a zonal part the degree-1 coefficient turns as e^{-i m c t}, c = -omega
+        Y = from_coeff_dict(6, {(1, 1): 1.0})
+        s = make_rh(0.5, 0.0, Y)
+        assert exact_state(s, 1.0).coeffs[1, 1] == pytest.approx(np.exp(0.5j), abs=1e-14)
+
     def test_full_revolution(self):
         s = default_state()
         assert s.speed_c != 0.0
