@@ -10,6 +10,7 @@ assertion passed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import NoReturn
 
@@ -28,8 +29,19 @@ from .invariants_algebra import invariants_csv_row, same_h_orbit_deg2, same_o3_o
 from .orbit_metrics import check_p, dist_polar_orbit, dist_so3_orbit
 
 
+def _finite_float(text: str) -> float:
+    """A finite float; anything else is an argparse error (exit code 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_e2(text: str) -> E2Coeffs:
-    parts = [float(v) for v in text.split(",")]
+    parts = [_finite_float(v) for v in text.split(",")]
     if len(parts) != 5:
         raise argparse.ArgumentTypeError("expected five comma-separated values a,b,c,d,e")
     return E2Coeffs(*parts)
@@ -105,7 +117,7 @@ def main(argv=None) -> int:
         _add_experiment_args(sub)
 
     inv = subs.add_parser("invariants", help="print the invariant tuple of a degree-2 field")
-    inv.add_argument("--alpha", type=float, default=0.0)
+    inv.add_argument("--alpha", type=_finite_float, default=0.0)
     inv.add_argument("--y", type=_parse_e2, required=True, metavar="a,b,c,d,e")
 
     cls = subs.add_parser("classify", help="orbit classification of two degree-2 fields")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, default_grid, synthesize_gradients
+from .harmonics import SpectralField, _gradient_grids, default_grid, synthesize_gradients
 from .operators import advection_tendency, jacobian_tendency
 
 
@@ -48,7 +48,9 @@ class Stepper:
     """RK4 stepper with per-grid tables prepared once.
 
     In prescribed mode the stream's gradient grids are precomputed, so a
-    step costs only the zeta-side transforms.
+    step costs only the zeta-side transforms; zeta's gradient grids are
+    read in the grid's work region, and the stream's are the stepper's
+    own copy.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -61,7 +63,7 @@ class Stepper:
     def tendency(self, zeta: SpectralField) -> SpectralField:
         if self._psi_grids is None:
             return advection_tendency(zeta, self.cfg.omega, self.spec)
-        dzeta = synthesize_gradients((zeta,), self.spec)[:, 0]
+        dzeta = _gradient_grids((zeta,), self.spec)[:, 0]
         return jacobian_tendency(self._psi_grids, dzeta, self.spec, zeta.L)
 
     def step(self, zeta: SpectralField, step_index: int = 0) -> SpectralField:

@@ -103,13 +103,14 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     degree 3L, so n_lat = ceil((3L+1)/2) and n_lon is the smallest
     5-smooth length >= 3L+1 (at L=170, 256 x 512).  Grids are cached by
     value: equal arguments after defaulting return the same object, so
-    the Legendre table keyed on it is built once.  At most two grids are
-    kept, since the table of the default grid at L=170 takes 15.3 MB
-    (`harmonics.grid_tables`).  A `Stepper` holds its own grid, and so
-    its table, for a whole run, and the two places serve it and one
-    measurement grid: the moment grid of `moments_numeric`, which
-    builds no table, or the grid of `rotate_so3`.  p = 2 distances use
-    no grid; p != 2 adds a 4(L+1) x 4(L+1) one.
+    the Legendre table keyed on it, and the two work regions its
+    transforms run in, are built once.  At most two grids are kept,
+    since the table of the default grid at L=170 takes 15.3 MB and its
+    work regions 8.4 MB (`harmonics.grid_tables`, `harmonics._GridWork`).
+    A `Stepper` holds its own grid, and so its table, for a whole run,
+    and the two places serve it and one measurement grid: the moment
+    grid of `moments_numeric`, which builds no table.  p = 2 distances,
+    polar and SO(3), use no grid; p != 2 adds a 4(L+1) x 4(L+1) one.
     """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")
@@ -158,6 +159,9 @@ def integrate(f: GridField) -> float:
     OPENBLAS_NUM_THREADS does not change it.  Values from `synthesize`
     carry the contract stated in `harmonics._synth_values`.
     """
-    spec = f.spec
-    row_sums = f.values.sum(axis=1)
+    return integrate_rows(f.values.sum(axis=1), f.spec)
+
+
+def integrate_rows(row_sums: np.ndarray, spec: GridSpec) -> float:
+    """`integrate` of a field given by its sums along each latitude row."""
     return float((2.0 * np.pi / spec.n_lon) * np.dot(spec.weights, row_sums))

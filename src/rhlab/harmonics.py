@@ -153,7 +153,36 @@ def _degree_slots(L: int, L_out: int) -> np.ndarray:
     return flat
 
 
-_TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, np.ndarray]" = weakref.WeakKeyDictionary()
+class _GridWork:
+    """A grid's entry in `_TABLE_CACHE`: its Legendre table and two work regions.
+
+    The regions A and B are flat float arrays, allocated by the grid's
+    first transform and grown, never shrunk, when a larger batch needs
+    more.  Every stage of a transform reads one region and writes the
+    other (`_Synthesis`, `_Analysis`, `operators.jacobian_tendency`), so
+    a stepping run allocates nothing per call.  `views` holds the views
+    of the regions that the stages run into, built once per batch shape
+    by `_work_views`; growing a region drops them.  Nothing here may
+    refer to the grid itself, or the weak-keyed cache would keep it.
+    """
+
+    __slots__ = ("table", "a", "b", "views")
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.a = self.b = np.empty(0)
+        self.views: dict = {}
+
+    def regions(self, a_size: int, b_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """A and B, holding at least a_size and b_size floats."""
+        if a_size > self.a.size or b_size > self.b.size:
+            self.a = np.empty(max(a_size, self.a.size))
+            self.b = np.empty(max(b_size, self.b.size))
+            self.views.clear()
+        return self.a, self.b
+
+
+_TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, _GridWork]" = weakref.WeakKeyDictionary()
 
 
 def grid_tables(spec: GridSpec) -> np.ndarray:
@@ -187,8 +216,8 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
     temporary is built.  The table is shared by every caller on `spec`,
     so it is read-only.
     """
-    table = _TABLE_CACHE.get(spec)
-    if table is None:
+    work = _TABLE_CACHE.get(spec)
+    if work is None:
         L = table_degree(spec.L)
         h = (L + 1) // 2
         mu = spec.mu_nodes[spec.n_lat // 2:]
@@ -209,8 +238,24 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
 
         norm_legendre_table(L, mu, sink=scatter)
         table.setflags(write=False)
-        _TABLE_CACHE[spec] = table
-    return table
+        work = _TABLE_CACHE[spec] = _GridWork(table)
+    return work.table
+
+
+def _work_views(spec: GridSpec, key, build):
+    """The views of spec's work regions for `key`: build(spec, work, key) on first use.
+
+    The table is built through `grid_tables` on the grid's first transform.
+    """
+    work = _TABLE_CACHE.get(spec)
+    if work is None:
+        grid_tables(spec)
+        work = _TABLE_CACHE[spec]
+    views = work.views.get(key)
+    if views is None:
+        views = build(spec, work, key)
+        work.views[key] = views
+    return views
 
 
 # --------------------------------------------------------------------------
@@ -287,6 +332,50 @@ def inner_l2(c1: SpectralField, c2: SpectralField) -> float:
 # --------------------------------------------------------------------------
 
 
+class _Analysis:
+    """Views of a grid's work regions for `analyze` to degree L.
+
+    The mirrored `pair` of rows goes to B, its `rfft` spectrum `fourier`
+    to A, the quadrature's Fourier `columns` to B and its matmul output
+    `products` to A.  The grid-size checks run here, once per grid and
+    degree, since the grid's shape is fixed.
+    """
+
+    def __init__(self, spec: GridSpec, work: _GridWork, L: int):
+        if spec.n_lat < L + 1:
+            raise ValueError(f"n_lat={spec.n_lat} < L+1={L + 1}: undersized grid")
+        if spec.n_lon < 2 * L + 1:
+            raise ValueError(f"n_lon={spec.n_lon} < 2L+1={2 * L + 1}: undersized grid")
+        if L > spec.L + 1:
+            raise ValueError(f"analysis degree L={L} exceeds spec.L+1={spec.L + 1}, "
+                             f"the largest the grid's table serves")
+        table = work.table
+        h, slots, n_north = table.shape[0], table.shape[2], table.shape[3]
+        top, n_freq = 2 * h - 1, spec.n_lon // 2 + 1
+        self.orders = _fold_orders(top, L)
+        self.slots = _degree_slots(top, L)
+        n_pairs = self.orders.size // 2
+        pair, fourier = 2 * n_north * spec.n_lon, 4 * n_north * n_freq
+        columns, products = 8 * n_north * n_pairs, 8 * n_pairs * slots
+        a, b = work.regions(max(fourier, products), max(pair, columns))
+
+        # [parity, northern node, longitude]: the sum and the difference of
+        # the rows at mu and -mu, weighted; the equator row of an odd n_lat
+        # enters once
+        self.half, self.eq = half, eq = spec.n_lat // 2, spec.n_lat % 2
+        self.pair = b[:pair].reshape(2, n_north, spec.n_lon)
+        self.sum, self.difference = self.pair[0, eq:], self.pair[1, eq:]
+        self.weights = spec.area_weights[half:, None]
+        fourier = a[:fourier].view(complex).reshape(2, n_north, n_freq)
+        self.fourier, self.low = fourier, fourier[..., : L + 1]
+        # columns[pair, parity, node, (order of the pair, part)]
+        self.columns = b[:columns].view(complex).reshape(2, n_north, 2 * n_pairs)
+        columns = self.columns.view(float).reshape(2, n_north, n_pairs, 4)
+        self.operands = (table[:n_pairs], columns.transpose(2, 0, 1, 3))
+        self.products = a[:products].reshape(n_pairs, 2, slots, 4)
+        self.coefficients = self.products.view(complex).reshape(-1)
+
+
 def analyze(f: GridField, L: int) -> SpectralField:
     """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma.
 
@@ -295,30 +384,21 @@ def analyze(f: GridField, L: int) -> SpectralField:
     by a longitude discrete Fourier sum and the Legendre quadrature
     `_legendre_quadrature` against the grid's folded table, which
     serves any L <= spec.L + 1; a larger L raises ValueError.  Exact to
-    roundoff for fields bandlimited to degree <= L.  The result is
-    bitwise repeatable under the contract stated in `_synth_values`
-    (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
+    roundoff for fields bandlimited to degree <= L.  Every stage runs in
+    the grid's work regions (`_Analysis`); the coefficients returned are
+    fresh.  The result is bitwise repeatable under the contract stated
+    in `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
-    spec = f.spec
-    if spec.n_lat < L + 1:
-        raise ValueError(f"n_lat={spec.n_lat} < L+1={L + 1}: undersized grid")
-    if spec.n_lon < 2 * L + 1:
-        raise ValueError(f"n_lon={spec.n_lon} < 2L+1={2 * L + 1}: undersized grid")
-    if L > spec.L + 1:
-        raise ValueError(f"analysis degree L={L} exceeds spec.L+1={spec.L + 1}, "
-                         f"the largest the grid's table serves")
-    # [parity, northern node, longitude]: the sum and the difference of the
-    # rows at mu and -mu, weighted; the equator row of an odd n_lat enters once
-    half, eq = spec.n_lat // 2, spec.n_lat % 2
-    pair = np.empty((2, half + eq, spec.n_lon))
+    views = _work_views(f.spec, L, _Analysis)
+    half, eq = views.half, views.eq
     north, south = f.values[half + eq:], f.values[half - 1 :: -1]
-    np.add(north, south, out=pair[0, eq:])
-    np.subtract(north, south, out=pair[1, eq:])
+    np.add(north, south, out=views.sum)
+    np.subtract(north, south, out=views.difference)
     if eq:
-        pair[:, 0] = f.values[half]
-    pair *= spec.area_weights[half:, None]
-    fourier = np.fft.rfft(pair, axis=-1)[..., : L + 1]
-    C = _legendre_quadrature(grid_tables(spec), fourier)
+        views.pair[:, 0] = f.values[half]
+    np.multiply(views.pair, views.weights, out=views.pair)
+    np.fft.rfft(views.pair, axis=-1, out=views.fourier)
+    C = _legendre_quadrature(views.low, views)
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
     C.imag[0] = 0.0
     return SpectralField(L=L, coeffs=C)
@@ -338,26 +418,25 @@ def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out[:, 0] + 1j * out[:, 1]
 
 
-def _legendre_quadrature(table: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _legendre_quadrature(F: np.ndarray, views: _Analysis) -> np.ndarray:
     """C[m, j] = sum_k N_j^m P_j^m(mu_k) F_k[m] over all n_lat nodes, from the folded table.
 
-    `table` is a grid's table (`grid_tables`).  F[p, q, m] holds the
-    weighted Fourier rows F_k of the grid's mirrored nodes +-mu_q, as
-    their sum (p = 0) and difference (p = 1); an equator node is its own
-    mirror and enters both once.  P_j^m is even in mu when j - m is even
-    and odd otherwise, so the sum is contracted with the table's even
-    parity and the difference with its odd parity.  Each pair's rectangle
-    meets four real columns, the real and imaginary parts of both its
-    orders' Fourier rows, in one batched real matmul; each order keeps
-    the slots of its own degrees.  Same determinism contract as
-    `_synth_values`.
+    F[p, q, m] holds the weighted Fourier rows F_k of the grid's mirrored
+    nodes +-mu_q, as their sum (p = 0) and difference (p = 1); an equator
+    node is its own mirror and enters both once.  P_j^m is even in mu
+    when j - m is even and odd otherwise, so the sum is contracted with
+    the grid's table (`grid_tables`) at its even parity and the
+    difference at its odd parity.  Each pair's rectangle meets four real
+    columns, the real and imaginary parts of both its orders' Fourier
+    rows, in one batched real matmul; each order keeps the slots of its
+    own degrees.  The columns and the matmul output lie in the grid's
+    work regions (`_Analysis` of degree L); the C returned is fresh.
+    Same determinism contract as `_synth_values`.
     """
-    L, top = F.shape[2] - 1, 2 * table.shape[0] - 1
-    # cols[pair, parity, node, (order of the pair, part)]
-    cols = F.take(_fold_orders(top, L), axis=2).view(float)
-    cols = cols.reshape(2, F.shape[1], -1, 4).transpose(2, 0, 1, 3)
-    out = np.matmul(table[: cols.shape[0]], cols)
-    return out.view(complex).ravel().take(_degree_slots(top, L))
+    # the orders are in range, and mode="clip" lets take write unbuffered
+    F.take(views.orders, axis=2, out=views.columns, mode="clip")
+    np.matmul(*views.operands, out=views.products)
+    return views.coefficients.take(views.slots)
 
 
 M0_IMAG_RTOL = 1e-12
@@ -386,14 +465,116 @@ def _upper_triangle(L: int) -> np.ndarray:
     return mask
 
 
+class _Synthesis:
+    """Views of a grid's work regions for `_synth_values` of one batch shape, (len(Cs), kinds).
+
+    The coefficient rows `values` and the d/dtheta recurrence's `product`
+    go to A, the `_legendre_sums` `buffer` of each kind's rows to B, its
+    block-diagonal `lhs` to A and the matmul output `sums` to B; the
+    spectra H of `_hemisphere_spectra` to A and the irfft `grids` to B.
+    Every operand view of those stages is made here, once.
+    """
+
+    def __init__(self, spec: GridSpec, work: _GridWork, key):
+        nf, kinds = key
+        for kind in kinds:
+            if kind not in ("value", "dphi", "dtheta"):
+                raise ValueError(f"unknown synthesis kind {kind!r}")
+        L, n_lat, n_lon = spec.L, spec.n_lat, spec.n_lon
+        self.table = table = work.table
+        h, slots, n_north = table.shape[0], table.shape[2], table.shape[3]
+        top = 2 * h - 1
+        nk, n_grids, n_freq = len(kinds), len(kinds) * nf, n_lon // 2 + 1
+        # rows[kind, (field, real or imaginary part), m, j] for degrees
+        # j <= L' + 1, zero past each kind's top degree, and orders m <= L;
+        # each kind's block ends in zero orders up to L' + 1.  values[(field,
+        # part), m, j] are the coefficients, zero for j < m.
+        width, R = top + 2, 2 * nk * nf
+        block = (top + 2) * width
+        values = 2 * nf * (L + 1) * width
+        lhs, sums = 4 * h * R * slots, 4 * h * R * n_north
+        spectra, grids = 2 * n_grids * n_lat * n_freq, n_grids * n_lat * n_lon
+        a, b = work.regions(max(2 * values, lhs, spectra), max(R * block, sums, grids))
+
+        self.buffer = b[: R * block]
+        rows = self.buffer.reshape(nk, 2 * nf, top + 2, width)[:, :, : L + 1]
+        self.values = a[:values].reshape(2 * nf, L + 1, width)
+        self.coefficients = [self.values[2 * i : 2 * i + 2, :, : L + 1] for i in range(nf)]
+        self.imag0 = self.values[1::2, 0]
+        # each row's orders laid end to end, so a shift by one degree
+        # crosses into the next order only where the weight is zero
+        flat = self.values.reshape(2 * nf, -1)
+        self.product = a[values : 2 * values].reshape(2 * nf, -1)[:, :-1]
+        # (kind, its rows, what they are computed from)
+        self.kinds = []
+        for g, kind in enumerate(kinds):
+            if kind == "dphi":
+                # the parts swapped, then scaled by -m and m
+                pairs = (nf, 2, L + 1, width)
+                source = self.values.reshape(pairs)[:, ::-1]
+                self.kinds.append((kind, rows[g].reshape(pairs), source))
+            elif kind == "dtheta":
+                derivs = rows[g].reshape(2 * nf, -1)
+                self.kinds.append((kind, (derivs[:, :-1], derivs[:, 1:]),
+                                   (flat[:, 1:], flat[:, :-1])))
+            else:
+                self.kinds.append((kind, rows[g], self.values))
+
+        # Read rows[r, q, q + 2i + p] as first[q, p, r, i] and rows[r, L'-q,
+        # L'-q + 2(h-i) + p] as second[q, p, r, i]: strided views, since the
+        # offsets are linear in (q, p, r, i).  Past a row's end they read the
+        # next row's slots j < m, which hold zeros, or a zero order.
+        item = b.itemsize
+        shape = (h, 2, R, slots)
+        first = np.ndarray(shape, float, b, 0,
+                           ((width + 1) * item, item, block * item, 2 * item))
+        second = np.ndarray(shape, float, b, (top * (width + 1) + 2 * h) * item,
+                            (-(width + 1) * item, item, block * item, -2 * item))
+        lhs = a[:lhs].reshape(h, 2, 2, R, slots)
+        self.blocks = ((lhs[:, :, 0], first), (lhs[:, :, 1], second))
+        self.lhs = lhs.reshape(h, 2, 2 * R, slots)
+        self.sums = b[:sums].reshape(h, 2, 2 * R, n_north)
+
+        # A northern row of H is the even part plus the odd part, and its
+        # mirror image the even part minus the odd part; orders 0..h-1
+        # come from the first order of each pair of sums[pair, parity,
+        # order of the pair, (kind, field), part, northern node], orders
+        # L..h from the second; the orders above L are zero.  H as floats
+        # [m, (kind, field), part, latitude], from the northern rows up and
+        # from the southern rows down; an equator node has no odd part.
+        H = a[:spectra].view(complex).reshape(n_grids, n_lat, n_freq)
+        self.spectra, self.high = H, H[..., L + 1:]
+        half, eq = n_lat // 2, n_lat % 2
+        lat = n_freq * 2 * item
+        strides = (2 * item, n_lat * lat, item, lat)
+        north = np.ndarray((L + 1, n_grids, 2, n_lat - half), float, a, half * lat, strides)
+        south = np.ndarray((L + 1, n_grids, 2, half), float, a, (half - 1) * lat,
+                           strides[:3] + (-lat,))
+        parts = self.sums.reshape(h, 2, 2, n_grids, 2, n_north)
+        self.hemispheres = []
+        for i, pairs, orders in ((0, slice(0, h), slice(0, h)),
+                                 (1, slice(2 * h - 1 - L, h), slice(L, h - 1, -1))):
+            even, odd = parts[pairs, 0, i], parts[pairs, 1, i]
+            self.hemispheres.append((even, odd, north[orders],
+                                     even[..., eq:], odd[..., eq:], south[orders]))
+
+        self.grids = b[:grids].reshape(nk, nf, n_lat, n_lon)
+        self.signals = self.grids.reshape(n_grids, n_lat, n_lon)
+        self.dtheta = self.grids[kinds.index("dtheta")] if "dtheta" in kinds else None
+        self.sec_theta = spec.sec_theta[:, None]
+
+
 def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     """Grids of each kind for each coefficient array C[m, j] (m, j <= spec.L) in Cs.
 
-    Returns shape (len(kinds), len(Cs), n_lat, n_lon).  A kind is "value"
-    (the field), "dphi" (i m times the value spectrum) or "dtheta".  For
-    d/dtheta the coefficients are recombined with `_derivative_weights`
-    into those of cos(theta) d/dtheta, which reach degree L + 1, and the
-    grid is divided by cos(theta) (Gauss nodes exclude the poles).
+    Returns shape (len(kinds), len(Cs), n_lat, n_lon), in the grid's
+    work region B: the grids are overwritten by the grid's next
+    transform, so a caller that keeps them copies them.  A kind is
+    "value" (the field), "dphi" (i m times the value spectrum) or
+    "dtheta".  For d/dtheta the coefficients are recombined with
+    `_derivative_weights` into those of cos(theta) d/dtheta, which reach
+    degree L + 1, and the grid is divided by cos(theta) (Gauss nodes
+    exclude the poles).
 
     Each kind's coefficients become 2 real rows per field (real and
     imaginary part).  For each pair of orders m and L' - m of the folded
@@ -405,7 +586,9 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     northern node is the even part plus the odd part, and at its mirror
     image -mu the even part minus the odd part (an equator node has no
     odd part); both are written into the spectrum of one irfft.  The
-    slots C[m, j < m] are never read.
+    slots C[m, j < m] are never read.  Every stage reads one of the
+    grid's two work regions and writes the other (`_Synthesis`), so
+    nothing is allocated per call.
 
     Determinism: the Legendre sum is a BLAS matmul, so the output is
     bitwise repeatable for the same inputs on one numpy/BLAS build with
@@ -414,104 +597,60 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     at L = 21, 90 and 170); pin the variable where bits are compared.
     `analyze` and `eval_point` share this contract.
     """
-    # the coefficient rows and the matmul's operands are freed before the
-    # spectra are built, and the matmul output before the irfft
-    spectra = _hemisphere_spectra(_legendre_sums(Cs, spec, kinds), spec)
-    grids = np.fft.irfft(spectra, n=spec.n_lon, axis=-1, norm="forward")
-    grids = grids.reshape(len(kinds), len(Cs), spec.n_lat, -1)
-    if "dtheta" in kinds:
-        grids[kinds.index("dtheta")] *= spec.sec_theta[:, None]
-    return grids
+    views = _work_views(spec, (len(Cs), kinds), _Synthesis)
+    _legendre_sums(Cs, spec.L, views)
+    _hemisphere_spectra(views)
+    np.fft.irfft(views.spectra, n=spec.n_lon, axis=-1, norm="forward", out=views.signals)
+    if views.dtheta is not None:
+        np.multiply(views.dtheta, views.sec_theta, out=views.dtheta)
+    return views.grids
 
 
-def _legendre_sums(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
+def _legendre_sums(Cs, L: int, views: _Synthesis) -> None:
     """The even and odd Legendre sums of `_synth_values` at the northern nodes.
 
-    Returns out[pair, parity, order of the pair, (kind, field), part,
-    northern node] for the pairs of orders (q, L' - q) of the folded table.
+    Leaves sums[pair, parity, (order of the pair, kind, field, part),
+    northern node] in `views.sums` for the pairs of orders (q, L' - q) of
+    the folded table.  The buffer and the coefficient rows are zeroed
+    first: the regions hold other stages' data, and the buffer's zero
+    orders and the last slot of a d/dtheta row, which the recurrence only
+    adds to, are never written otherwise.
     """
-    L = spec.L
-    nf, nk = len(Cs), len(kinds)
-    table = grid_tables(spec)
-    h, slots = table.shape[0], table.shape[2]
-    top = 2 * h - 1
-    # rows[kind, (field, real or imaginary part), m, j] for degrees
-    # j <= L' + 1, zero past each kind's top degree, and orders m <= L;
-    # each kind's block ends in zero orders up to L' + 1.  values[(field,
-    # part), m, j] are the coefficients, zero for j < m.
-    width, R = top + 2, 2 * nk * nf
-    block = (top + 2) * width
-    buffer = np.zeros(R * block)
-    rows = buffer.reshape(nk, 2 * nf, top + 2, width)[:, :, : L + 1]
-    if "value" in kinds:
-        values = rows[kinds.index("value")]
-    else:
-        values = np.zeros((2 * nf, L + 1, width))
+    views.buffer.fill(0.0)
+    views.values.fill(0.0)
     upper = _upper_triangle(L)
-    for i, C in enumerate(Cs):
-        parts = C[..., None].view(float).transpose(2, 0, 1)
-        np.copyto(values[2 * i : 2 * i + 2, :, : L + 1], parts, where=upper)
-    if values[1::2, 0].any():
+    for C, slots in zip(Cs, views.coefficients):
+        np.copyto(slots, C[..., None].view(float).transpose(2, 0, 1), where=upper)
+    if views.imag0.any():
         for C in Cs:
             _check_real_m0(C)
     dphi, down, up = _derivative_weights(L)
-    for g, kind in enumerate(kinds):
-        if kind == "dphi":
-            # the parts swapped, then scaled by -m and m
-            pairs = (nf, 2, L + 1, width)
-            np.multiply(values.reshape(pairs)[:, ::-1], dphi, out=rows[g].reshape(pairs))
-        elif kind == "dtheta":
-            # each row's orders laid end to end, so a shift by one degree
-            # crosses into the next order only where the weight is zero
-            flat, derivs = values.reshape(2 * nf, -1), rows[g].reshape(2 * nf, -1)
-            np.multiply(down, flat[:, 1:], out=derivs[:, :-1])
-            derivs[:, 1:] += up * flat[:, :-1]
-        elif kind != "value":
-            raise ValueError(f"unknown synthesis kind {kind!r}")
-    # Read rows[r, q, q + 2i + p] as first[q, p, r, i] and rows[r, L'-q,
-    # L'-q + 2(h-i) + p] as second[q, p, r, i]: strided views, since the
-    # offsets are linear in (q, p, r, i).  Past a row's end they read the
-    # next row's slots j < m, which hold zeros, or a zero order.
-    item = buffer.itemsize
-    shape = (h, 2, R, slots)
-    first = np.ndarray(shape, float, buffer, 0,
-                       ((width + 1) * item, item, block * item, 2 * item))
-    second = np.ndarray(shape, float, buffer, (top * (width + 1) + 2 * h) * item,
-                        (-(width + 1) * item, item, block * item, -2 * item))
-    lhs = np.empty((h, 2, 2, R, slots))
-    lhs[:, :, 0] = first
-    lhs[:, :, 1] = second
-    out = np.matmul(lhs.reshape(h, 2, 2 * R, slots), table)
-    return out.reshape(h, 2, 2, nk * nf, 2, -1)
+    for kind, rows, values in views.kinds:
+        if kind == "value":
+            rows[...] = values
+        elif kind == "dphi":
+            np.multiply(values, dphi, out=rows)
+        else:
+            np.multiply(down, values[0], out=rows[0])
+            np.multiply(up, values[1], out=views.product)
+            np.add(rows[1], views.product, out=rows[1])
+    for lhs, block in views.blocks:
+        lhs[...] = block
+    np.matmul(views.lhs, views.table, out=views.sums)
 
 
-def _hemisphere_spectra(out: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The irfft input H[(kind, field), latitude, m] of `_synth_values` from its Legendre sums.
+def _hemisphere_spectra(views: _Synthesis) -> None:
+    """The irfft input H[(kind, field), latitude, m] of `_synth_values`, from its Legendre sums.
 
-    A northern row is the even part plus the odd part, and its mirror
-    image the even part minus the odd part; orders 0..h-1 come from the
-    first order of each pair of `out` (`_legendre_sums`), orders L..h from
-    the second.
+    Leaves H in `views.spectra` (see `_Synthesis` for its rows).  Its
+    orders above L are zeroed, since the region holds other stages' data.
+    (An irfft of the orders up to L only, padded by numpy, gives the same
+    bits but took 1.5 times as long at L = 90 and 170.)
     """
-    L, n_lat = spec.L, spec.n_lat
-    h, n_grids = out.shape[0], out.shape[3]
-    n_freq = spec.n_lon // 2 + 1
-    H = np.zeros((n_grids, n_lat, n_freq), dtype=complex)
-    # H as floats [m, (kind, field), part, latitude], from the northern
-    # rows up and from the southern rows down
-    half, eq = n_lat // 2, n_lat % 2
-    item = out.itemsize
-    lat = n_freq * 2 * item
-    strides = (2 * item, n_lat * lat, item, lat)
-    north = np.ndarray((L + 1, n_grids, 2, n_lat - half), float, H, half * lat, strides)
-    south = np.ndarray((L + 1, n_grids, 2, half), float, H, (half - 1) * lat,
-                       strides[:3] + (-lat,))
-    for i, pairs, orders in ((0, slice(0, h), slice(0, h)),
-                             (1, slice(2 * h - 1 - L, h), slice(L, h - 1, -1))):
-        even, odd = out[pairs, 0, i], out[pairs, 1, i]
-        np.add(even, odd, out=north[orders])
-        np.subtract(even[..., eq:], odd[..., eq:], out=south[orders])
-    return H
+    views.high.fill(0.0)
+    for even, odd, north, even_south, odd_south, south in views.hemispheres:
+        np.add(even, odd, out=north)
+        np.subtract(even_south, odd_south, out=south)
 
 
 def _synth_streamed(C: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -549,9 +688,13 @@ def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
 
     norm_legendre_table(L, mu, sink=accumulate)
     even_j, odd_j = sums.transpose(0, 3, 1, 2)
-    H = np.zeros((spec.n_lat, spec.n_lon // 2 + 1), dtype=complex)
+    # H holds the orders m <= L only, each written below, and the irfft
+    # pads the rest with zeros: at L=90 H takes 0.46 MB instead of 1.6 MB,
+    # for an irfft about 1.5 times as slow, and this path exists to keep
+    # memory down
+    H = np.empty((spec.n_lat, L + 1), dtype=complex)
     # H as floats [latitude, m, part]; the southern rows from the equator down
-    spectrum = H.view(float).reshape(spec.n_lat, -1, 2)[:, : L + 1]
+    spectrum = H.view(float).reshape(spec.n_lat, -1, 2)
     south = spectrum[half - 1 :: -1]
     np.add(even_j, odd_j, out=spectrum[half:])
     np.subtract(even_j[eq:], odd_j[eq:], out=south)
@@ -567,7 +710,7 @@ def _grid_coeffs(c: SpectralField, spec: GridSpec) -> np.ndarray:
 
 def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
     """Inverse transform: pointwise sum of c_j^m Y_j^m on the grid."""
-    values = _synth_values([_grid_coeffs(c, spec)], spec, ("value",))[0, 0]
+    values = _synth_values([_grid_coeffs(c, spec)], spec, ("value",))[0, 0].copy()
     return GridField(values=values, spec=spec)
 
 
@@ -575,13 +718,13 @@ def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
 # synthesize_gradients, and the benchmark traces them
 def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dtheta of the field represented by c, evaluated on the grid."""
-    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dtheta",))[0, 0]
+    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dtheta",))[0, 0].copy()
     return GridField(values=values, spec=spec)
 
 
 def synthesize_dphi(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dphi of the field represented by c (spectral: multiply by i*m)."""
-    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dphi",))[0, 0]
+    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dphi",))[0, 0].copy()
     return GridField(values=values, spec=spec)
 
 
@@ -591,8 +734,13 @@ def synthesize_gradients(fields, spec: GridSpec) -> np.ndarray:
     Returns G of shape (2, len(fields), n_lat, n_lon) with G[0, i] the
     d/dphi and G[1, i] the d/dtheta grid of fields[i]: the same values as
     `synthesize_dphi` and `synthesize_dtheta`, from one batched matmul of
-    4 rows per field and one irfft.
+    4 rows per field and one irfft.  G is the caller's own copy.
     """
+    return _gradient_grids(fields, spec).copy()
+
+
+def _gradient_grids(fields, spec: GridSpec) -> np.ndarray:
+    """`synthesize_gradients` in the grid's work region B, valid until its next transform."""
     return _synth_values([_grid_coeffs(c, spec) for c in fields], spec, ("dphi", "dtheta"))
 
 

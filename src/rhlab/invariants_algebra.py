@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import GridField, build_grid, exact_shape, integrate
+from .grid import build_grid, exact_shape, integrate_rows
 from .harmonics import E2Coeffs, SpectralField, _synth_streamed
 
 PI = np.pi
@@ -221,6 +221,9 @@ def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:
                      b1=b1, b2=b2, b3=b3, b4=b4, b5=b5, b6=b6)
 
 
+MOMENT_ROWS = 64  # latitude rows of the block in which moments_numeric forms the powers
+
+
 def moments_numeric(f: SpectralField, m_max: int) -> list[float]:
     """Moments int f^m d_sigma for m = 2..m_max by exact quadrature.
 
@@ -229,21 +232,27 @@ def moments_numeric(f: SpectralField, m_max: int) -> list[float]:
     m_max=7 that is 316 x 640 nodes.  The grid gives only its nodes and
     weights: f is synthesized there with the Legendre recurrence
     streamed through the sums (`harmonics._synth_streamed`), so no
-    Legendre table is built or kept for it, and the powers are formed
-    in one buffer.
+    Legendre table is built or kept for it.  The powers are formed
+    MOMENT_ROWS latitude rows at a time in one block, so that besides f
+    only that block is held, and each is integrated from its row sums
+    (`integrate_rows`), exactly as `integrate` would.
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     n_lat, n_lon = exact_shape(m_max * f.L)
     spec = build_grid(f.L, n_lat=n_lat, n_lon=n_lon)
     values = _synth_streamed(f.coeffs, spec)
-    power = values * values
-    out = []
-    for m in range(2, m_max + 1):
-        if m > 2:
-            power *= values
-        out.append(integrate(GridField(values=power, spec=spec)))
-    return out
+    row_sums = np.empty((m_max - 1, n_lat))
+    block = np.empty((min(MOMENT_ROWS, n_lat), n_lon))
+    for r in range(0, n_lat, MOMENT_ROWS):
+        rows = values[r : r + MOMENT_ROWS]
+        power = block[: len(rows)]
+        np.multiply(rows, rows, out=power)
+        for m in range(2, m_max + 1):
+            if m > 2:
+                power *= rows
+            np.sum(power, axis=1, out=row_sums[m - 2, r : r + MOMENT_ROWS])
+    return [integrate_rows(sums, spec) for sums in row_sums]
 
 
 def reduced_invariants(y: E2Coeffs) -> ReducedInvariants:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField, GridSpec
-from .harmonics import SpectralField, analyze, from_coeff_dict, synthesize_gradients
+from .harmonics import SpectralField, _gradient_grids, _work_views, analyze, from_coeff_dict
 
 # sin(theta) = sqrt(4 pi / 3) Y_1^0
 SINTHETA_C10 = float(np.sqrt(4.0 * np.pi / 3.0))
@@ -61,8 +61,9 @@ def advection_tendency(
     psi = omega sin(theta) - G(zeta) in coupled mode, or the prescribed
     `stream` when given.  The Jacobian is assembled on the grid as
     (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta) from
-    the four gradient grids of one `synthesize_gradients` call, and
-    analyzed back to degree <= L (`jacobian_tendency`).
+    the four gradient grids of one `synthesize_gradients` contraction,
+    read in the grid's work region, and analyzed back to degree <= L
+    (`jacobian_tendency`).
     """
     _require_zero_mean(zeta, "advection_tendency")
     if spec is None:
@@ -70,7 +71,7 @@ def advection_tendency(
 
         spec = default_grid(zeta.L)
     psi = stream if stream is not None else stream_function(zeta, omega)
-    grads = synthesize_gradients((psi, zeta), spec)
+    grads = _gradient_grids((psi, zeta), spec)
     return jacobian_tendency(grads[:, 0], grads[:, 1], spec, zeta.L)
 
 
@@ -80,13 +81,25 @@ def jacobian_tendency(dpsi, dzeta, spec: GridSpec, L: int) -> SpectralField:
     dpsi and dzeta are (d/dphi, d/dtheta) grid pairs; the Jacobian is
     (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta).  The
     mean of the result is set to zero: transport preserves it, so a
-    nonzero c_0^0 is quadrature dust.
+    nonzero c_0^0 is quadrature dust.  The Jacobian is formed in the
+    grid's work region A, so the gradient grids may lie in region B.
     """
     (dpsi_phi, dpsi_th), (dz_phi, dz_th) = dpsi, dzeta
-    minus_jac = (dpsi_th * dz_phi - dpsi_phi * dz_th) / spec.cos_theta[:, None]
+    minus_jac, term = _work_views(spec, "jacobian", _jacobian_grids)
+    np.multiply(dpsi_th, dz_phi, out=minus_jac)
+    np.multiply(dpsi_phi, dz_th, out=term)
+    np.subtract(minus_jac, term, out=minus_jac)
+    np.divide(minus_jac, spec.cos_theta[:, None], out=minus_jac)
     C = analyze(GridField(values=minus_jac, spec=spec), L).coeffs
     C[0, 0] = 0.0
     return SpectralField(L=L, coeffs=C)
+
+
+def _jacobian_grids(spec: GridSpec, work, key) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian and its second product term, two grids of work region A."""
+    n = spec.n_lat * spec.n_lon
+    a, _ = work.regions(2 * n, 0)
+    return a[:n].reshape(spec.n_lat, -1), a[n : 2 * n].reshape(spec.n_lat, -1)
 
 
 def poincare_gap(f: SpectralField, j: int) -> float:

@@ -32,7 +32,7 @@ from .rotations import (
     matrix_to_euler,
     reflect_longitude,
     rotate_polar,
-    rotate_so3,
+    rotate_wigner,
     wigner_D,
 )
 
@@ -246,12 +246,13 @@ def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
     SO3_POLISH periodic local maxima are Newton-polished in local
     rotation coordinates, and the distance is measured at each polished
     rotation R* that ties for the largest correlation as
-    lp_distance(f, rotate_so3(target, R*), 2), by Parseval: the only grid
-    is that of `rotate_so3`.  The result is the global minimum up to the
-    sampling resolution, and always the measured distance to an actual
-    orbit member.  For p != 2, Nelder-Mead over local rotation
-    coordinates refines the p = 2 optimum of the same pair, and each
-    lp_distance also integrates on its own 4(L+1) x 4(L+1) grid.
+    lp_distance(f, rotate_wigner(target, R*), 2), by Parseval: the orbit
+    member is rotated by its Wigner matrices, so p = 2 uses no grid.  The
+    result is the global minimum up to the sampling resolution, and
+    always the measured distance to an actual orbit member.  For p != 2,
+    Nelder-Mead over local rotation coordinates refines the p = 2 optimum
+    of the same pair, and each lp_distance integrates on the one
+    4(L+1) x 4(L+1) grid.
     """
     if f.L != target.L:
         raise ValueError("fields must share a truncation degree")
@@ -274,7 +275,7 @@ def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
         if all(np.abs(R - other).max() > 1e-8 for other in best):
             best.append(R)
     if p == 2.0:
-        d, euler = min((lp_distance(f, rotate_so3(target, e), p), e)
+        d, euler = min((lp_distance(f, rotate_wigner(target, e), p), e)
                        for e in map(matrix_to_euler, best))
         return float(d), euler
 
@@ -284,7 +285,7 @@ def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
     R0 = best[0]
 
     def dist(w):
-        return lp_distance(f, rotate_so3(target, matrix_to_euler(_rotation_exp(w) @ R0)), p)
+        return lp_distance(f, rotate_wigner(target, matrix_to_euler(_rotation_exp(w) @ R0)), p)
 
     d0 = dist(np.zeros(3))
     res = optimize.minimize(dist, np.zeros(3), method="Nelder-Mead",

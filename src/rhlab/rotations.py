@@ -1,15 +1,18 @@
 """Symmetry-group actions on spectral fields.
 
-Polar-axis rotations act diagonally on the coefficients; longitude
-reflection conjugates them; full SO(3) rotations resample the field at
-the rotated grid nodes.  The first two are exact spectral maps; the third
-is exact on bandlimited fields up to transform roundoff.
+Polar-axis rotations act diagonally on the coefficients and longitude
+reflection conjugates them.  Full SO(3) rotations act through the
+per-degree Wigner matrices D^j(R) (`rotate_wigner`): degree j of the
+rotated field has coefficients D^j(R) c_j, with c_j the full vector
+(c_j^{-j}, ..., c_j^j).  All three are exact spectral maps and need no
+grid; the orbit distances of `orbit_metrics` use them.  Matrices are
+indexed by m + j, and D^j(exp(t [n]x)) = exp(-i t n.J) for the
+angular-momentum generators J = (J_x, J_y, J_z) of `angular_momentum`.
 
-The per-degree Wigner matrices D^j(R) give the same rotation as an exact
-spectral map: degree j of the rotated field has coefficients D^j(R) c_j,
-with c_j the full vector (c_j^{-j}, ..., c_j^j).  Matrices are indexed
-by m + j, and D^j(exp(t [n]x)) = exp(-i t n.J) for the angular-momentum
-generators J = (J_x, J_y, J_z) of `angular_momentum`.
+`rotate_so3` computes the same rotation independently, by resampling
+the field at the rotated nodes of a grid; it is exact on bandlimited
+fields up to transform roundoff, and serves as the oracle of
+`rotate_wigner`.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def degree_vector(c: SpectralField, j: int) -> np.ndarray:
     return np.concatenate((neg, pos))
 
 
-# the exact replacement for rotate_so3's grid resampling; TestWignerRotation checks it
+# TestWignerRotation checks it against rotate_so3
 def rotate_wigner(c: SpectralField, euler: tuple[float, float, float]) -> SpectralField:
     """rotate_so3 as an exact spectral map: c_j -> D^j(euler) c_j per degree."""
     C = np.zeros_like(c.coeffs, dtype=complex)
@@ -138,6 +141,10 @@ def rotate_wigner(c: SpectralField, euler: tuple[float, float, float]) -> Spectr
     return SpectralField(L=c.L, coeffs=C)
 
 
+# No experiment calls rotate_so3 or, through it, eval_point: they stay as
+# the independent oracle of rotate_wigner (TestWignerRotation) and of the
+# tests that build rotated fields, and the benchmark's tracer binds both
+# names.
 def rotate_so3(c: SpectralField, euler: tuple[float, float, float]) -> SpectralField:
     """Active rotation of the field's argument: (Rf)(x) = f(R^{-1} x).
 
@@ -146,10 +153,8 @@ def rotate_so3(c: SpectralField, euler: tuple[float, float, float]) -> SpectralF
     2(L+1) x 4(L+1) grid and re-analyzing.  rotate_so3(c, (beta, 0, 0))
     equals rotate_polar(c, -beta).
     """
-    # Analysis of a degree-L field needs only L+1 x 2L+1 nodes.  This grid
-    # stays because perfbench's `test_rotations_are_counted_inside_distances`
-    # counts its eval_point points per call, until rotate_wigner replaces
-    # this resampling.
+    # Analysis of a degree-L field needs only L+1 x 2L+1 nodes; the
+    # benchmark's point count is taken on this grid.
     spec = build_grid(c.L, n_lat=2 * (c.L + 1), n_lon=4 * (c.L + 1))
     R = euler_to_matrix(euler)
     mu = spec.mu_nodes

@@ -158,3 +158,22 @@ class TestPrescribedStream:
         for k in range(500):
             z = st.step(z)
         assert norm_l2(z) == pytest.approx(norm_l2(z0), rel=1e-10)
+
+    def test_stream_grids_survive_prescribed_steps(self, rng):
+        L = 12
+        cfg = SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=random_spectral(L, rng))
+        st = Stepper(cfg)
+        kept = st._psi_grids.copy()
+        z = random_spectral(L, rng)
+        for _ in range(3):
+            z = st.step(z)
+        assert st._psi_grids.tobytes() == kept.tobytes()
+
+    def test_prescribed_tendency_repeats_bitwise(self, rng):
+        L = 21
+        cfg = SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=random_spectral(L, rng))
+        st = Stepper(cfg)
+        z1, z2 = random_spectral(L, rng), random_spectral(L, rng)
+        first = st.tendency(z1).coeffs.tobytes()
+        st.tendency(z2)
+        assert st.tendency(z1).coeffs.tobytes() == first

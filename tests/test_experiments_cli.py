@@ -414,6 +414,26 @@ class TestConfigErrors:
         assert proc.stderr == f"rhlab orbit-dist: {message.format(dir=tmp_path)}\n"
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("command, args, message", [
+        ("invariants", ["--y", "0.5,0.3,0.1,0.2,nan"],
+         "argument --y: 'nan' is not a finite number"),
+        ("invariants", ["--y", "0.5,0.3,0.1,0.2,0.1", "--alpha", "inf"],
+         "argument --alpha: 'inf' is not a finite number"),
+        ("invariants", ["--y", "0.5,0.3,0.1,0.2,0.1", "--alpha=-inf"],
+         "argument --alpha: '-inf' is not a finite number"),
+        ("invariants", ["--y", "0.5,0.3,0.1,0.2,x"], "argument --y: 'x' is not a number"),
+        ("classify", ["--y", "0.5,0.3,0.1,0.2,0.1", "--yp", "0.5,0.3,0.1,0.2,nan"],
+         "argument --yp: 'nan' is not a finite number"),
+        ("classify", ["--y", "inf,0.3,0.1,0.2,0.1", "--yp", "0.5,0.3,0.1,0.2,0.1"],
+         "argument --y: 'inf' is not a finite number"),
+    ])
+    def test_non_finite_value_is_an_argument_error(self, command, args, message):
+        proc = _python("-m", "rhlab.cli", command, *args)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(f"rhlab {command}: error: {message}\n")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("command, config, header, n_eps", [

@@ -178,9 +178,9 @@ class TestGridCache:
         # the rotation grid 2(L+1) x 4(L+1) and the margin grid 4(L+1) x 4(L+1)
         assert sorted(calls) == [2 * (L + 1), 4 * (L + 1)]
 
-    def test_so3_stability_sweep_builds_two_grids_once(self, tmp_path, monkeypatch):
-        # the stepping grid, held by each epsilon's Stepper, and the grid of
-        # rotate_so3 both stay in the cache of two; p = 2 distances build none
+    def test_so3_stability_sweep_builds_one_grid_once(self, tmp_path, monkeypatch):
+        # the stepping grid, held by each epsilon's Stepper; p = 2 distances
+        # rotate by Wigner matrices and take norms by Parseval, on no grid
         calls = []
 
         def counting_gauss_legendre(n):
@@ -192,7 +192,7 @@ class TestGridCache:
         config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "stability_so3.cfg"
         assert cli.main(["stability", "--config", str(config), "L=12", "t_end=0.1",
                          f"output_path={tmp_path / 'out.csv'}"]) == 0
-        assert calls == [19, 26]
+        assert calls == [19]
 
 
 class TestIntegrate:

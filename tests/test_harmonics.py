@@ -10,8 +10,10 @@ from rhlab.grid import GridField, build_grid, integrate
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
+    _Analysis,
     _legendre_contract,
     _legendre_quadrature,
+    _work_views,
     analyze,
     default_grid,
     e2_to_spectral,
@@ -312,7 +314,8 @@ class TestLegendreContraction:
         # the sums and differences of the rows at +-mu (n_lat is even here)
         half = spec.n_lat // 2
         north, south = F[half:], F[half - 1 :: -1]
-        got = _legendre_quadrature(grid_tables(spec), np.stack((north + south, north - south)))
+        views = _work_views(spec, L_out, _Analysis)
+        got = _legendre_quadrature(np.stack((north + south, north - south)), views)
         assert got.shape == (L_out + 1, L_out + 1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the slots j < m are exactly zero
@@ -371,6 +374,63 @@ class TestDthetaSynthesis:
             for got, want in ((grids[0, i], synthesize_dphi(f, spec).values),
                               (grids[1, i], synthesize_dtheta(f, spec).values)):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestWorkRegions:
+    """Transforms run in two work regions kept per grid; nothing a caller keeps may alias them."""
+
+    @staticmethod
+    def bits(a):
+        return np.ascontiguousarray(a).tobytes()
+
+    def test_public_results_survive_later_transforms(self, rng):
+        spec = build_grid(21)
+        psi, zeta = random_spectral(21, rng), random_spectral(21, rng)
+        grads = synthesize_gradients((psi, zeta), spec)
+        values = synthesize(zeta, spec).values
+        kept = self.bits(grads), self.bits(values)
+        synthesize_dtheta(psi, spec)
+        synthesize_gradients((zeta,), spec)
+        analyze(GridField(values=values * 2.0, spec=spec), 21)
+        advection_tendency(zeta, 0.5, spec)
+        assert (self.bits(grads), self.bits(values)) == kept
+
+    @pytest.mark.parametrize("L", [12, 21])
+    def test_tendency_repeats_bitwise_between_other_transforms(self, L, rng):
+        spec, other = build_grid(L), build_grid(L, n_lat=2 * L)
+        z1, z2 = random_spectral(L, rng), random_spectral(L, rng)
+        first = self.bits(advection_tendency(z1, 0.5, spec).coeffs)
+        advection_tendency(z2, 0.5, spec)
+        assert self.bits(advection_tendency(z1, 0.5, spec).coeffs) == first
+        synthesize(z2, other)
+        synthesize_gradients((z2,), spec)
+        assert self.bits(advection_tendency(z1, 0.5, spec).coeffs) == first
+
+    @pytest.mark.parametrize("L", [12, 21])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_leaves_no_trace(self, L, bad, rng):
+        spec = build_grid(L)
+        good = random_spectral(L, rng)
+        C = random_spectral(L, rng).coeffs
+        C[3, 5] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.isfinite(advection_tendency(SpectralField(L, C), 0.5, spec).coeffs).all()
+            synthesize(SpectralField(L, C), spec)
+        after = self.bits(advection_tendency(good, 0.5, spec).coeffs), self.bits(
+            synthesize(good, spec).values)
+        harmonics._TABLE_CACHE.pop(spec)
+        fresh = self.bits(advection_tendency(good, 0.5, spec).coeffs), self.bits(
+            synthesize(good, spec).values)
+        assert after == fresh
+
+    def test_regions_are_kept_in_the_table_cache_entry(self, rng):
+        spec = build_grid(21)
+        harmonics._TABLE_CACHE.pop(spec, None)
+        advection_tendency(random_spectral(21, rng), 0.5, spec)
+        work = harmonics._TABLE_CACHE[spec]
+        a, b = work.a, work.b
+        advection_tendency(random_spectral(21, rng), 0.5, spec)
+        assert work.a is a and work.b is b and work.table is grid_tables(spec)
 
 
 class TestRealM0Check:
