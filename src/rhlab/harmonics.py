@@ -448,11 +448,15 @@ def _check_real_m0(C: np.ndarray) -> None:
     Synthesis keeps only the real part of the m = 0 Fourier mode, so an
     imaginary c_j^0 would vanish silently.  The bound is relative to the
     largest coefficient, so it means the same for tiny and huge fields.
+    A non-finite imaginary part beside a finite real part is rejected
+    too, since no comparison with NaN is true; beside a non-finite real
+    part it reaches the grid anyway.
     """
     if C[0].imag.any():
         imag0 = np.abs(C[0].imag).max()
         scale = np.abs(C).max()
-        if imag0 > M0_IMAG_RTOL * scale:
+        hidden = np.isfinite(C[0].real) & ~np.isfinite(C[0].imag)
+        if hidden.any() or imag0 > M0_IMAG_RTOL * scale:
             raise ValueError(f"m=0 synthesis has imaginary residue {imag0:.3e}, "
                              f"{imag0 / scale:.3e} of the largest coefficient")
 

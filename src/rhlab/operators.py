@@ -50,16 +50,13 @@ def stream_function(zeta: SpectralField, omega: float) -> SpectralField:
     return SpectralField(L=zeta.L, coeffs=psi)
 
 
-def advection_tendency(
-    zeta: SpectralField,
-    omega: float,
-    spec: GridSpec | None = None,
-    stream: SpectralField | None = None,
-) -> SpectralField:
-    """Tendency d_t zeta = -J grad(psi) . grad(zeta).
+def advection_tendency(zeta: SpectralField, omega: float,
+                       spec: GridSpec | None = None) -> SpectralField:
+    """Coupled tendency d_t zeta = -J grad(psi) . grad(zeta).
 
-    psi = omega sin(theta) - G(zeta) in coupled mode, or the prescribed
-    `stream` when given.  The Jacobian is assembled on the grid as
+    psi = omega sin(theta) - G(zeta) is zeta's own stream function; a
+    prescribed stream goes to `jacobian_tendency` directly
+    (`Stepper.tendency`).  The Jacobian is assembled on the grid as
     (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta) from
     the four gradient grids of one `synthesize_gradients` contraction,
     read in the grid's work region, and analyzed back to degree <= L
@@ -70,8 +67,7 @@ def advection_tendency(
         from .harmonics import default_grid
 
         spec = default_grid(zeta.L)
-    psi = stream if stream is not None else stream_function(zeta, omega)
-    grads = _gradient_grids((psi, zeta), spec)
+    grads = _gradient_grids((stream_function(zeta, omega), zeta), spec)
     return jacobian_tendency(grads[:, 0], grads[:, 1], spec, zeta.L)
 
 

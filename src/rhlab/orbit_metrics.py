@@ -2,20 +2,25 @@
 
 dist_polar_orbit minimizes over rotations about the polar axis (optionally
 composed with the longitude reflection); dist_so3_orbit minimizes over all
-of SO(3).  For p = 2 both reduce the distance to a correlation that is a
-trigonometric polynomial in the rotation angles (one angle for the polar
-orbit, three Euler angles for SO(3), with the Wigner matrices of
-`rotations`; the polar one is the SO(3) one at zero tilt).  One inverse
-FFT samples it on a uniform grid, `_periodic_local_maxima` selects its
-sampled peaks, and Newton polishes them, so the result is the global
-optimum up to the sampling resolution.  The polynomial only locates the
-optimum: its expanded form cancels catastrophically near the orbit, so
-the returned distance is measured at the optimal orbit member, and is
-therefore also a certified upper bound.  At p = 2 that measurement is
-Parseval's norm_l2 of the difference (lp_distance), so it needs no
-quadrature grid.  For p != 2 a local refinement of lp_distance,
-integrated on a grid, starts from the sampled minima of lp_distance
-(polar) or from the p = 2 optimum (SO(3)).
+of SO(3).  The polar orbit is the subgroup of SO(3) generated by J_z, so
+both run one search, `_orbit_search`, with the group given as data: a
+sampler of the correlation <f, D(R) t> and the local rotation axes that
+Newton may move along (z alone, or all three).  The correlation is a
+trigonometric polynomial in the rotation angles; one inverse FFT samples
+it on a uniform grid of 4(J+1) angles per axis, J the top degree of the
+target (`_polar_samples` at zero tilt, `_correlation_samples` over the
+three Euler angles, with the Wigner matrices of `rotations`).
+`_periodic_local_maxima` selects its sampled peaks and `_newton_polish`
+polishes them along the axes, so the result is the global optimum up to
+the sampling resolution.  The polynomial only locates the optimum: its
+expanded form cancels catastrophically near the orbit, so the returned
+distance is measured at the optimal orbit member, and is therefore also
+a certified upper bound.  At p = 2 that measurement is Parseval's
+norm_l2 of the difference (lp_distance), so it needs no quadrature grid.
+For p != 2, Nelder-Mead over the axes' local coordinates refines
+lp_distance, integrated on a grid, from every polished rotation and from
+the sampled minima of lp_distance on the circle about each axis through
+the best one.
 """
 
 from __future__ import annotations
@@ -31,15 +36,14 @@ from .rotations import (
     jy_eigvecs,
     matrix_to_euler,
     reflect_longitude,
-    rotate_polar,
     rotate_wigner,
     wigner_D,
 )
 
-SO3_POLISH = 8            # sampled correlation maxima polished by Newton
-SO3_NEWTON_MAXITER = 30
-SO3_TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
-SO3_LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement
+POLISH = 8            # sampled correlation maxima polished by Newton
+NEWTON_MAXITER = 30
+TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
+LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement, per start
 
 
 def check_p(p: float) -> None:
@@ -82,84 +86,6 @@ def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:
     return peaks[np.argsort(-c.ravel()[peaks], kind="stable")]
 
 
-def _polar_sweep(f: SpectralField, target: SpectralField, p: float):
-    """Minimize beta -> ||rotate_polar(target, beta) - f||_p.
-
-    For p = 2 this maximizes the correlation <rotate_polar(target, beta),
-    f> = Re[s_0 + 2 sum_{m>=1} s_m e^{i m beta}], s_m = sum_j t_j^m
-    conj(f_j^m): the SO(3) correlation at zero tilt.  One irfft samples
-    it on 4L+4 uniform angles, and every sampled periodic local maximum
-    (`_periodic_local_maxima`) is polished by Newton on the polynomial.
-    The polynomial only locates beta*: its expanded form cancels
-    catastrophically near the orbit, so the returned distance is measured
-    as norm_l2(f - rotate_polar(target, beta*)).  For general p the
-    sampled local minima of lp_distance feed a bounded golden-section
-    refinement.
-    """
-    L = f.L
-    n = 4 * L + 4
-    betas = 2.0 * np.pi * np.arange(n) / n
-    if p == 2.0:
-        s = np.einsum("mj,mj->m", target.coeffs, np.conj(f.coeffs))
-        corr = n * np.fft.irfft(s, n)
-        s[1:] *= 2.0
-        m = np.arange(L + 1)
-        # polish every sampled local maximum: the global basin need not
-        # contain the single best sample
-        polished = []
-        for k in _periodic_local_maxima(corr):
-            b = betas[k]
-            for _ in range(30):
-                ph = np.exp(1j * m * b)
-                curv = -float(np.real(np.sum(m * m * s * ph)))
-                if curv >= 0:
-                    break
-                step = float(np.real(np.sum(1j * m * s * ph))) / curv
-                b -= step
-                if abs(step) < 1e-15:
-                    break
-            if np.real(np.sum(s * np.exp(1j * m * b))) < corr[k]:
-                b = betas[k]
-            polished.append(b)
-        d, cand = min((norm_l2(SpectralField(L, f.coeffs - rotate_polar(target, b).coeffs)), b)
-                      for b in polished)
-        return d, float(cand % (2.0 * np.pi))
-
-    # scipy.optimize costs ~0.5 s to import and only p != 2 needs it
-    from scipy import optimize
-
-    def dist(b):
-        return lp_distance(f, rotate_polar(target, b), p)
-
-    vals = np.array([dist(b) for b in betas])
-    best_b, best_d = betas[int(np.argmin(vals))], float(vals.min())
-    for b0 in betas[_periodic_local_maxima(-vals)]:
-        lo, hi = b0 - 2.0 * np.pi / n, b0 + 2.0 * np.pi / n
-        res = optimize.minimize_scalar(dist, bounds=(lo, hi), method="bounded",
-                                       options={"xatol": 1e-12})
-        if res.fun < best_d:
-            best_d, best_b = float(res.fun), float(res.x)
-    return best_d, float(best_b % (2.0 * np.pi))
-
-
-def dist_polar_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
-                     include_reflection: bool = False):
-    """Distance from f to the polar-rotation orbit of target.
-
-    Returns (distance, beta_star); with include_reflection the orbit also
-    contains reflect_longitude compositions, and beta_star refers to the
-    winning family.
-    """
-    if f.L != target.L:
-        raise ValueError("fields must share a truncation degree")
-    d, b = _polar_sweep(f, target, p)
-    if include_reflection:
-        dr, br = _polar_sweep(f, reflect_longitude(target), p)
-        if dr < d:
-            return dr, br
-    return d, b
-
-
 def _top_degree(c: SpectralField) -> int:
     """Largest degree with a nonzero coefficient (0 for the zero field)."""
     nonzero = np.flatnonzero(np.any(c.coeffs != 0.0, axis=0))
@@ -173,6 +99,20 @@ def _rotation_exp(w: np.ndarray) -> np.ndarray:
         return np.eye(3)
     K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
     return np.eye(3) + (np.sin(t) / t) * K + ((1.0 - np.cos(t)) / t ** 2) * (K @ K)
+
+
+def _polar_samples(fv, tv, n: int) -> np.ndarray:
+    """c(alpha) = <f, D(alpha, 0, 0) t> on n angles, shaped (n, 1, 1).
+
+    This is the SO(3) correlation at beta = gamma = 0: D(alpha, 0, 0)
+    multiplies t_j^m by e^{-i m alpha}, so c(alpha) = Re[s_0 + 2 sum_{m>=1}
+    s_m e^{i m alpha}] with s_m = sum_j f_j^m conj(t_j^m), and one irfft
+    samples it at the angles 2 pi (0..n-1)/n.
+    """
+    s = np.zeros(n // 2 + 1, dtype=complex)
+    for j, (f_j, t_j) in enumerate(zip(fv, tv)):
+        s[: j + 1] += f_j[j:] * t_j[j:].conj()
+    return (n * np.fft.irfft(s, n)).reshape(n, 1, 1)
 
 
 def _correlation_samples(fv, tv, n: int) -> np.ndarray:
@@ -213,23 +153,27 @@ def _correlation_derivatives(fv, tv, R: np.ndarray):
     return c, g, 0.5 * (H + H.T)
 
 
-def _newton_polish(fv, tv, R: np.ndarray):
+def _newton_polish(fv, tv, R: np.ndarray, axes: np.ndarray):
     """Maximize c(R) = <f, D(R) t> by Newton steps R <- exp([w]x) R.
 
-    The local coordinates w are smooth at every R, so the polish does not
-    stall at the Euler gimbal lock (beta = 0, pi) as Newton in Euler
-    angles does.  Directions without negative curvature take no step, and
-    a step is at most 0.5 rad.  Returns (c, R) after the last step, or the
-    start if the steps lost correlation.
+    w = axes.T @ x moves along the orthonormal rows of `axes` only: the z
+    axis for the polar orbit, all three axes for SO(3).  The gradient and
+    Hessian are projected onto them, so the polar polish is Newton on the
+    one angle.  The local coordinates are smooth at every R, so the polish
+    does not stall at the Euler gimbal lock (beta = 0, pi) as Newton in
+    Euler angles does.  Directions without negative curvature take no
+    step, and a step is at most 0.5 rad.  Returns (c, R) after the last
+    step, or the start if the steps lost correlation.
     """
     c0 = None
-    for _ in range(SO3_NEWTON_MAXITER):
+    for _ in range(NEWTON_MAXITER):
         c, g, H = _correlation_derivatives(fv, tv, R)
+        g, H = axes @ g, axes @ H @ axes.T
         if c0 is None:
             c0, R0 = c, R
         lam, Q = np.linalg.eigh(H)
         concave = lam < -1e-12 * np.abs(lam).max()
-        w = -Q[:, concave] @ ((Q[:, concave].T @ g) / lam[concave])
+        w = -axes.T @ (Q[:, concave] @ ((Q[:, concave].T @ g) / lam[concave]))
         step = float(np.linalg.norm(w))
         R = _rotation_exp(w * min(1.0, 0.5 / step)) @ R if step > 0.0 else R
         if step < 1e-10:  # Newton converges quadratically: R is done
@@ -237,22 +181,19 @@ def _newton_polish(fv, tv, R: np.ndarray):
     return (c, R) if c >= c0 - 1e-12 * abs(c0) else (c0, R0)
 
 
-def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
-    """Distance from f to the SO(3) orbit of target; returns (d, euler).
+def _orbit_search(f: SpectralField, target: SpectralField, p: float, sampler, axes: np.ndarray):
+    """min over R of lp_distance(f, D(R) target, p) on the group that `sampler`
+    and `axes` describe; returns (d, R).
 
-    For p = 2, ||f - D(R) t||^2 = ||f||^2 + ||t||^2 - 2 <f, D(R) t>, so the
-    search maximizes the correlation: it is sampled on a 4(J+1)-per-axis
-    Euler grid by one 3-D FFT (J = the top degree of target), the best
-    SO3_POLISH periodic local maxima are Newton-polished in local
-    rotation coordinates, and the distance is measured at each polished
-    rotation R* that ties for the largest correlation as
-    lp_distance(f, rotate_wigner(target, R*), 2), by Parseval: the orbit
-    member is rotated by its Wigner matrices, so p = 2 uses no grid.  The
-    result is the global minimum up to the sampling resolution, and
-    always the measured distance to an actual orbit member.  For p != 2,
-    Nelder-Mead over local rotation coordinates refines the p = 2 optimum
-    of the same pair, and each lp_distance integrates on the one
-    4(L+1) x 4(L+1) grid.
+    sampler(fv, tv, n) gives the correlation <f, D(R) t> at the Euler
+    angles 2 pi (a, b, g)/n of its sample indices, with n = 4(J+1) and J
+    the top degree of target.  The best POLISH periodic local maxima are
+    Newton-polished along `axes`.  At p = 2 the distance is measured, by
+    Parseval, at each polished R* that ties for the largest correlation.
+    For p != 2, Nelder-Mead over the axes' local coordinates starts from
+    every distinct polished R and from the sampled minima of lp_distance
+    on the n-point circle about each axis through the best one; each
+    lp_distance integrates on the one 4(L+1) x 4(L+1) grid.
     """
     if f.L != target.L:
         raise ValueError("fields must share a truncation degree")
@@ -260,37 +201,73 @@ def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
     fv = [degree_vector(f, j) for j in range(J + 1)]
     tv = [degree_vector(target, j) for j in range(J + 1)]
     n = 4 * (J + 1)
-    samples = _correlation_samples(fv, tv, n)
-    seeds = _periodic_local_maxima(samples)[:SO3_POLISH]
-    polished = []
-    for a, b, g in zip(*np.unravel_index(seeds, samples.shape)):
-        euler = tuple(2.0 * np.pi * np.array([a, b, g]) / n)
-        polished.append(_newton_polish(fv, tv, euler_to_matrix(euler)))
-    polished.sort(key=lambda cR: -cR[0])
-    tie = SO3_TIE_RTOL * norm_l2(f) * norm_l2(target)
-    best: list[np.ndarray] = []
+    samples = sampler(fv, tv, n)
+    seeds = _periodic_local_maxima(samples)[:POLISH]
+    polished = sorted((_newton_polish(fv, tv, euler_to_matrix(2.0 * np.pi * np.array(abg) / n), axes)
+                       for abg in zip(*np.unravel_index(seeds, samples.shape))),
+                      key=lambda cR: -cR[0])
+    distinct: list[tuple[float, np.ndarray]] = []
     for c, R in polished:
-        if c < polished[0][0] - tie:
-            break
-        if all(np.abs(R - other).max() > 1e-8 for other in best):
-            best.append(R)
+        if all(np.abs(R - other).max() > 1e-8 for _, other in distinct):
+            distinct.append((c, R))
+
+    def dist(R):
+        return lp_distance(f, rotate_wigner(target, matrix_to_euler(R)), p)
+
     if p == 2.0:
-        d, euler = min((lp_distance(f, rotate_wigner(target, e), p), e)
-                       for e in map(matrix_to_euler, best))
-        return float(d), euler
+        tie = TIE_RTOL * norm_l2(f) * norm_l2(target)
+        return min(((dist(R), R) for c, R in distinct if c >= distinct[0][0] - tie),
+                   key=lambda dR: dR[0])
 
     # scipy.optimize costs ~0.5 s to import and only p != 2 needs it
     from scipy import optimize
 
-    R0 = best[0]
+    # An L^p minimum can sit on a shoulder of the L^2 distance, in no
+    # polished basin.  So lp_distance is also sampled at n angles on the
+    # circle about each axis through the best candidate (for the polar
+    # orbit that circle is the whole group), and its sampled minima start
+    # Nelder-Mead as well.
+    starts = [R for _, R in distinct]
+    for a in axes:
+        circle = [_rotation_exp(2.0 * np.pi * k / n * a) @ distinct[0][1] for k in range(n)]
+        on_circle = np.array([dist(R) for R in circle])
+        starts += [circle[k] for k in _periodic_local_maxima(-on_circle)[:POLISH]]
+    runs = [(optimize.minimize(lambda x: dist(_rotation_exp(axes.T @ x) @ R), np.zeros(len(axes)),
+                               method="Nelder-Mead",
+                               options={"maxiter": LP_MAXITER, "xatol": 1e-10, "fatol": 1e-14}), R)
+            for R in starts]
+    res, R = min(runs, key=lambda run: run[0].fun)
+    return float(res.fun), _rotation_exp(axes.T @ res.x) @ R
 
-    def dist(w):
-        return lp_distance(f, rotate_wigner(target, matrix_to_euler(_rotation_exp(w) @ R0)), p)
 
-    d0 = dist(np.zeros(3))
-    res = optimize.minimize(dist, np.zeros(3), method="Nelder-Mead",
-                            options={"maxiter": SO3_LP_MAXITER, "xatol": 1e-10,
-                                     "fatol": 1e-14})
-    if res.fun < d0:
-        return float(res.fun), matrix_to_euler(_rotation_exp(res.x) @ R0)
-    return float(d0), matrix_to_euler(R0)
+def dist_polar_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
+                     include_reflection: bool = False):
+    """Distance from f to the polar-rotation orbit of target.
+
+    Returns (distance, beta_star), the orbit member being
+    rotate_polar(target, beta_star).  The search is `_orbit_search` on
+    the rotations exp(-beta [e_z]x) about the z axis: the correlation is
+    sampled by `_polar_samples` and polished along z alone.  With
+    include_reflection the orbit also contains reflect_longitude
+    compositions, and beta_star refers to the winning family.
+    """
+    z = np.eye(3)[2:]
+    d, R = _orbit_search(f, target, p, _polar_samples, z)
+    if include_reflection:
+        dr, Rr = _orbit_search(f, reflect_longitude(target), p, _polar_samples, z)
+        if dr < d:
+            d, R = dr, Rr
+    # D(Rz(a)) t = rotate_polar(t, -a)
+    return d, float(np.arctan2(-R[1, 0], R[0, 0]) % (2.0 * np.pi))
+
+
+def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
+    """Distance from f to the SO(3) orbit of target; returns (d, euler).
+
+    The search is `_orbit_search` on all of SO(3): the correlation is
+    sampled by `_correlation_samples` on a 4(J+1)-per-axis Euler grid and
+    polished along all three axes.  The orbit member is
+    rotate_wigner(target, euler).
+    """
+    d, R = _orbit_search(f, target, p, _correlation_samples, np.eye(3))
+    return d, matrix_to_euler(R)

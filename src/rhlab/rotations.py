@@ -133,9 +133,12 @@ def degree_vector(c: SpectralField, j: int) -> np.ndarray:
 
 # TestWignerRotation checks it against rotate_so3
 def rotate_wigner(c: SpectralField, euler: tuple[float, float, float]) -> SpectralField:
-    """rotate_so3 as an exact spectral map: c_j -> D^j(euler) c_j per degree."""
+    """rotate_so3 as an exact spectral map: c_j -> D^j(euler) c_j per degree.
+
+    A degree whose coefficients are all zero stays zero and is skipped.
+    """
     C = np.zeros_like(c.coeffs, dtype=complex)
-    for j in range(c.L + 1):
+    for j in np.flatnonzero(np.any(c.coeffs != 0.0, axis=0)):
         C[: j + 1, j] = (wigner_D(j, euler) @ degree_vector(c, j))[j:]
     C[0] = C[0].real
     return SpectralField(L=c.L, coeffs=C)

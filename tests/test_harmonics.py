@@ -32,6 +32,7 @@ from rhlab.harmonics import (
     synthesize_gradients,
     table_degree,
 )
+from rhlab.invariants_algebra import moments_numeric
 from rhlab.operators import advection_tendency
 from tests.conftest import random_spectral
 
@@ -460,6 +461,16 @@ class TestRealM0Check:
         got = self.PATHS[path](SpectralField(21, C), spec)
         want = self.PATHS[path](real, spec)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("call", [lambda f: synthesize(f, build_grid(3)).values,
+                                      lambda f: moments_numeric(f, 7)],
+                             ids=["synthesize", "moments_numeric"])
+    def test_nan_imaginary_m0_is_rejected(self, call):
+        # a bare `imag > tol * scale` is False for NaN, and synthesis
+        # would then drop the imaginary part without a trace
+        f = from_coeff_dict(3, {(2, 0): complex(1.0, np.nan)})
+        with pytest.raises(ValueError, match="imaginary residue"):
+            call(f)
 
 
 class TestEvalPoint:

@@ -123,7 +123,7 @@ class TestPolarOrbit:
         assert d == pytest.approx(lp_distance(f, target, 2.0), rel=1e-12)
 
     @pytest.mark.parametrize("L, p_values, offset", [
-        (4, (2.0, 3.0), None),
+        (4, (1.5, 2.0, 3.0, 6.0), None),
         (21, (2.0,), 1e-2),  # criterion 8a's regime: within 1e-2 of the orbit
     ])
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -229,6 +229,20 @@ class TestSO3GlobalSearch:
         sampled = min(lp_distance(f, rotate_so3(target, e), 2.0) for e in angles)
         assert d <= sampled + 1e-9
         assert d < nelder_mead - 0.1
+
+    @pytest.mark.parametrize("seed", [18, 30])
+    def test_generic_pair_at_p3_is_below_every_sampled_rotation(self, seed):
+        # pairs whose L^3 minimum lies outside the basin of the p = 2 optimum
+        r = np.random.default_rng(seed)
+        f = random_spectral(4, r)
+        target = random_spectral(4, r)
+        d, euler = dist_so3_orbit(f, target, p=3.0)
+        assert lp_distance(f, rotate_so3(target, euler), 3.0) == pytest.approx(d, rel=1e-12)
+        r = np.random.default_rng(100 + seed)
+        angles = zip(r.uniform(0.0, 2.0 * np.pi, 2000), np.arccos(r.uniform(-1.0, 1.0, 2000)),
+                     r.uniform(0.0, 2.0 * np.pi, 2000))
+        sampled = min(lp_distance(f, rotate_so3(target, e), 3.0) for e in angles)
+        assert d <= sampled + 1e-9
 
     def test_general_p_exact_member(self):
         target = random_spectral(5, np.random.default_rng(9))
