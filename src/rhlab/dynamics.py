@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, _gradient_grids, default_grid, synthesize_gradients
+from .harmonics import SpectralField, _field, _gradient_grids, default_grid, synthesize_gradients
 from .operators import advection_tendency, jacobian_tendency
 
 
@@ -69,14 +69,14 @@ class Stepper:
     def step(self, zeta: SpectralField, step_index: int = 0) -> SpectralField:
         dt = self.cfg.dt
         k1 = self.tendency(zeta).coeffs
-        k2 = self.tendency(SpectralField(zeta.L, zeta.coeffs + 0.5 * dt * k1)).coeffs
-        k3 = self.tendency(SpectralField(zeta.L, zeta.coeffs + 0.5 * dt * k2)).coeffs
-        k4 = self.tendency(SpectralField(zeta.L, zeta.coeffs + dt * k3)).coeffs
+        k2 = self.tendency(_field(zeta.L, zeta.coeffs + 0.5 * dt * k1)).coeffs
+        k3 = self.tendency(_field(zeta.L, zeta.coeffs + 0.5 * dt * k2)).coeffs
+        k4 = self.tendency(_field(zeta.L, zeta.coeffs + dt * k3)).coeffs
         C = zeta.coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(C)):
             raise FloatingPointError(f"non-finite tendency at step {step_index}")
         C[0, 0] = 0.0
-        return SpectralField(L=zeta.L, coeffs=C)
+        return _field(zeta.L, C)
 
 
 def evolve(zeta0: SpectralField, cfg: SolverConfig):

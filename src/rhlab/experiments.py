@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"t_end must be nonnegative, got {self.t_end:g}")
         if self.diag_every < 1:
             raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
+        if self.max_degree < 1:
+            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_p(self.p)
         eps = tuple(self.epsilons)
         if any(e <= 0 for e in eps) or any(

@@ -263,20 +263,45 @@ def _work_views(spec: GridSpec, key, build):
 # --------------------------------------------------------------------------
 
 
+M0_IMAG_RTOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralField:
     """Coefficients c_j^m of a real field, stored as coeffs[m, j] for m >= 0.
 
-    Entries with m > j are structurally zero.  c_j^0 must be real (reality
-    of the represented field); `zero_mean` reports whether c_0^0 == 0.
+    Building one stores coeffs as a complex array and checks, once, what
+    the transforms and distances rely on: it raises ValueError unless
+    coeffs has shape (L+1, L+1), is finite, is exactly 0 in the
+    structural-zero slots m > j, and has each c_j^0 real to within
+    M0_IMAG_RTOL of the largest coefficient (a non-finite imaginary part
+    counts as a residue).  rhlab's own results keep this by construction
+    and are built unchecked by `_field`.  `zero_mean` reports whether
+    c_0^0 == 0.
     """
 
     L: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.L + 1, self.L + 1):
+        # synthesis reads coeffs as complex pairs
+        C = np.asarray(self.coeffs, dtype=complex)
+        object.__setattr__(self, "coeffs", C)
+        if self.L < 0 or C.shape != (self.L + 1, self.L + 1):
             raise ValueError("coeffs must have shape (L+1, L+1)")
+        if not (np.isfinite(C[1:]).all() and np.isfinite(C[0].real).all()):
+            raise ValueError("coeffs must be finite")
+        residue = float(np.abs(C[0].imag).max())
+        if residue != 0.0:
+            scale = float(np.abs(C).max())
+            if not np.isfinite(residue) or residue > M0_IMAG_RTOL * scale:
+                raise ValueError(f"m=0 coefficients have imaginary residue {residue:.3e}, "
+                                 f"{residue / scale:.3e} of the largest coefficient")
+        stray = np.tril(C, -1)
+        if stray.any():
+            m, j = np.argwhere(stray)[0]
+            raise ValueError(f"nonzero coefficient in the structural-zero slot "
+                             f"(j, m) = ({j}, {m}), m > j")
 
     @property
     def zero_mean(self) -> bool:
@@ -289,6 +314,13 @@ class SpectralField:
         if m >= 0:
             return complex(self.coeffs[m, j])
         return (-1) ** (-m) * np.conj(complex(self.coeffs[-m, j]))
+
+
+def _field(L: int, C: np.ndarray) -> SpectralField:
+    """A SpectralField of C without the check: for results valid by construction."""
+    f = object.__new__(SpectralField)
+    vars(f).update(L=L, coeffs=C)
+    return f
 
 
 def from_coeff_dict(L: int, entries: dict[tuple[int, int], complex]) -> SpectralField:
@@ -309,7 +341,7 @@ def pad_to(c: SpectralField, L: int) -> SpectralField:
         return c
     C = np.zeros((L + 1, L + 1), dtype=complex)
     C[: c.L + 1, : c.L + 1] = c.coeffs
-    return SpectralField(L=L, coeffs=C)
+    return _field(L, C)
 
 
 def norm_l2(c: SpectralField) -> float:
@@ -401,7 +433,7 @@ def analyze(f: GridField, L: int) -> SpectralField:
     C = _legendre_quadrature(views.low, views)
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
     C.imag[0] = 0.0
-    return SpectralField(L=L, coeffs=C)
+    return _field(L, C)
 
 
 def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -439,36 +471,6 @@ def _legendre_quadrature(F: np.ndarray, views: _Analysis) -> np.ndarray:
     return views.coefficients.take(views.slots)
 
 
-M0_IMAG_RTOL = 1e-12
-
-
-def _check_real_m0(C: np.ndarray) -> None:
-    """Reject coefficients C[m, j] whose m = 0 row is not real.
-
-    Synthesis keeps only the real part of the m = 0 Fourier mode, so an
-    imaginary c_j^0 would vanish silently.  The bound is relative to the
-    largest coefficient, so it means the same for tiny and huge fields.
-    A non-finite imaginary part beside a finite real part is rejected
-    too, since no comparison with NaN is true; beside a non-finite real
-    part it reaches the grid anyway.
-    """
-    if C[0].imag.any():
-        imag0 = np.abs(C[0].imag).max()
-        scale = np.abs(C).max()
-        hidden = np.isfinite(C[0].real) & ~np.isfinite(C[0].imag)
-        if hidden.any() or imag0 > M0_IMAG_RTOL * scale:
-            raise ValueError(f"m=0 synthesis has imaginary residue {imag0:.3e}, "
-                             f"{imag0 / scale:.3e} of the largest coefficient")
-
-
-@lru_cache(maxsize=4)
-def _upper_triangle(L: int) -> np.ndarray:
-    """Mask of the coefficient slots C[m, j] with j >= m; read-only."""
-    mask = np.arange(L + 1) >= np.arange(L + 1)[:, None]
-    mask.setflags(write=False)
-    return mask
-
-
 class _Synthesis:
     """Views of a grid's work regions for `_synth_values` of one batch shape, (len(Cs), kinds).
 
@@ -504,7 +506,6 @@ class _Synthesis:
         rows = self.buffer.reshape(nk, 2 * nf, top + 2, width)[:, :, : L + 1]
         self.values = a[:values].reshape(2 * nf, L + 1, width)
         self.coefficients = [self.values[2 * i : 2 * i + 2, :, : L + 1] for i in range(nf)]
-        self.imag0 = self.values[1::2, 0]
         # each row's orders laid end to end, so a shift by one degree
         # crosses into the next order only where the weight is zero
         flat = self.values.reshape(2 * nf, -1)
@@ -569,7 +570,7 @@ class _Synthesis:
 
 
 def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
-    """Grids of each kind for each coefficient array C[m, j] (m, j <= spec.L) in Cs.
+    """Grids of each kind for each SpectralField coefficient array C[m, j] (m, j <= spec.L) in Cs.
 
     Returns shape (len(kinds), len(Cs), n_lat, n_lon), in the grid's
     work region B: the grids are overwritten by the grid's next
@@ -590,9 +591,10 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     northern node is the even part plus the odd part, and at its mirror
     image -mu the even part minus the odd part (an equator node has no
     odd part); both are written into the spectrum of one irfft.  The
-    slots C[m, j < m] are never read.  Every stage reads one of the
-    grid's two work regions and writes the other (`_Synthesis`), so
-    nothing is allocated per call.
+    left side's views read the zeros of C[m, j < m], and the irfft drops
+    the imaginary part of c_j^0; `SpectralField` guarantees both.  Every
+    stage reads one of the grid's two work regions and writes the other
+    (`_Synthesis`), so nothing is allocated per call.
 
     Determinism: the Legendre sum is a BLAS matmul, so the output is
     bitwise repeatable for the same inputs on one numpy/BLAS build with
@@ -622,12 +624,8 @@ def _legendre_sums(Cs, L: int, views: _Synthesis) -> None:
     """
     views.buffer.fill(0.0)
     views.values.fill(0.0)
-    upper = _upper_triangle(L)
     for C, slots in zip(Cs, views.coefficients):
-        np.copyto(slots, C[..., None].view(float).transpose(2, 0, 1), where=upper)
-    if views.imag0.any():
-        for C in Cs:
-            _check_real_m0(C)
+        slots[...] = C[..., None].view(float).transpose(2, 0, 1)
     dphi, down, up = _derivative_weights(L)
     for kind, rows, values in views.kinds:
         if kind == "value":
@@ -658,7 +656,7 @@ def _hemisphere_spectra(views: _Synthesis) -> None:
 
 
 def _synth_streamed(C: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The grid values of the coefficients C[m, j], with no Legendre table.
+    """The grid values of a SpectralField's coefficients C[m, j], with no Legendre table.
 
     The same sum as `_synth_values` in the same conventions, for a grid
     that is synthesized on too seldom to pay for a table: the Legendre
@@ -676,11 +674,11 @@ def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
     Legendre sum of the degrees of j's parity.  The row at a northern
     node mu is the sum of the two, and the row at -mu is (-1)^m times
     their difference, since P_j^m(-mu) = (-1)^(j-m) P_j^m(mu); an
-    equator row comes once.  The slots C[m, j < m] are never read.
+    equator row comes once.  The slots C[m, j < m] are never read; the
+    irfft drops the imaginary part of c_j^0, real by `SpectralField`.
     """
     C = np.asarray(C, dtype=complex)
     L = C.shape[1] - 1
-    _check_real_m0(C)
     half, eq = spec.n_lat // 2, spec.n_lat % 2
     mu = spec.mu_nodes[half:]
     parts = C[..., None].view(float)
@@ -759,7 +757,6 @@ def eval_point(c: SpectralField, phi, theta):
     phi_b, theta_b = np.broadcast_arrays(phi_arr, theta_arr)
     shape = phi_b.shape
     mu = np.sin(theta_b.ravel())
-    _check_real_m0(c.coeffs)
     G = _legendre_contract(c.coeffs, norm_legendre_table(c.L, mu))
     vals = G[0].real.copy()
     for m in range(1, c.L + 1):

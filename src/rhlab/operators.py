@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField, GridSpec
-from .harmonics import SpectralField, _gradient_grids, _work_views, analyze, from_coeff_dict
+from .harmonics import SpectralField, _field, _gradient_grids, _work_views, analyze, from_coeff_dict
 
 # sin(theta) = sqrt(4 pi / 3) Y_1^0
 SINTHETA_C10 = float(np.sqrt(4.0 * np.pi / 3.0))
@@ -29,7 +29,7 @@ def green(c: SpectralField) -> SpectralField:
     j = np.arange(c.L + 1)
     scale = np.zeros(c.L + 1)
     scale[1:] = 1.0 / (j[1:] * (j[1:] + 1.0))
-    return SpectralField(L=c.L, coeffs=c.coeffs * scale[None, :])
+    return _field(c.L, c.coeffs * scale[None, :])
 
 
 def project_band(c: SpectralField, j: int, complement: bool = False) -> SpectralField:
@@ -39,7 +39,7 @@ def project_band(c: SpectralField, j: int, complement: bool = False) -> Spectral
     keep = np.arange(c.L + 1) <= j
     if complement:
         keep = ~keep
-    return SpectralField(L=c.L, coeffs=c.coeffs * keep[None, :])
+    return _field(c.L, c.coeffs * keep[None, :])
 
 
 def stream_function(zeta: SpectralField, omega: float) -> SpectralField:
@@ -47,7 +47,7 @@ def stream_function(zeta: SpectralField, omega: float) -> SpectralField:
     _require_zero_mean(zeta, "stream_function")
     psi = -green(zeta).coeffs
     psi[0, 1] += omega * SINTHETA_C10
-    return SpectralField(L=zeta.L, coeffs=psi)
+    return _field(zeta.L, psi)
 
 
 def advection_tendency(zeta: SpectralField, omega: float,
@@ -88,7 +88,7 @@ def jacobian_tendency(dpsi, dzeta, spec: GridSpec, L: int) -> SpectralField:
     np.divide(minus_jac, spec.cos_theta[:, None], out=minus_jac)
     C = analyze(GridField(values=minus_jac, spec=spec), L).coeffs
     C[0, 0] = 0.0
-    return SpectralField(L=L, coeffs=C)
+    return _field(L, C)
 
 
 def _jacobian_grids(spec: GridSpec, work, key) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField, build_grid, integrate
-from .harmonics import SpectralField, _upper_triangle, norm_l2, synthesize
+from .harmonics import SpectralField, _field, norm_l2, synthesize
 from .rotations import (
     angular_momentum,
     degree_vector,
@@ -56,20 +56,13 @@ def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
     """(int |f - g|^p d_sigma)^(1/p).
 
     p = 2 is norm_l2(f - g) by Parseval, with no grid.  Any other p is
-    integrated on a 4(L+1) x 4(L+1) grid.  Parseval counts every stored
-    coefficient, while synthesis reads only the slots j >= m, so a
-    nonzero f - g in a structural-zero slot m > j would make the two
-    disagree: it raises ValueError for every p.
+    integrated on a 4(L+1) x 4(L+1) grid.  Both read f - g as a valid
+    field, which it is since `SpectralField` checked f and g.
     """
     check_p(p)
     if f.L != g.L:
         raise ValueError("fields must share a truncation degree")
-    diff = SpectralField(f.L, f.coeffs - g.coeffs)
-    stray = (diff.coeffs != 0.0) & ~_upper_triangle(f.L)
-    if stray.any():
-        m, j = np.argwhere(stray)[0]
-        raise ValueError(f"f - g has a nonzero coefficient in the structural-zero slot "
-                         f"(j, m) = ({j}, {m}), m > j")
+    diff = _field(f.L, f.coeffs - g.coeffs)
     if p == 2.0:
         return norm_l2(diff)
     spec = build_grid(f.L, n_lat=4 * (f.L + 1), n_lon=4 * (f.L + 1))

@@ -22,13 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridField, build_grid
-from .harmonics import SpectralField, analyze, eval_point
+from .harmonics import SpectralField, _field, analyze, eval_point
 
 
 def rotate_polar(c: SpectralField, beta: float) -> SpectralField:
     """Coefficients of f(phi + beta, theta): c_j^m -> e^{i m beta} c_j^m."""
     m = np.arange(c.L + 1)
-    return SpectralField(L=c.L, coeffs=c.coeffs * np.exp(1j * m * beta)[:, None])
+    return _field(c.L, c.coeffs * np.exp(1j * m * beta)[:, None])
 
 
 def reflect_longitude(c: SpectralField) -> SpectralField:
@@ -37,7 +37,7 @@ def reflect_longitude(c: SpectralField) -> SpectralField:
     Y_j^m(-phi, theta) = conj(Y_j^m(phi, theta)) and f is real, so the
     reflection is exact coefficient conjugation and needs no grid.
     """
-    return SpectralField(L=c.L, coeffs=np.conj(c.coeffs))
+    return _field(c.L, np.conj(c.coeffs))
 
 
 def euler_to_matrix(euler: tuple[float, float, float]) -> np.ndarray:
@@ -141,7 +141,7 @@ def rotate_wigner(c: SpectralField, euler: tuple[float, float, float]) -> Spectr
     for j in np.flatnonzero(np.any(c.coeffs != 0.0, axis=0)):
         C[: j + 1, j] = (wigner_D(j, euler) @ degree_vector(c, j))[j:]
     C[0] = C[0].real
-    return SpectralField(L=c.L, coeffs=C)
+    return _field(c.L, C)
 
 
 # No experiment calls rotate_so3 or, through it, eval_point: they stay as

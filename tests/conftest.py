@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rhlab.harmonics import SpectralField
+
+# The same draws on every run, so a property that fails for one input in
+# a hundred fails every time rather than on one run in many.
+settings.register_profile("derandomized", parent=settings.default, derandomize=True)
+settings.load_profile("derandomized")
 
 
 def random_spectral(L, rng, zero_mean=True, max_degree=None):

@@ -6,6 +6,7 @@ from rhlab.functionals import c1_phase_corrected, e_deg2, energy_proxy
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
+    _field,
     e2_to_spectral,
     from_coeff_dict,
     norm_l2,
@@ -57,7 +58,7 @@ class TestStepRK4:
         C[0, 1] = np.inf
         cfg = SolverConfig(L=L, omega=0.0, dt=1e-2, t_end=1.0)
         with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="step"):
-            Stepper(cfg).step(SpectralField(L, C), step_index=7)
+            Stepper(cfg).step(_field(L, C), step_index=7)
 
     def test_rejects_nonzero_mean(self):
         c = from_coeff_dict(6, {(0, 0): 1.0})

@@ -365,6 +365,11 @@ class TestConfigErrors:
         # rejected before the evolution runs
         ("stability", "stability_polar.cfg", ["L=6", "t_end=0.002", "p=0.5"],
          "p must lie in (1, inf), got 0.5"),
+        # otherwise a 0/0 perturbation field and numpy's seed error
+        ("stability", "stability_so3.cfg", ["L=6", "t_end=0.002", "max_degree=0"],
+         "max_degree must be >= 1, got 0"),
+        ("stability", "stability_so3.cfg", ["L=6", "t_end=0.002", "seed=-1"],
+         "seed must be nonnegative, got -1"),
     ])
     def test_out_of_range_value_is_one_line_and_exit_code_two(
             self, command, config, overrides, message):

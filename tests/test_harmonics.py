@@ -11,6 +11,7 @@ from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
     _Analysis,
+    _field,
     _legendre_contract,
     _legendre_quadrature,
     _work_views,
@@ -32,6 +33,7 @@ from rhlab.harmonics import (
     synthesize_gradients,
     table_degree,
 )
+from rhlab.experiments import random_bandlimited
 from rhlab.invariants_algebra import moments_numeric
 from rhlab.operators import advection_tendency
 from tests.conftest import random_spectral
@@ -414,9 +416,10 @@ class TestWorkRegions:
         good = random_spectral(L, rng)
         C = random_spectral(L, rng).coeffs
         C[3, 5] = bad
+        # a public SpectralField rejects it, so it enters as an internal result would
         with np.errstate(invalid="ignore", over="ignore"):
-            assert not np.isfinite(advection_tendency(SpectralField(L, C), 0.5, spec).coeffs).all()
-            synthesize(SpectralField(L, C), spec)
+            assert not np.isfinite(advection_tendency(_field(L, C), 0.5, spec).coeffs).all()
+            synthesize(_field(L, C), spec)
         after = self.bits(advection_tendency(good, 0.5, spec).coeffs), self.bits(
             synthesize(good, spec).values)
         harmonics._TABLE_CACHE.pop(spec)
@@ -435,7 +438,7 @@ class TestWorkRegions:
 
 
 class TestRealM0Check:
-    """An imaginary m = 0 part is judged against the coefficient scale."""
+    """An imaginary m = 0 part is judged against the coefficient scale when the field is built."""
 
     PATHS = {
         "synthesize": lambda f, spec: synthesize(f, spec).values,
@@ -448,9 +451,8 @@ class TestRealM0Check:
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_tiny_imaginary_m0_is_rejected(self, path):
-        f = from_coeff_dict(3, {(2, 0): 1e-13j})
         with pytest.raises(ValueError, match="imaginary residue"):
-            self.PATHS[path](f, build_grid(3))
+            self.PATHS[path](from_coeff_dict(3, {(2, 0): 1e-13j}), build_grid(3))
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     def test_huge_field_with_relative_dust_is_accepted(self, path, rng):
@@ -468,9 +470,120 @@ class TestRealM0Check:
     def test_nan_imaginary_m0_is_rejected(self, call):
         # a bare `imag > tol * scale` is False for NaN, and synthesis
         # would then drop the imaginary part without a trace
-        f = from_coeff_dict(3, {(2, 0): complex(1.0, np.nan)})
         with pytest.raises(ValueError, match="imaginary residue"):
-            call(f)
+            call(from_coeff_dict(3, {(2, 0): complex(1.0, np.nan)}))
+
+
+class TestFieldValidity:
+    """A public constructor rejects coefficients that break a `SpectralField` invariant."""
+
+    DEFECTS = {
+        "structural zero": r"\(j, m\) = \(",
+        "non-finite": "finite",
+        "imaginary m = 0": "imaginary (residue|part)",
+    }
+
+    @staticmethod
+    def build(constructor, L, C, path):
+        if constructor == "SpectralField":
+            return SpectralField(L, C)
+        entries = {(j, m): C[m, j] for m, j in zip(*np.nonzero(C))}
+        if constructor == "from_coeff_dict":
+            return from_coeff_dict(L, entries)
+        path.write_text(f"L {L}\n" + "".join(f"{j} {m} {v.real:.17g} {v.imag:.17g}\n"
+                                              for (j, m), v in entries.items()))
+        return load_spectral(path)
+
+    @given(L=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]),
+           defect=st.sampled_from(sorted(DEFECTS)),
+           constructor=st.sampled_from(["SpectralField", "from_coeff_dict", "load_spectral"]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_defect_is_rejected(self, L, seed, scale, defect, constructor, data,
+                                     tmp_path_factory):
+        C = scale * random_spectral(L, np.random.default_rng(seed), zero_mean=False).coeffs
+        match = self.DEFECTS[defect]
+        if defect == "structural zero":
+            j = data.draw(st.integers(0, L - 1))
+            m = data.draw(st.integers(j + 1, L))
+            C[m, j] = data.draw(st.complex_numbers(min_magnitude=1e-300, max_magnitude=1e300,
+                                                   allow_nan=False, allow_infinity=False))
+            match += rf"{j}, {m}\)"
+        elif defect == "non-finite":
+            j = data.draw(st.integers(0, L))
+            m = data.draw(st.integers(0, j))
+            bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            imag = data.draw(st.booleans())
+            C[m, j] = complex(C[m, j].real, bad) if imag else complex(bad, C[m, j].imag)
+            if m == 0 and imag and constructor != "load_spectral":
+                # reported as the imaginary part synthesis would drop
+                match = "imaginary residue"
+        else:
+            factor = data.draw(st.floats(1e-11, 1e6))
+            C[0, data.draw(st.integers(0, L))] += 1j * factor * np.abs(C).max()
+        path = tmp_path_factory.mktemp("spectral") / "field.txt"
+        with pytest.raises(ValueError, match=match):
+            self.build(constructor, L, C, path)
+
+    def test_wrong_triangle_slot_is_rejected(self):
+        # synthesis never reads C[3, 1], so the grid of this field
+        # integrates to 0 while Parseval would give norm_l2 = sqrt(2)
+        C = np.zeros((4, 4), dtype=complex)
+        C[3, 1] = 1.0
+        with pytest.raises(ValueError, match=r"structural-zero slot \(j, m\) = \(1, 3\)"):
+            SpectralField(3, C)
+
+    def test_real_array_is_stored_as_complex(self, rng):
+        # synthesis reads coeffs as (real, imaginary) pairs, so a real
+        # array would have its values read as imaginary parts too
+        C = random_spectral(7, rng).coeffs.real.copy()
+        spec = build_grid(7)
+        want = synthesize(SpectralField(7, C.astype(complex)), spec).values
+        assert np.array_equal(synthesize(SpectralField(7, C), spec).values, want)
+
+    @pytest.mark.parametrize("L, shape", [(3, (4, 5)), (3, (3, 3)), (-1, (0, 0))])
+    def test_wrong_shape_is_rejected(self, L, shape):
+        with pytest.raises(ValueError, match="shape"):
+            SpectralField(L, np.zeros(shape, dtype=complex))
+
+    def test_derived_constructors_reject_non_finite_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            e2_to_spectral(E2Coeffs(np.nan, 0.0, 0.0, 0.0, 0.0), 4)
+        with pytest.raises(ValueError, match="finite"):
+            e2_to_spectral(E2Coeffs(0.0, 0.0, 0.0, np.inf, 0.0), 4)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            random_bandlimited(6, seed=0, max_degree=0)  # 0/0
+
+    @given(L=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-200, 1.0, 1e200]), factor=st.floats(0.0, 1e-13))
+    @settings(max_examples=40, deadline=None)
+    def test_relative_dust_on_m0_is_accepted(self, L, seed, scale, factor):
+        rng = np.random.default_rng(seed)
+        C = scale * random_spectral(L, rng, zero_mean=False).coeffs
+        C[0, rng.integers(L + 1)] += 1j * factor * np.abs(C).max()
+        assert SpectralField(L, C).coeffs is C
+        entries = {(j, m): C[m, j] for m in range(L + 1) for j in range(m, L + 1)}
+        assert np.array_equal(from_coeff_dict(L, entries).coeffs, C)
+
+    @given(L=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_public_constructors_round_trip_bit_for_bit(self, L, seed, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        C = random_spectral(L, rng, zero_mean=False).coeffs
+        fields = [
+            SpectralField(L, C),
+            from_coeff_dict(L, {(j, m): C[m, j] for m in range(L + 1) for j in range(m, L + 1)}),
+            random_bandlimited(L, seed, max_degree=int(rng.integers(1, L + 1))),
+            e2_to_spectral(E2Coeffs(*rng.normal(size=5)), L),
+        ]
+        path = tmp_path_factory.mktemp("spectral") / "field.txt"
+        for f in fields:
+            save_spectral(f, path)
+            g = load_spectral(path)
+            save_spectral(g, path)
+            assert g.L == f.L and g.coeffs.tobytes() == f.coeffs.tobytes()
+            assert load_spectral(path).coeffs.tobytes() == f.coeffs.tobytes()
 
 
 class TestEvalPoint:

@@ -70,8 +70,8 @@ class TestLpDistance:
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_rejects_a_nonzero_structural_zero(self, p):
-        # synthesis never reads C[m, j > m]: its grid integrates to 0,
-        # while Parseval would count it
+        # synthesis never reads C[m > j, j]: its grid integrates to 0,
+        # while Parseval would count it; the field is rejected when built
         C = np.zeros((4, 4), dtype=complex)
         C[3, 1] = 1.0
         zero = SpectralField(3, np.zeros((4, 4), dtype=complex))
