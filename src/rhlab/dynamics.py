@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, _field, _gradient_grids, default_grid, synthesize_gradients
-from .operators import advection_tendency, jacobian_tendency
+from .harmonics import SpectralField, _field, _synth_values, default_grid, synthesize_gradients
+from .operators import _jacobian_coeffs, advection_tendency
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class Stepper:
     """RK4 stepper with per-grid tables prepared once.
 
     In prescribed mode the stream's gradient grids are precomputed, so a
-    step costs only the zeta-side transforms; zeta's gradient grids are
-    read in the grid's work region, and the stream's are the stepper's
-    own copy.
+    step costs only the zeta-side transforms, on `advection_tendency`'s
+    array path; zeta's gradient grids are read in the grid's work region,
+    and the stream's are the stepper's own copy.
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -63,8 +63,8 @@ class Stepper:
     def tendency(self, zeta: SpectralField) -> SpectralField:
         if self._psi_grids is None:
             return advection_tendency(zeta, self.cfg.omega, self.spec)
-        dzeta = _gradient_grids((zeta,), self.spec)[:, 0]
-        return jacobian_tendency(self._psi_grids, dzeta, self.spec, zeta.L)
+        dzeta = _synth_values((zeta.coeffs,), self.spec, ("dphi", "dtheta"))[:, 0]
+        return _field(zeta.L, _jacobian_coeffs(self._psi_grids, dzeta, self.spec, zeta.L))
 
     def step(self, zeta: SpectralField, step_index: int = 0) -> SpectralField:
         dt = self.cfg.dt
@@ -73,7 +73,7 @@ class Stepper:
         k3 = self.tendency(_field(zeta.L, zeta.coeffs + 0.5 * dt * k2)).coeffs
         k4 = self.tendency(_field(zeta.L, zeta.coeffs + dt * k3)).coeffs
         C = zeta.coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(C)):
+        if not np.isfinite(C).all():
             raise FloatingPointError(f"non-finite tendency at step {step_index}")
         C[0, 0] = 0.0
         return _field(zeta.L, C)

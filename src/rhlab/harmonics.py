@@ -159,7 +159,7 @@ class _GridWork:
     The regions A and B are flat float arrays, allocated by the grid's
     first transform and grown, never shrunk, when a larger batch needs
     more.  Every stage of a transform reads one region and writes the
-    other (`_Synthesis`, `_Analysis`, `operators.jacobian_tendency`), so
+    other (`_Synthesis`, `_Analysis`, `operators._jacobian_coeffs`), so
     a stepping run allocates nothing per call.  `views` holds the views
     of the regions that the stages run into, built once per batch shape
     by `_work_views`; growing a region drops them.  Nothing here may
@@ -270,14 +270,14 @@ M0_IMAG_RTOL = 1e-12
 class SpectralField:
     """Coefficients c_j^m of a real field, stored as coeffs[m, j] for m >= 0.
 
-    Building one stores coeffs as a complex array and checks, once, what
-    the transforms and distances rely on: it raises ValueError unless
-    coeffs has shape (L+1, L+1), is finite, is exactly 0 in the
-    structural-zero slots m > j, and has each c_j^0 real to within
-    M0_IMAG_RTOL of the largest coefficient (a non-finite imaginary part
-    counts as a residue).  rhlab's own results keep this by construction
-    and are built unchecked by `_field`.  `zero_mean` reports whether
-    c_0^0 == 0.
+    Building one stores a complex copy of coeffs, out of the caller's
+    reach, and checks, once, what the transforms and distances rely on:
+    it raises ValueError unless coeffs has shape (L+1, L+1), is finite,
+    is exactly 0 in the structural-zero slots m > j, and has each c_j^0
+    real to within M0_IMAG_RTOL of the largest coefficient (a non-finite
+    imaginary part counts as a residue).  rhlab's own results keep this
+    by construction and are built unchecked, and uncopied, by `_field`.
+    `zero_mean` reports whether c_0^0 == 0.
     """
 
     L: int
@@ -285,7 +285,7 @@ class SpectralField:
 
     def __post_init__(self):
         # synthesis reads coeffs as complex pairs
-        C = np.asarray(self.coeffs, dtype=complex)
+        C = np.array(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", C)
         if self.L < 0 or C.shape != (self.L + 1, self.L + 1):
             raise ValueError("coeffs must have shape (L+1, L+1)")
@@ -416,24 +416,30 @@ def analyze(f: GridField, L: int) -> SpectralField:
     by a longitude discrete Fourier sum and the Legendre quadrature
     `_legendre_quadrature` against the grid's folded table, which
     serves any L <= spec.L + 1; a larger L raises ValueError.  Exact to
-    roundoff for fields bandlimited to degree <= L.  Every stage runs in
-    the grid's work regions (`_Analysis`); the coefficients returned are
+    roundoff for fields bandlimited to degree <= L.  The stepping path
+    calls the array-level `_analyze` directly.  Every stage runs in the
+    grid's work regions (`_Analysis`); the coefficients returned are
     fresh.  The result is bitwise repeatable under the contract stated
     in `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
-    views = _work_views(f.spec, L, _Analysis)
+    return _field(L, _analyze(f.values, f.spec, L))
+
+
+def _analyze(values: np.ndarray, spec: GridSpec, L: int) -> np.ndarray:
+    """`analyze` of the grid values `values` on `spec`: the coefficient array C[m, j], fresh."""
+    views = _work_views(spec, L, _Analysis)
     half, eq = views.half, views.eq
-    north, south = f.values[half + eq:], f.values[half - 1 :: -1]
+    north, south = values[half + eq:], values[half - 1 :: -1]
     np.add(north, south, out=views.sum)
     np.subtract(north, south, out=views.difference)
     if eq:
-        views.pair[:, 0] = f.values[half]
+        views.pair[:, 0] = values[half]
     np.multiply(views.pair, views.weights, out=views.pair)
     np.fft.rfft(views.pair, axis=-1, out=views.fourier)
     C = _legendre_quadrature(views.low, views)
     # c_j^0 is real for real input; drop the quadrature's imaginary dust.
     C.imag[0] = 0.0
-    return _field(L, C)
+    return C
 
 
 def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -570,16 +576,16 @@ class _Synthesis:
 
 
 def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
-    """Grids of each kind for each SpectralField coefficient array C[m, j] (m, j <= spec.L) in Cs.
+    """Grids of each kind for each SpectralField coefficient array C[m, j] in Cs, zero-padded to spec.L.
 
-    Returns shape (len(kinds), len(Cs), n_lat, n_lon), in the grid's
-    work region B: the grids are overwritten by the grid's next
-    transform, so a caller that keeps them copies them.  A kind is
-    "value" (the field), "dphi" (i m times the value spectrum) or
-    "dtheta".  For d/dtheta the coefficients are recombined with
-    `_derivative_weights` into those of cos(theta) d/dtheta, which reach
-    degree L + 1, and the grid is divided by cos(theta) (Gauss nodes
-    exclude the poles).
+    A C above degree spec.L raises ValueError.  Returns shape
+    (len(kinds), len(Cs), n_lat, n_lon), in the grid's work region B: the
+    grids are overwritten by the grid's next transform, so a caller that
+    keeps them copies them.  A kind is "value" (the field), "dphi" (i m
+    times the value spectrum) or "dtheta".  For d/dtheta the
+    coefficients are recombined with `_derivative_weights` into those of
+    cos(theta) d/dtheta, which reach degree L + 1, and the grid is
+    divided by cos(theta) (Gauss nodes exclude the poles).
 
     Each kind's coefficients become 2 real rows per field (real and
     imaginary part).  For each pair of orders m and L' - m of the folded
@@ -619,12 +625,16 @@ def _legendre_sums(Cs, L: int, views: _Synthesis) -> None:
     northern node] in `views.sums` for the pairs of orders (q, L' - q) of
     the folded table.  The buffer and the coefficient rows are zeroed
     first: the regions hold other stages' data, and the buffer's zero
-    orders and the last slot of a d/dtheta row, which the recurrence only
-    adds to, are never written otherwise.
+    orders, a d/dtheta row's last slot, which the recurrence only adds
+    to, and a low-degree C's padding are never written otherwise.
     """
     views.buffer.fill(0.0)
     views.values.fill(0.0)
     for C, slots in zip(Cs, views.coefficients):
+        if len(C) != L + 1:
+            if len(C) > L + 1:
+                raise ValueError(f"grid truncation {L} < field truncation {len(C) - 1}")
+            slots = slots[:, : len(C), : len(C)]
         slots[...] = C[..., None].view(float).transpose(2, 0, 1)
     dphi, down, up = _derivative_weights(L)
     for kind, rows, values in views.kinds:
@@ -704,15 +714,9 @@ def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
     return H
 
 
-def _grid_coeffs(c: SpectralField, spec: GridSpec) -> np.ndarray:
-    if spec.L < c.L:
-        raise ValueError(f"grid truncation {spec.L} < field truncation {c.L}")
-    return pad_to(c, spec.L).coeffs
-
-
 def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
     """Inverse transform: pointwise sum of c_j^m Y_j^m on the grid."""
-    values = _synth_values([_grid_coeffs(c, spec)], spec, ("value",))[0, 0].copy()
+    values = _synth_values([c.coeffs], spec, ("value",))[0, 0].copy()
     return GridField(values=values, spec=spec)
 
 
@@ -720,13 +724,13 @@ def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
 # synthesize_gradients, and the benchmark traces them
 def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dtheta of the field represented by c, evaluated on the grid."""
-    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dtheta",))[0, 0].copy()
+    values = _synth_values([c.coeffs], spec, ("dtheta",))[0, 0].copy()
     return GridField(values=values, spec=spec)
 
 
 def synthesize_dphi(c: SpectralField, spec: GridSpec) -> GridField:
     """d/dphi of the field represented by c (spectral: multiply by i*m)."""
-    values = _synth_values([_grid_coeffs(c, spec)], spec, ("dphi",))[0, 0].copy()
+    values = _synth_values([c.coeffs], spec, ("dphi",))[0, 0].copy()
     return GridField(values=values, spec=spec)
 
 
@@ -738,12 +742,7 @@ def synthesize_gradients(fields, spec: GridSpec) -> np.ndarray:
     `synthesize_dphi` and `synthesize_dtheta`, from one batched matmul of
     4 rows per field and one irfft.  G is the caller's own copy.
     """
-    return _gradient_grids(fields, spec).copy()
-
-
-def _gradient_grids(fields, spec: GridSpec) -> np.ndarray:
-    """`synthesize_gradients` in the grid's work region B, valid until its next transform."""
-    return _synth_values([_grid_coeffs(c, spec) for c in fields], spec, ("dphi", "dtheta"))
+    return _synth_values([c.coeffs for c in fields], spec, ("dphi", "dtheta")).copy()
 
 
 def eval_point(c: SpectralField, phi, theta):
@@ -843,9 +842,10 @@ def load_spectral(path) -> SpectralField:
     """Read the `save_spectral` text format, rejecting malformed lines.
 
     Each coefficient line must hold four fields 'j m re im' with
-    0 <= m <= j <= L, finite values, a zero imaginary part for m = 0
-    (the field is real), and no (j, m) given twice; a violation raises
-    ValueError naming the line.  Missing coefficients are zero.
+    0 <= m <= j <= L, finite values, and no (j, m) given twice, and the
+    m = 0 imaginary parts must pass `SpectralField`'s check, judged once
+    every line is read; a violation raises ValueError naming the line.
+    Missing coefficients are zero.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -854,6 +854,7 @@ def load_spectral(path) -> SpectralField:
         L = int(header[1])
         C = np.zeros((L + 1, L + 1), dtype=complex)
         seen = set()
+        m0_imag = (0.0, "")  # the largest m = 0 imaginary part, and where
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -872,11 +873,13 @@ def load_spectral(path) -> SpectralField:
                 raise ValueError(f"{where}: duplicate coefficient (j, m) = ({j}, {m})")
             if not np.isfinite(v):
                 raise ValueError(f"{where}: non-finite value")
-            if m == 0 and v.imag != 0.0:
-                raise ValueError(f"{where}: m = 0 coefficient of a real field has "
-                                 f"imaginary part {v.imag:g}")
+            if m == 0 and abs(v.imag) > abs(m0_imag[0]):
+                m0_imag = (v.imag, where)
             seen.add((j, m))
             C[m, j] = v
+    imag, where = m0_imag
+    if abs(imag) > M0_IMAG_RTOL * np.abs(C).max():
+        raise ValueError(f"{where}: m = 0 coefficient of a real field has imaginary part {imag:g}")
     return SpectralField(L=L, coeffs=C)
 
 

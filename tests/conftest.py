@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rhlab.harmonics import SpectralField
+from rhlab.grid import GridField
+from rhlab.harmonics import SpectralField, analyze, pad_to, synthesize_gradients
+from rhlab.operators import stream_function
 
 # The same draws on every run, so a property that fails for one input in
 # a hundred fails every time rather than on one run in many.
@@ -21,6 +23,29 @@ def random_spectral(L, rng, zero_mean=True, max_degree=None):
     if max_degree is not None:
         C[:, max_degree + 1:] = 0.0
     return SpectralField(L=L, coeffs=C)
+
+
+def reference_tendency(dpsi, dzeta, spec, L):
+    """-J(psi, zeta) to degree L from the gradient grids, composed of public functions.
+
+    The operations and their order are those of the tendency before it
+    passed arrays between stages: (d_theta psi d_phi zeta - d_phi psi
+    d_theta zeta) / cos(theta), `analyze`, then c_0^0 = 0.
+    """
+    (dpsi_phi, dpsi_th), (dz_phi, dz_th) = dpsi, dzeta
+    minus_jac = dpsi_th * dz_phi
+    minus_jac = minus_jac - dpsi_phi * dz_th
+    minus_jac = minus_jac / spec.cos_theta[:, None]
+    C = analyze(GridField(values=minus_jac, spec=spec), L).coeffs
+    C[0, 0] = 0.0
+    return C
+
+
+def reference_coupled_tendency(zeta, omega, spec):
+    """`reference_tendency` of zeta's own stream: psi and zeta synthesized in one call, padded to spec.L."""
+    psi = stream_function(zeta, omega)
+    grads = synthesize_gradients((pad_to(psi, spec.L), pad_to(zeta, spec.L)), spec)
+    return reference_tendency(grads[:, 0], grads[:, 1], spec, zeta.L)
 
 
 @pytest.fixture

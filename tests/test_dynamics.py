@@ -10,9 +10,10 @@ from rhlab.harmonics import (
     e2_to_spectral,
     from_coeff_dict,
     norm_l2,
+    synthesize_gradients,
 )
 from rhlab.rh_waves import exact_state, make_rh
-from tests.conftest import random_spectral
+from tests.conftest import random_spectral, reference_coupled_tendency, reference_tendency
 
 
 def rh_setup(L=12, alpha=0.7, omega=0.3):
@@ -178,3 +179,45 @@ class TestPrescribedStream:
         first = st.tendency(z1).coeffs.tobytes()
         st.tendency(z2)
         assert st.tendency(z1).coeffs.tobytes() == first
+
+
+def reference_prescribed_tendency(zeta, chi, spec):
+    """`reference_tendency` by the stream chi, each field's grids from a call of its own."""
+    dpsi = synthesize_gradients((chi,), spec)[:, 0]
+    dzeta = synthesize_gradients((zeta,), spec)[:, 0]
+    return reference_tendency(dpsi, dzeta, spec, zeta.L)
+
+
+class TestArrayPathBitwise:
+    """The stepping path equals the public composition of the tendency to the bit."""
+
+    def test_prescribed_tendency(self, rng):
+        L = 21
+        chi = random_spectral(L, rng)
+        st = Stepper(SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=chi))
+        zeta = random_spectral(L, rng)
+        want = reference_prescribed_tendency(zeta, chi, st.spec).tobytes()
+        assert st.tendency(zeta).coeffs.tobytes() == want
+
+    @pytest.mark.parametrize("mode", ["coupled", "prescribed"])
+    def test_twenty_steps(self, rng, mode):
+        L, dt = 21, 1e-3
+        chi = random_spectral(L, rng) if mode == "prescribed" else None
+        st = Stepper(SolverConfig(L=L, omega=0.5, dt=dt, t_end=1.0, stream=chi))
+
+        def tendency(C):
+            if chi is None:
+                return reference_coupled_tendency(_field(L, C), 0.5, st.spec)
+            return reference_prescribed_tendency(_field(L, C), chi, st.spec)
+
+        zeta = random_spectral(L, rng)
+        C = zeta.coeffs
+        for _ in range(20):
+            zeta = st.step(zeta)
+            k1 = tendency(C)
+            k2 = tendency(C + 0.5 * dt * k1)
+            k3 = tendency(C + 0.5 * dt * k2)
+            k4 = tendency(C + dt * k3)
+            C = C + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            C[0, 0] = 0.0
+        assert zeta.coeffs.tobytes() == C.tobytes()

@@ -271,6 +271,18 @@ class TestTransformPair:
         with pytest.raises(ValueError, match=r"spec.L\+1=5"):
             analyze(g, spec.L + 2)
 
+    @pytest.mark.parametrize("call", [
+        synthesize,
+        lambda f, spec: synthesize_gradients((f,), spec),
+        lambda f, spec: advection_tendency(f, 0.5, spec),
+    ], ids=["synthesize", "gradients", "advection"])
+    def test_field_above_the_grid_degree_rejected(self, call, rng):
+        # a field below the grid's degree is zero-padded; one above it is an error
+        spec = build_grid(6)
+        call(random_spectral(4, rng), spec)
+        with pytest.raises(ValueError, match="grid truncation 6 < field truncation 8"):
+            call(random_spectral(8, rng), spec)
+
 
 class TestLegendreContraction:
     """The real-arithmetic kernels against a direct complex einsum.
@@ -534,6 +546,15 @@ class TestFieldValidity:
         with pytest.raises(ValueError, match=r"structural-zero slot \(j, m\) = \(1, 3\)"):
             SpectralField(3, C)
 
+    def test_later_writes_to_the_input_do_not_reach_the_field(self):
+        # the field keeps a copy, so the check cannot be undone afterwards
+        C = np.zeros((4, 4), dtype=complex)
+        C[0, 2] = 1.0
+        f = SpectralField(3, C)
+        C[3, 1] = 1.0
+        assert f.coeffs[3, 1] == 0.0
+        assert norm_l2(f) == 1.0
+
     def test_real_array_is_stored_as_complex(self, rng):
         # synthesis reads coeffs as (real, imaginary) pairs, so a real
         # array would have its values read as imaginary parts too
@@ -562,7 +583,8 @@ class TestFieldValidity:
         rng = np.random.default_rng(seed)
         C = scale * random_spectral(L, rng, zero_mean=False).coeffs
         C[0, rng.integers(L + 1)] += 1j * factor * np.abs(C).max()
-        assert SpectralField(L, C).coeffs is C
+        kept = SpectralField(L, C).coeffs
+        assert kept is not C and kept.tobytes() == C.tobytes()
         entries = {(j, m): C[m, j] for m in range(L + 1) for j in range(m, L + 1)}
         assert np.array_equal(from_coeff_dict(L, entries).coeffs, C)
 
@@ -577,6 +599,9 @@ class TestFieldValidity:
             random_bandlimited(L, seed, max_degree=int(rng.integers(1, L + 1))),
             e2_to_spectral(E2Coeffs(*rng.normal(size=5)), L),
         ]
+        dusty = C.copy()
+        dusty[0, rng.integers(L + 1)] += 1j * 1e-13 * np.abs(C).max()
+        fields.append(SpectralField(L, dusty))
         path = tmp_path_factory.mktemp("spectral") / "field.txt"
         for f in fields:
             save_spectral(f, path)
@@ -698,6 +723,21 @@ class TestTextFormat:
         with pytest.raises(ValueError, match=message) as err:
             load_spectral(path)
         assert "line 3" in str(err.value)
+
+    def test_m0_dust_of_a_valid_field_reads_back(self, tmp_path):
+        f = from_coeff_dict(3, {(2, 0): 1 + 1e-14j})
+        path = tmp_path / "field.txt"
+        save_spectral(f, path)
+        assert load_spectral(path).coeffs.tobytes() == f.coeffs.tobytes()
+
+    def test_m0_imaginary_part_is_judged_against_the_whole_file(self, tmp_path):
+        # 1e-11 is dust next to the 1e3 of a later line, but not on its own
+        path = tmp_path / "field.txt"
+        path.write_text("L 2\n1 0 1.0 1e-11\n2 2 1e3 0.0\n")
+        assert load_spectral(path).coeffs[0, 1] == 1 + 1e-11j
+        path.write_text("L 2\n1 0 1.0 1e-11\n2 2 0.5 0.0\n")
+        with pytest.raises(ValueError, match="line 2 .*imaginary part 1e-11"):
+            load_spectral(path)
 
     @pytest.mark.parametrize("header", ["", "L", "L two", "L -1", "N 3"])
     def test_malformed_header_rejected(self, tmp_path, header):

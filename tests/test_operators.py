@@ -24,7 +24,7 @@ from rhlab.operators import (
     sin_theta_field,
     stream_function,
 )
-from tests.conftest import random_spectral
+from tests.conftest import random_spectral, reference_coupled_tendency
 
 
 class TestGreen:
@@ -166,6 +166,19 @@ class TestAdvectionTendency:
     def test_output_zero_mean(self, rng):
         f = random_spectral(9, rng)
         assert advection_tendency(f, 0.1).coeffs[0, 0] == 0.0
+
+    @pytest.mark.parametrize("L", [12, 21, 90])
+    @pytest.mark.parametrize("grid", ["default", "padded", "odd n_lat"])
+    def test_equals_the_public_composition_bit_for_bit(self, L, grid):
+        # the array path runs the same operations in the same order as
+        # stream_function -> synthesize_gradients -> Jacobian -> analyze
+        spec = {"default": lambda: build_grid(L),
+                "padded": lambda: build_grid(L + 5),
+                "odd n_lat": lambda: build_grid(L, n_lat=2 * L + 3, n_lon=4 * L + 6)}[grid]()
+        zeta = random_spectral(L, np.random.default_rng(L))
+        want = reference_coupled_tendency(zeta, 0.7, spec).tobytes()
+        assert advection_tendency(zeta, 0.7, spec).coeffs.tobytes() == want
+        assert advection_tendency(zeta, 0.7, spec).coeffs.tobytes() == want  # reused regions
 
 
 class TestPoincareGap:
