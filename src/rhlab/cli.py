@@ -24,6 +24,7 @@ from .experiments import (
     exp_stability,
     parse_config_file,
 )
+from .grid import MAX_L
 from .harmonics import E2Coeffs, load_spectral
 from .invariants_algebra import invariants_csv_row, same_h_orbit_deg2, same_o3_orbit
 from .orbit_metrics import check_p, dist_polar_orbit, dist_so3_orbit
@@ -163,6 +164,9 @@ def main(argv=None) -> int:
             check_p(args.p)
             if f.L != target.L:
                 raise ValueError(f"--f has L = {f.L} but --target has L = {target.L}")
+            if args.p != 2.0 and not 2 <= f.L <= MAX_L:
+                raise ValueError(f"p = {args.p:g} integrates on a grid, which needs "
+                                 f"2 <= L <= {MAX_L}; the fields have L = {f.L}")
         except (OSError, ValueError) as err:
             _input_error(args.command, err)
         if args.group == "polar":

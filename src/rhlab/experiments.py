@@ -17,9 +17,11 @@ import numpy as np
 from . import __version__
 from .dynamics import SolverConfig, evolve
 from .functionals import c1_phase_corrected, e_deg2, e_deg2_max, energy_proxy
+from .grid import MAX_L
 from .harmonics import (
     E2Coeffs,
     SpectralField,
+    _field,
     e2_to_spectral,
     from_coeff_dict,
     norm_l2,
@@ -62,6 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.L < 2:
             raise ValueError(f"L must be >= 2, got {self.L}")
+        if self.L > MAX_L:
+            raise ValueError(f"L must be <= {MAX_L}, got {self.L}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt:g}")
         if self.t_end < 0:
@@ -142,7 +146,7 @@ def exp_rh_exactness(cfg: ExperimentConfig, err_tol: float = 1e-6) -> Experiment
     rows = []
     for t, zeta in evolve(zeta0, _solver_config(cfg)):
         ex = exact_state(state, t)
-        rows.append((t, norm_l2(SpectralField(cfg.L, zeta.coeffs - ex.coeffs)) / norm_l2(ex)))
+        rows.append((t, norm_l2(_field(cfg.L, zeta.coeffs - ex.coeffs)) / norm_l2(ex)))
     max_err = max(err for _, err in rows)
     ok = max_err < err_tol
     messages = (f"max relative L2 deviation {max_err:.3e} ({'<' if ok else '>='} {err_tol:g})",)
@@ -261,8 +265,7 @@ def default_rearrange_stream(L: int) -> SpectralField:
     return from_coeff_dict(L, {(3, 1): 1.0 / np.sqrt(2.0)})
 
 
-def exp_rearrangement_bound(cfg: ExperimentConfig, stream: SpectralField | None = None,
-                            bound_tol: float = 1e-6,
+def exp_rearrangement_bound(cfg: ExperimentConfig, bound_tol: float = 1e-6,
                             moment_tol: float = 1e-6) -> ExperimentResult:
     """Advect an RH state by a fixed non-Euler stream and watch the
     degree-2 functional stay below its rearrangement-class maximum.
@@ -272,7 +275,7 @@ def exp_rearrangement_bound(cfg: ExperimentConfig, stream: SpectralField | None 
     while the functional strictly decreases away from the maximizing set.
     """
     Y, state, zeta0 = _rh_ingredients(cfg)
-    chi = stream if stream is not None else default_rearrange_stream(cfg.L)
+    chi = default_rearrange_stream(cfg.L)
     M = e_deg2_max(cfg.alpha, norm_l2(Y) ** 2)
     rows = []
     for t, zeta in evolve(zeta0, _solver_config(cfg, stream=chi)):

@@ -95,9 +95,15 @@ def exact_shape(degree: int) -> tuple[int, int]:
     return (degree + 2) // 2, smooth_length(degree + 1)
 
 
+# The largest supported truncation degree: its Legendre table, of degree
+# 171, is the largest that the tests check against scipy.
+MAX_L = 170
+
+
 def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> GridSpec:
     """The GridSpec for (L, n_lat, n_lon), validating the transform-exactness bounds.
 
+    L must lie in [2, MAX_L], MAX_L = 170; any other L raises ValueError.
     A defaulted size comes from `exact_shape(3L)`: the analysis of a
     product of two degree-L fields against a degree-L harmonic integrates
     degree 3L, so n_lat = ceil((3L+1)/2) and n_lon is the smallest
@@ -114,6 +120,8 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")
+    if L > MAX_L:
+        raise ValueError(f"truncation degree L={L} exceeds the largest supported L={MAX_L}")
     default_lat, default_lon = exact_shape(3 * L)
     if n_lat is None:
         n_lat = default_lat

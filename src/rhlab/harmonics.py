@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,33 +80,22 @@ def norm_legendre_table(L: int, mu: np.ndarray, sink=None) -> np.ndarray | None:
     return P if sink is None else None
 
 
-@lru_cache(maxsize=4)
-def _derivative_weights(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights of the d/dphi and d/dtheta rows of `_synth_values`, indexed like one of its rows.
+def _dtheta_weights(L: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (down, up) of the d/dtheta rows of `_synth_values`, indexed like one of its rows.
 
-    Returns (dphi, down, up).  cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m
-    Y_{j-1}^m - j eps_{j+1}^m Y_{j+1}^m: down[m w + j - 1] and up[m w + j]
-    carry c_j^m to degree j-1 and to degree j+1, for orders m <= L and
-    degrees j < w = `table_degree(L)` + 2, the row width of
-    `_synth_values`, zero for j > L; they are laid out to multiply the
-    coefficients shifted by one degree.  dphi[part, m, j] = (-m, m):
-    d/dphi multiplies c_j^m by i m, so its real part is -m times the
-    imaginary part and its imaginary part m times the real part.
-    Read-only, since the cache hands the same arrays to every caller.
+    cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m Y_{j-1}^m - j eps_{j+1}^m
+    Y_{j+1}^m: down[m w + j - 1] and up[m w + j] carry c_j^m to degree
+    j-1 and to degree j+1, for orders m <= L and degrees j < w = width,
+    the row width of `_synth_values`, zero for j > L; they are laid out to
+    multiply the coefficients shifted by one degree.
     """
-    width = table_degree(L) + 2
     eps = _recurrence_eps(L + 1)[: L + 1]
     j = np.arange(L + 1)
     down = np.zeros((L + 1, width))
     up = np.zeros((L + 1, width))
     down[:, : L + 1] = (j + 1.0) * eps[:, : L + 1]
     up[:, : L + 1] = -j * eps[:, 1:]
-    m = np.broadcast_to(np.arange(L + 1.0)[:, None], (L + 1, width))
-    dphi = np.stack((-m, m))
-    weights = (dphi, down.ravel()[1:], up.ravel()[:-1])
-    for w in weights:
-        w.setflags(write=False)
-    return weights
+    return down.ravel()[1:], up.ravel()[:-1]
 
 
 def table_degree(L: int) -> int:
@@ -119,57 +107,46 @@ def table_degree(L: int) -> int:
     return L + 1 + L % 2
 
 
-@lru_cache(maxsize=8)
-def _fold_orders(L: int, L_out: int) -> np.ndarray:
-    """The orders of the analysis matmul's Fourier columns on a table of degree L: (q, L - q) per pair q.
+def _slot_map(L: int) -> np.ndarray:
+    """Where the folded table of degree L (`grid_tables`) keeps degree j of order m, for m, j <= L.
 
-    Only the pairs with an order <= L_out are contracted; an order above
-    L_out reads column L_out instead, and its output is never gathered.
-    """
-    pairs = np.arange(min((L + 1) // 2, L_out + 1))
-    orders = np.minimum(np.stack((pairs, L - pairs), axis=1).ravel(), L_out)
-    orders.setflags(write=False)
-    return orders
-
-
-@lru_cache(maxsize=8)
-def _degree_slots(L: int, L_out: int) -> np.ndarray:
-    """Where the analysis matmul leaves c_j^m, for m, j <= L_out, on a table of degree L.
-
-    flat[m, j] indexes the flattened complex [pair, parity, slot, order
-    of the pair] output at the slot that `grid_tables` gives degree j of
-    order m.  A degree j < m maps to the unused odd slot of pair 0,
-    where the table, and so the output, is zero.
+    flat[m, j] = 2 r + t: r is the table row (pair, parity, slot)
+    flattened, and t = 0 for the pair's first order q, 1 for its second
+    order L - q.  So flat indexes the complex output of the analysis
+    matmul, [pair, parity, slot, order of the pair], whose row r holds
+    both orders' sums against table row r.  A degree j < m maps to the
+    unused odd slot of pair 0, where the table is zero.
     """
     h = (L + 1) // 2
-    m, j = np.arange(L_out + 1)[:, None], np.arange(L_out + 1)
+    m, j = np.arange(L + 1)[:, None], np.arange(L + 1)
     d = j - m
     top = m >= h
     pair = np.where(top, L - m, m)
     slot = np.where(top, h - d // 2, d // 2)
     flat = ((2 * pair + d % 2) * (h + 1) + slot) * 2 + top
     flat[d < 0] = 2 * ((h + 1) + h)
-    flat.setflags(write=False)
     return flat
 
 
 class _GridWork:
-    """A grid's entry in `_TABLE_CACHE`: its Legendre table and two work regions.
+    """A grid's entry in `_TABLE_CACHE`: its Legendre table, the table's slot map and two work regions.
 
-    The regions A and B are flat float arrays, allocated by the grid's
-    first transform and grown, never shrunk, when a larger batch needs
-    more.  Every stage of a transform reads one region and writes the
-    other (`_Synthesis`, `_Analysis`, `operators._jacobian_coeffs`), so
-    a stepping run allocates nothing per call.  `views` holds the views
-    of the regions that the stages run into, built once per batch shape
-    by `_work_views`; growing a region drops them.  Nothing here may
-    refer to the grid itself, or the weak-keyed cache would keep it.
+    `slots` (`_slot_map`) is the one description of the fold: the table
+    is scattered through it and `_Analysis` gathers through it.  The
+    regions A and B are flat float arrays, allocated by the grid's first
+    transform and grown, never shrunk, when a larger batch needs more.
+    Every stage of a transform reads one region and writes the other
+    (`_Synthesis`, `_Analysis`, `operators._jacobian_coeffs`), so a
+    stepping run allocates nothing per call.  `views` holds the views of
+    the regions that the stages run into, built once per batch shape by
+    `_work_views`; growing a region drops them.  Nothing here may refer
+    to the grid itself, or the weak-keyed cache would keep it.
     """
 
-    __slots__ = ("table", "a", "b", "views")
+    __slots__ = ("table", "slots", "a", "b", "views")
 
-    def __init__(self, table: np.ndarray):
-        self.table = table
+    def __init__(self, table: np.ndarray, slots: np.ndarray):
+        self.table, self.slots = table, slots
         self.a = self.b = np.empty(0)
         self.views: dict = {}
 
@@ -212,7 +189,8 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
     nodes).
 
     `norm_legendre_table` runs at the northern nodes and hands each
-    degree's column to a scatter into the folded slots, so no table-sized
+    degree's column to a scatter through the slot map `_slot_map(L')`,
+    kept with the table in the grid's `_GridWork`, so no table-sized
     temporary is built.  The table is shared by every caller on `spec`,
     so it is read-only.
     """
@@ -223,22 +201,14 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
         mu = spec.mu_nodes[spec.n_lat // 2:]
         table = np.zeros((h, 2, h + 1, mu.size))
         rows = table.reshape(-1, mu.size)
-        step = 4 * (h + 1) - 1
+        slots = _slot_map(L)
 
         def scatter(j, column):
-            # orders m = j - p - 2i of parity p: row (2m + p)(h + 1) + i
-            # from the bottom for m < h, row (2(L - m) + p)(h + 1) + h - i
-            # from the top for m >= h; both rows move by `step` per i
-            for p in range(min(2, j + 1)):
-                orders = column[j - p :: -2]
-                top = max(0, (j - p - h) // 2 + 1)
-                bottom = (2 * (j - p) + p) * (h + 1) - top * step
-                rows[bottom::-step][: len(orders) - top] = orders[top:]
-                rows[(2 * (L - j + p) + p) * (h + 1) + h :: step][:top] = orders[:top]
+            rows[slots[: j + 1, j] // 2] = column
 
         norm_legendre_table(L, mu, sink=scatter)
         table.setflags(write=False)
-        work = _TABLE_CACHE[spec] = _GridWork(table)
+        work = _TABLE_CACHE[spec] = _GridWork(table, slots)
     return work.table
 
 
@@ -369,8 +339,10 @@ class _Analysis:
 
     The mirrored `pair` of rows goes to B, its `rfft` spectrum `fourier`
     to A, the quadrature's Fourier `columns` to B and its matmul output
-    `products` to A.  The grid-size checks run here, once per grid and
-    degree, since the grid's shape is fixed.
+    `products` to A.  `orders` are the pairs' orders (q, L' - q), for the
+    pairs with an order <= L; an order above L reads column L, and is
+    never gathered.  `slots` is the grid's slot map for m, j <= L.  The
+    grid-size checks run here, once per grid and degree.
     """
 
     def __init__(self, spec: GridSpec, work: _GridWork, L: int):
@@ -384,9 +356,10 @@ class _Analysis:
         table = work.table
         h, slots, n_north = table.shape[0], table.shape[2], table.shape[3]
         top, n_freq = 2 * h - 1, spec.n_lon // 2 + 1
-        self.orders = _fold_orders(top, L)
-        self.slots = _degree_slots(top, L)
-        n_pairs = self.orders.size // 2
+        n_pairs = min(h, L + 1)
+        pairs = np.arange(n_pairs)
+        self.orders = np.minimum(np.stack((pairs, top - pairs), axis=1).ravel(), L)
+        self.slots = work.slots[: L + 1, : L + 1]
         pair, fourier = 2 * n_north * spec.n_lon, 4 * n_north * n_freq
         columns, products = 8 * n_north * n_pairs, 8 * n_pairs * slots
         a, b = work.regions(max(fourier, products), max(pair, columns))
@@ -466,9 +439,9 @@ def _legendre_quadrature(F: np.ndarray, views: _Analysis) -> np.ndarray:
     the grid's table (`grid_tables`) at its even parity and the
     difference at its odd parity.  Each pair's rectangle meets four real
     columns, the real and imaginary parts of both its orders' Fourier
-    rows, in one batched real matmul; each order keeps the slots of its
-    own degrees.  The columns and the matmul output lie in the grid's
-    work regions (`_Analysis` of degree L); the C returned is fresh.
+    rows, in one batched real matmul, and C is gathered from its output
+    through the grid's slot map.  The columns and the matmul output lie in
+    the grid's work regions (`_Analysis` of degree L); C is fresh.
     Same determinism contract as `_synth_values`.
     """
     # the orders are in range, and mode="clip" lets take write unbuffered
@@ -484,7 +457,10 @@ class _Synthesis:
     go to A, the `_legendre_sums` `buffer` of each kind's rows to B, its
     block-diagonal `lhs` to A and the matmul output `sums` to B; the
     spectra H of `_hemisphere_spectra` to A and the irfft `grids` to B.
-    Every operand view of those stages is made here, once.
+    Every operand view of those stages, and the derivative weights, are
+    made here, once.  The left side's strided views `first` and `second`
+    put each (m, j) where the grid's slot map does; a gather through the
+    map was slower at every L measured, and a test ties the two together.
     """
 
     def __init__(self, spec: GridSpec, work: _GridWork, key):
@@ -516,20 +492,22 @@ class _Synthesis:
         # crosses into the next order only where the weight is zero
         flat = self.values.reshape(2 * nf, -1)
         self.product = a[values : 2 * values].reshape(2 * nf, -1)[:, :-1]
-        # (kind, its rows, what they are computed from)
+        # (kind, its rows, what they are computed from, the weights)
         self.kinds = []
         for g, kind in enumerate(kinds):
             if kind == "dphi":
-                # the parts swapped, then scaled by -m and m
+                # d/dphi multiplies c_j^m by i m: the parts swapped, then
+                # scaled by -m and m
                 pairs = (nf, 2, L + 1, width)
-                source = self.values.reshape(pairs)[:, ::-1]
-                self.kinds.append((kind, rows[g].reshape(pairs), source))
+                m = np.broadcast_to(np.arange(L + 1.0)[:, None], (L + 1, width))
+                self.kinds.append((kind, rows[g].reshape(pairs),
+                                   self.values.reshape(pairs)[:, ::-1], np.stack((-m, m))))
             elif kind == "dtheta":
                 derivs = rows[g].reshape(2 * nf, -1)
                 self.kinds.append((kind, (derivs[:, :-1], derivs[:, 1:]),
-                                   (flat[:, 1:], flat[:, :-1])))
+                                   (flat[:, 1:], flat[:, :-1]), _dtheta_weights(L, width)))
             else:
-                self.kinds.append((kind, rows[g], self.values))
+                self.kinds.append((kind, rows[g], self.values, None))
 
         # Read rows[r, q, q + 2i + p] as first[q, p, r, i] and rows[r, L'-q,
         # L'-q + 2(h-i) + p] as second[q, p, r, i]: strided views, since the
@@ -556,11 +534,9 @@ class _Synthesis:
         H = a[:spectra].view(complex).reshape(n_grids, n_lat, n_freq)
         self.spectra, self.high = H, H[..., L + 1:]
         half, eq = n_lat // 2, n_lat % 2
-        lat = n_freq * 2 * item
-        strides = (2 * item, n_lat * lat, item, lat)
-        north = np.ndarray((L + 1, n_grids, 2, n_lat - half), float, a, half * lat, strides)
-        south = np.ndarray((L + 1, n_grids, 2, half), float, a, (half - 1) * lat,
-                           strides[:3] + (-lat,))
+        low = H[..., : L + 1].view(float).reshape(n_grids, n_lat, L + 1, 2)
+        north = low[:, half:].transpose(2, 0, 3, 1)
+        south = low[:, half - 1 :: -1].transpose(2, 0, 3, 1)
         parts = self.sums.reshape(h, 2, 2, n_grids, 2, n_north)
         self.hemispheres = []
         for i, pairs, orders in ((0, slice(0, h), slice(0, h)),
@@ -583,7 +559,7 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     grids are overwritten by the grid's next transform, so a caller that
     keeps them copies them.  A kind is "value" (the field), "dphi" (i m
     times the value spectrum) or "dtheta".  For d/dtheta the
-    coefficients are recombined with `_derivative_weights` into those of
+    coefficients are recombined with `_dtheta_weights` into those of
     cos(theta) d/dtheta, which reach degree L + 1, and the grid is
     divided by cos(theta) (Gauss nodes exclude the poles).
 
@@ -623,7 +599,8 @@ def _legendre_sums(Cs, L: int, views: _Synthesis) -> None:
 
     Leaves sums[pair, parity, (order of the pair, kind, field, part),
     northern node] in `views.sums` for the pairs of orders (q, L' - q) of
-    the folded table.  The buffer and the coefficient rows are zeroed
+    the folded table; the left side holds c_j^m where the grid's slot
+    map puts (m, j).  The buffer and the coefficient rows are zeroed
     first: the regions hold other stages' data, and the buffer's zero
     orders, a d/dtheta row's last slot, which the recurrence only adds
     to, and a low-degree C's padding are never written otherwise.
@@ -636,13 +613,13 @@ def _legendre_sums(Cs, L: int, views: _Synthesis) -> None:
                 raise ValueError(f"grid truncation {L} < field truncation {len(C) - 1}")
             slots = slots[:, : len(C), : len(C)]
         slots[...] = C[..., None].view(float).transpose(2, 0, 1)
-    dphi, down, up = _derivative_weights(L)
-    for kind, rows, values in views.kinds:
+    for kind, rows, values, weights in views.kinds:
         if kind == "value":
             rows[...] = values
         elif kind == "dphi":
-            np.multiply(values, dphi, out=rows)
+            np.multiply(values, weights, out=rows)
         else:
+            down, up = weights
             np.multiply(down, values[0], out=rows[0])
             np.multiply(up, values[1], out=views.product)
             np.add(rows[1], views.product, out=rows[1])

@@ -9,12 +9,13 @@ equation exactly, so it serves as the oracle for the time integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, pad_to
-from .operators import sin_theta_field
+from .harmonics import SpectralField, _field
+from .operators import SINTHETA_C10
 from .rotations import rotate_polar
 
 DEGREE_PURITY_TOL = 1e-12
@@ -35,7 +36,9 @@ def rh_speed(alpha: float, omega: float, j: int) -> float:
 
 
 def make_rh(omega: float, alpha: float, Y: SpectralField) -> RHState:
-    """Build an RH state from a single-degree spherical part Y."""
+    """Build an RH state from a single-degree spherical part Y; alpha and omega must be finite."""
+    if not (math.isfinite(alpha) and math.isfinite(omega)):
+        raise ValueError(f"alpha and omega must be finite, got alpha={alpha:g}, omega={omega:g}")
     energy = np.abs(Y.coeffs) ** 2
     energy[1:] *= 2.0  # both +/-m
     per_degree = energy.sum(axis=0)
@@ -56,16 +59,14 @@ def make_rh(omega: float, alpha: float, Y: SpectralField) -> RHState:
         omega=omega,
         alpha=alpha,
         degree_j=j,
-        Y=SpectralField(L=Y.L, coeffs=C),
+        Y=_field(Y.L, C),
         speed_c=rh_speed(alpha, omega, j),
     )
 
 
-def exact_state(s: RHState, t: float, L: int | None = None) -> SpectralField:
+def exact_state(s: RHState, t: float) -> SpectralField:
     """Closed-form state at time t: alpha sin(theta) + Y(phi - c t, theta)."""
-    if L is None:
-        L = s.Y.L
-    zonal = sin_theta_field(L, s.alpha)
-    traveled = pad_to(rotate_polar(s.Y, -s.speed_c * t), L)
-    return SpectralField(L=L, coeffs=zonal.coeffs + traveled.coeffs)
+    zonal = np.zeros_like(s.Y.coeffs)
+    zonal[0, 1] = s.alpha * SINTHETA_C10
+    return _field(s.Y.L, zonal + rotate_polar(s.Y, -s.speed_c * t).coeffs)
 

@@ -23,7 +23,8 @@ from rhlab.experiments import (
     parse_config_file,
     random_bandlimited,
 )
-from rhlab.harmonics import E2Coeffs, norm_l2, save_spectral
+from rhlab.grid import MAX_L
+from rhlab.harmonics import E2Coeffs, SpectralField, norm_l2, save_spectral
 from rhlab.rotations import rotate_polar
 from tests.conftest import random_spectral
 
@@ -140,7 +141,7 @@ class TestConfigFuzz:
         assert all(math.isfinite(v) for v in floats)
 
     @given(values=st.fixed_dictionaries({
-        "L": st.integers(2, 300), "seed": st.integers(0, 2**63), "omega": st.floats(-1e3, 1e3),
+        "L": st.integers(2, MAX_L), "seed": st.integers(0, 2**63), "omega": st.floats(-1e3, 1e3),
         "dt": st.floats(1e-6, 1.0), "t_end": st.floats(0.0, 1e3),
         "Y": st.lists(st.floats(-10, 10), min_size=5, max_size=5),
         "epsilons": st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4, unique=True)}))
@@ -170,6 +171,21 @@ class TestExperimentsSmall:
         assert res.ok
         assert res.header == ("t", "rel_l2_error")
         assert res.rows[0][0] == 0.0 and res.rows[-1][0] == pytest.approx(0.3)
+
+    def test_checked_builds_do_not_grow_with_the_rows(self, monkeypatch):
+        # the states and error rows are rhlab's own results, built unchecked
+        builds = []
+        check = SpectralField.__post_init__
+        monkeypatch.setattr(SpectralField, "__post_init__",
+                            lambda f: builds.append(f.L) or check(f))
+        counts = []
+        for t_end in (0.02, 0.1):
+            cfg = ExperimentConfig(L=8, omega=0.3, alpha=0.7, Y=SMALL_Y,
+                                   dt=1e-3, t_end=t_end, diag_every=10)
+            before = len(builds)
+            counts.append((len(exp_rh_exactness(cfg).rows), len(builds) - before))
+        assert [rows for rows, _ in counts] == [3, 11]
+        assert counts[0][1] == counts[1][1]
 
     def test_stability_polar(self):
         cfg = ExperimentConfig(name="stab", L=10, omega=0.2, alpha=0.2,
@@ -291,6 +307,17 @@ class TestCLI:
         assert rc == 0
         assert float(out.splitlines()[0].split(":")[1]) < 1e-9
 
+    @pytest.mark.parametrize("group", ["polar", "so3"])
+    def test_orbit_dist_at_p2_needs_no_grid_even_at_L1(self, tmp_path, capsys, group):
+        # Parseval: an L = 1 field has no grid, and needs none at p = 2
+        f = random_spectral(1, np.random.default_rng(4))
+        save_spectral(f, tmp_path / "t.dat")
+        save_spectral(rotate_polar(f, 0.4), tmp_path / "f.dat")
+        rc = cli.main(["orbit-dist", "--f", str(tmp_path / "f.dat"),
+                       "--target", str(tmp_path / "t.dat"), "--group", group])
+        assert rc == 0
+        assert float(capsys.readouterr().out.splitlines()[0].split(":")[1]) < 1e-9
+
     def test_rh_verify_with_config_and_override(self, tmp_path, capsys):
         p = tmp_path / "rh.cfg"
         p.write_text("L=8\nomega=0.3\nalpha=0.7\nY=0.1,0.06,0.02,0.04,0.02\n"
@@ -356,6 +383,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, config, overrides, message", [
         ("rh-verify", "rh_exactness.cfg", ["dt=0"], "dt must be positive, got 0"),
         ("rh-verify", "rh_exactness.cfg", ["L=1"], "L must be >= 2, got 1"),
+        ("rh-verify", "rh_exactness.cfg", ["L=171"], "L must be <= 170, got 171"),
         ("rh-verify", "rh_exactness.cfg", ["t_end=-1"], "t_end must be nonnegative, got -1"),
         ("rh-verify", "rh_exactness.cfg", ["diag_every=0"], "diag_every must be >= 1, got 0"),
         ("stability", "stability_so3.cfg", ["group=euclid"],
@@ -405,6 +433,14 @@ class TestConfigErrors:
         ("bad.dat", [], "spectral file line 2 ('1 0 x 0'): fields are not "
                         "'int int float float'"),
         ("f5.dat", [], "--f has L = 5 but --target has L = 4"),
+        # p != 2 integrates on a grid, which L = 1 or 171 cannot have;
+        # the later --target replaces the first
+        ("f1.dat", ["--target", "{dir}/t1.dat", "--p", "3"],
+         "p = 3 integrates on a grid, which needs 2 <= L <= 170; the fields have L = 1"),
+        ("f1.dat", ["--target", "{dir}/t1.dat", "--p", "3", "--group", "so3"],
+         "p = 3 integrates on a grid, which needs 2 <= L <= 170; the fields have L = 1"),
+        ("f171.dat", ["--target", "{dir}/f171.dat", "--p", "1.5"],
+         "p = 1.5 integrates on a grid, which needs 2 <= L <= 170; the fields have L = 171"),
     ])
     def test_orbit_dist_input_is_one_line_and_exit_code_two(
             self, tmp_path, f_name, extra, message):
@@ -412,9 +448,14 @@ class TestConfigErrors:
         save_spectral(random_spectral(4, rng), tmp_path / "t.dat")
         save_spectral(random_spectral(4, rng), tmp_path / "f.dat")
         save_spectral(random_spectral(5, rng), tmp_path / "f5.dat")
+        save_spectral(random_spectral(1, rng), tmp_path / "t1.dat")
+        save_spectral(random_spectral(1, rng), tmp_path / "f1.dat")
+        if f_name == "f171.dat":
+            save_spectral(random_spectral(171, rng), tmp_path / f_name)
         (tmp_path / "bad.dat").write_text("L 4\n1 0 x 0\n")
         proc = _python("-m", "rhlab.cli", "orbit-dist", "--f", str(tmp_path / f_name),
-                       "--target", str(tmp_path / "t.dat"), *extra)
+                       "--target", str(tmp_path / "t.dat"),
+                       *(arg.format(dir=tmp_path) for arg in extra))
         assert proc.returncode == 2
         assert proc.stderr == f"rhlab orbit-dist: {message.format(dir=tmp_path)}\n"
         assert proc.stdout == ""

@@ -74,6 +74,11 @@ class TestBuildGrid:
             assert spec.n_lat == math.ceil((3 * L + 1) / 2)
             assert spec.n_lon == smooth_length(3 * L + 1)
 
+    @pytest.mark.parametrize("L", [1, grid.MAX_L + 1])
+    def test_rejects_truncation_outside_the_supported_range(self, L):
+        with pytest.raises(ValueError, match=f"truncation degree L={L}"):
+            build_grid(L)
+
     def test_rejects_undersized_latitudes(self):
         with pytest.raises(ValueError, match="n_lat"):
             build_grid(2, n_lat=2)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhlab import harmonics
-from rhlab.grid import GridField, build_grid, integrate
+from rhlab.grid import MAX_L, GridField, build_grid, integrate
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
     _Analysis,
+    _Synthesis,
     _field,
     _legendre_contract,
     _legendre_quadrature,
@@ -119,8 +120,9 @@ class TestLegendreOracle:
         if sph_harm_y is None:
             pytest.skip("scipy.special.sph_harm_y needs scipy >= 1.15")
 
-        # L = 170 is the largest shipped truncation; its table has degree 171
-        spec = build_grid(170)
+        # the table of the largest supported L has degree 171
+        assert table_degree(MAX_L) == 171
+        spec = build_grid(MAX_L)
         mu = spec.mu_nodes[spec.n_lat // 2:]
         P = norm_legendre_table(171, mu)
         m, j = np.triu_indices(172)
@@ -205,6 +207,37 @@ class TestLegendreOracle:
             tracemalloc.stop()
         # a dense table at the northern nodes is twice the folded one
         assert peak <= 1.5 * table.nbytes
+
+
+class TestSlotMap:
+    """The two encodings of the folded layout agree: the grid's slot map,
+    through which the table is built and analysis gathers, and the left
+    side's strided views `first` and `second` of `_Synthesis`."""
+
+    @pytest.mark.parametrize("nf, kinds", [(1, ("value",)), (2, ("dphi", "dtheta"))])
+    @pytest.mark.parametrize("L", [2, 3, 21, 22, 90])
+    def test_left_side_views_read_the_slots_of_the_map(self, L, nf, kinds):
+        spec = build_grid(L)
+        views = _work_views(spec, (nf, kinds), _Synthesis)
+        slots = harmonics._TABLE_CACHE[spec].slots
+        h, n_slots = views.table.shape[0], views.table.shape[2]
+        R = 2 * nf * len(kinds)
+        # each cell of the rows buffer [row, m, j] holds its own flat index
+        rows_shape = (R, 2 * h + 1, 2 * h + 1)
+        views.buffer[:] = np.arange(views.buffer.size)
+        for lhs, block in views.blocks:
+            lhs[...] = block
+        lhs = views.lhs.reshape(h, 2, 2, R, n_slots)
+        r, m, j = np.unravel_index(lhs.astype(np.intp), rows_shape)
+        pair, parity, order, row, slot = np.indices(lhs.shape)
+        # the cells that `_legendre_sums` leaves zero whatever the input
+        live = (m <= L) & (m <= j) & (j <= L + 1)
+        assert np.array_equal(r[live], row[live])
+        at = 2 * np.ravel_multi_index((pair, parity, slot), views.table.shape[:3]) + order
+        assert np.array_equal(slots[m[live], j[live]], at[live])
+        # and every live cell is read, each into a cell of its own
+        per_row = (np.arange(L + 1)[:, None] <= np.arange(L + 2)).sum()
+        assert live.sum() == R * per_row
 
 
 class TestTransformPair:

@@ -38,6 +38,12 @@ class TestMakeRH:
         with pytest.raises(ValueError, match="nonzero"):
             make_rh(0.0, 1.0, from_coeff_dict(6, {}))
 
+    @pytest.mark.parametrize("omega, alpha", [(np.nan, 1.0), (np.inf, 1.0), (0.3, -np.inf)])
+    def test_rejects_non_finite_alpha_or_omega(self, omega, alpha):
+        # the states it builds are not checked again
+        with pytest.raises(ValueError, match="must be finite"):
+            make_rh(omega, alpha, from_coeff_dict(6, {(2, 1): 1.0}))
+
 
 class TestExactState:
     def test_initial_time(self):
