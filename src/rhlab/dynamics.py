@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, _field, _synth_values, default_grid, synthesize_gradients
+from .grid import build_grid, exact_shape
+from .harmonics import SpectralField, _field, _synth_values, synthesize_gradients, top_degree
 from .operators import _jacobian_coeffs, advection_tendency
 
 
@@ -47,6 +48,14 @@ class SolverConfig:
 class Stepper:
     """RK4 stepper with per-grid tables prepared once.
 
+    Its grid is `exact_shape(2L + d)`, d the top degree of the field that
+    transports zeta: L in coupled mode, where this is the default grid,
+    and the stream's top degree in prescribed mode.  J(chi, zeta) has
+    degree at most L + d - 1 (the Jacobian's selection rule), so its
+    analysis against degree-L harmonics integrates degree <= 2L + d - 1
+    exactly.  The degree-3 rearrangement stream at L=90 steps on 92 x 192
+    nodes instead of the default 136 x 288.
+
     In prescribed mode the stream's gradient grids are precomputed, so a
     step costs only the zeta-side transforms, on `advection_tendency`'s
     array path; zeta's gradient grids are read in the grid's work region,
@@ -55,7 +64,8 @@ class Stepper:
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
-        self.spec = default_grid(cfg.L)
+        d = cfg.L if cfg.stream is None else top_degree(cfg.stream)
+        self.spec = build_grid(cfg.L, *exact_shape(2 * cfg.L + d))
         self._psi_grids = None
         if cfg.stream is not None:
             self._psi_grids = synthesize_gradients((cfg.stream,), self.spec)[:, 0]

@@ -113,9 +113,11 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     transforms run in, are built once.  At most two grids are kept,
     since the table of the default grid at L=170 takes 15.3 MB and its
     work regions 8.4 MB (`harmonics.grid_tables`, `harmonics._GridWork`).
-    A `Stepper` holds its own grid, and so its table, for a whole run,
-    and the two places serve it and one measurement grid: the moment
-    grid of `moments_numeric`, which builds no table.  p = 2 distances,
+    The two places serve a run's stepping grid and its measurement grid.
+    A `Stepper` holds its grid, and so its table, for a whole run: the
+    default grid in coupled mode, `exact_shape(2L + deg chi)` for a
+    prescribed stream chi.  The measurement grid is the moment grid of
+    `moments_numeric`, which builds no table.  p = 2 distances,
     polar and SO(3), use no grid; p != 2 adds a 4(L+1) x 4(L+1) one.
     """
     if L < 2:

@@ -314,6 +314,12 @@ def pad_to(c: SpectralField, L: int) -> SpectralField:
     return _field(L, C)
 
 
+def top_degree(c: SpectralField) -> int:
+    """Largest degree with a nonzero coefficient (0 for the zero field)."""
+    nonzero = np.flatnonzero(np.any(c.coeffs != 0.0, axis=0))
+    return int(nonzero[-1]) if nonzero.size else 0
+
+
 def norm_l2(c: SpectralField) -> float:
     """L2 norm of the represented field (Parseval, both +/-m counted)."""
     return float(np.sqrt(inner_l2(c, c)))
@@ -341,8 +347,9 @@ class _Analysis:
     to A, the quadrature's Fourier `columns` to B and its matmul output
     `products` to A.  `orders` are the pairs' orders (q, L' - q), for the
     pairs with an order <= L; an order above L reads column L, and is
-    never gathered.  `slots` is the grid's slot map for m, j <= L.  The
-    grid-size checks run here, once per grid and degree.
+    never gathered.  `slots` is a contiguous copy of the grid's slot map
+    for m, j <= L, which `take` reads without copying it on every call.
+    The grid-size checks run here, once per grid and degree.
     """
 
     def __init__(self, spec: GridSpec, work: _GridWork, L: int):
@@ -359,7 +366,7 @@ class _Analysis:
         n_pairs = min(h, L + 1)
         pairs = np.arange(n_pairs)
         self.orders = np.minimum(np.stack((pairs, top - pairs), axis=1).ravel(), L)
-        self.slots = work.slots[: L + 1, : L + 1]
+        self.slots = np.ascontiguousarray(work.slots[: L + 1, : L + 1])
         pair, fourier = 2 * n_north * spec.n_lon, 4 * n_north * n_freq
         columns, products = 8 * n_north * n_pairs, 8 * n_pairs * slots
         a, b = work.regions(max(fourier, products), max(pair, columns))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridField, build_grid, integrate
-from .harmonics import SpectralField, _field, norm_l2, synthesize
+from .harmonics import SpectralField, _field, norm_l2, synthesize, top_degree
 from .rotations import (
     angular_momentum,
     degree_vector,
@@ -77,12 +77,6 @@ def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:
         M = np.maximum(M, np.maximum(np.roll(M, 1, axis), np.roll(M, -1, axis)))
     peaks = np.flatnonzero(c.ravel() >= M.ravel())
     return peaks[np.argsort(-c.ravel()[peaks], kind="stable")]
-
-
-def _top_degree(c: SpectralField) -> int:
-    """Largest degree with a nonzero coefficient (0 for the zero field)."""
-    nonzero = np.flatnonzero(np.any(c.coeffs != 0.0, axis=0))
-    return int(nonzero[-1]) if nonzero.size else 0
 
 
 def _rotation_exp(w: np.ndarray) -> np.ndarray:
@@ -190,7 +184,7 @@ def _orbit_search(f: SpectralField, target: SpectralField, p: float, sampler, ax
     """
     if f.L != target.L:
         raise ValueError("fields must share a truncation degree")
-    J = _top_degree(target)
+    J = top_degree(target)
     fv = [degree_vector(f, j) for j in range(J + 1)]
     tv = [degree_vector(target, j) for j in range(J + 1)]
     n = 4 * (J + 1)

@@ -111,7 +111,13 @@ def jy_eigvecs(j: int) -> np.ndarray:
 
 
 def wigner_d(j: int, beta: float) -> np.ndarray:
-    """Real Wigner matrix d^j(beta) = exp(-i beta J_y) = V diag(e^{-i lam beta}) V^H."""
+    """Real Wigner matrix d^j(beta) = exp(-i beta J_y) = V diag(e^{-i lam beta}) V^H.
+
+    At beta = 0, where every rotation of the polar orbit sits, it is the
+    exact identity rather than V V^H, which is off by roundoff.
+    """
+    if beta == 0.0:
+        return np.eye(2 * j + 1)
     V = jy_eigvecs(j)
     lam = np.arange(-j, j + 1)
     return ((V * np.exp(-1j * lam * beta)) @ V.conj().T).real

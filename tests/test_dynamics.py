@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 
 from rhlab.dynamics import SolverConfig, Stepper, evolve
+from rhlab.experiments import default_rearrange_stream
 from rhlab.functionals import c1_phase_corrected, e_deg2, energy_proxy
+from rhlab.grid import build_grid, exact_shape
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
     _field,
+    default_grid,
     e2_to_spectral,
     from_coeff_dict,
     norm_l2,
     synthesize_gradients,
+    top_degree,
 )
 from rhlab.rh_waves import exact_state, make_rh
 from tests.conftest import random_spectral, reference_coupled_tendency, reference_tendency
@@ -221,3 +225,54 @@ class TestArrayPathBitwise:
             C = C + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             C[0, 0] = 0.0
         assert zeta.coeffs.tobytes() == C.tobytes()
+
+
+def relative_gap(C, reference):
+    return np.abs(C - reference).max() / np.abs(reference).max()
+
+
+class TestGridRule:
+    """The stepper's grid is exact_shape(2L + d), d the top degree of the transporting field."""
+
+    @pytest.mark.parametrize("L", [2, 12, 90])
+    def test_coupled_stepper_steps_on_the_default_grid(self, L):
+        st = Stepper(SolverConfig(L=L, omega=0.3, dt=1e-3, t_end=1.0))
+        assert st.spec is default_grid(L)
+
+    def test_rearrangement_stream_at_L90_steps_on_92_by_192(self):
+        st = Stepper(SolverConfig(L=90, omega=0.0, dt=1e-3, t_end=1.0,
+                                  stream=default_rearrange_stream(90)))
+        assert (st.spec.n_lat, st.spec.n_lon) == (92, 192)
+
+    @pytest.mark.parametrize("L, d", [(L, d) for L in (12, 21, 90) for d in (1, 3, L // 2, L)])
+    def test_prescribed_tendency_matches_the_default_grid(self, L, d):
+        rng = np.random.default_rng(10 * L + d)
+        chi = random_spectral(L, rng, max_degree=d)
+        assert top_degree(chi) == d
+        st = Stepper(SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=chi))
+        assert (st.spec.n_lat, st.spec.n_lon) == exact_shape(2 * L + d)
+        zeta = random_spectral(L, rng)
+        want = reference_prescribed_tendency(zeta, chi, default_grid(L))
+        assert relative_gap(st.tendency(zeta).coeffs, want) <= 1e-12
+
+    # d = 1 has no such grid: one latitude fewer than exact_shape(2L) is
+    # below the L+1 that analysis to degree L needs
+    @pytest.mark.parametrize("L, d", [(L, d) for L in (12, 21, 90) for d in (3, L // 2, L)])
+    def test_one_latitude_fewer_than_the_rule_is_inexact(self, L, d):
+        rng = np.random.default_rng(10 * L + d)
+        chi = random_spectral(L, rng, max_degree=d)
+        zeta = random_spectral(L, rng)
+        n_lat, n_lon = exact_shape(2 * L + d - 1)
+        short = reference_prescribed_tendency(zeta, chi, build_grid(L, n_lat - 1, n_lon))
+        want = reference_prescribed_tendency(zeta, chi, default_grid(L))
+        assert relative_gap(short, want) > 1e-3
+
+    def test_zero_stream_steps_on_exact_shape_2L_with_zero_tendency(self, rng):
+        L = 12
+        zero = _field(L, np.zeros((L + 1, L + 1), dtype=complex))
+        assert top_degree(zero) == 0
+        st = Stepper(SolverConfig(L=L, omega=0.0, dt=1e-2, t_end=1.0, stream=zero))
+        assert (st.spec.n_lat, st.spec.n_lon) == exact_shape(2 * L) == (L + 1, 25)
+        zeta = random_spectral(L, rng)
+        assert not st.tendency(zeta).coeffs.any()
+        assert np.array_equal(st.step(zeta).coeffs, zeta.coeffs)

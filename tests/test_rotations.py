@@ -144,6 +144,11 @@ class TestWignerRotation:
             assert np.abs(d @ d.T - np.eye(2 * j + 1)).max() < 1e-13
             assert np.abs(wigner_d(j, 0.3) @ wigner_d(j, 0.4) - d).max() < 1e-13
 
+    def test_small_d_at_zero_tilt_is_the_exact_identity(self):
+        for j in (0, 1, 4, 9):
+            assert np.array_equal(wigner_d(j, 0.0), np.eye(2 * j + 1))
+            assert np.abs(wigner_d(j, 1e-300) - np.eye(2 * j + 1)).max() < 1e-14
+
     @pytest.mark.parametrize("euler", GIMBAL_LOCK_EULERS + [(1.0, 1.2, -2.0)])
     def test_matrix_to_euler_reproduces_the_matrix(self, euler):
         R = euler_to_matrix(euler)
