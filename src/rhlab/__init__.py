@@ -3,7 +3,7 @@ Rossby-Haurwitz stability laboratory."""
 
 __version__ = "0.1.0"
 
-from .grid import GridField, GridSpec, build_grid, integrate
+from .grid import GridSpec, build_grid, integrate
 from .harmonics import (
     E2Coeffs,
     SpectralField,
@@ -18,7 +18,7 @@ from .harmonics import (
 from .rh_waves import RHState, exact_state, make_rh
 
 __all__ = [
-    "GridField", "GridSpec", "build_grid", "integrate",
+    "GridSpec", "build_grid", "integrate",
     "E2Coeffs", "SpectralField", "analyze", "synthesize", "eval_point",
     "e2_to_spectral", "spectral_to_e2", "save_spectral", "load_spectral",
     "RHState", "make_rh", "exact_state",

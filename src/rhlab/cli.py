@@ -68,10 +68,11 @@ _KEY_OWNERS = {
 def _build_config(args):
     """The config file with overrides applied, and the orbit group.
 
-    A config that cannot be read or parsed, holds an out-of-range value,
-    sets a key that only another subcommand reads, or names a stability
-    group that does not apply ends the process with one line on stderr
-    and exit code 2.
+    Overrides replace the file's values, a later one an earlier one.  A
+    config that cannot be read or parsed, sets a key twice in the file,
+    holds an out-of-range value, sets a key that only another subcommand
+    reads, or names a stability group that does not apply ends the
+    process with one line on stderr and exit code 2.
     """
     try:
         mapping = parse_config_file(args.config) if args.config else {}

@@ -37,12 +37,19 @@ class SolverConfig:
     diag_every: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
-        if self.diag_every < 1:
-            raise ValueError("diag_every must be >= 1")
+        check_schedule(self.dt, self.t_end, self.diag_every)
+
+
+def check_schedule(dt: float, t_end: float, diag_every: int) -> None:
+    """Raise ValueError unless 0 < dt < inf, 0 <= t_end < inf and diag_every >= 1; NaN fails."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt:g}")
+    if not t_end >= 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end:g}")
+    if np.isinf(dt) or np.isinf(t_end):
+        raise ValueError(f"dt and t_end must be finite, got dt={dt:g}, t_end={t_end:g}")
+    if diag_every < 1:
+        raise ValueError(f"diag_every must be >= 1, got {diag_every}")
 
 
 class Stepper:

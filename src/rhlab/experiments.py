@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import SolverConfig, evolve
+from .dynamics import SolverConfig, check_schedule, evolve
 from .functionals import c1_phase_corrected, e_deg2, e_deg2_max, energy_proxy
 from .grid import MAX_L
 from .harmonics import (
@@ -66,22 +66,16 @@ class ExperimentConfig:
             raise ValueError(f"L must be >= 2, got {self.L}")
         if self.L > MAX_L:
             raise ValueError(f"L must be <= {MAX_L}, got {self.L}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt:g}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end:g}")
-        if self.diag_every < 1:
-            raise ValueError(f"diag_every must be >= 1, got {self.diag_every}")
+        check_schedule(self.dt, self.t_end, self.diag_every)
         if self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         check_p(self.p)
         eps = tuple(self.epsilons)
-        if any(e <= 0 for e in eps) or any(
-            eps[i] <= eps[i + 1] for i in range(len(eps) - 1)
-        ):
-            raise ValueError("epsilons must be positive and decreasing")
+        # each finite and above the next, the last above 0 (so NaN fails); none would pass vacuously
+        if not eps or not all(math.inf > a > b for a, b in zip(eps, eps[1:] + (0.0,))):
+            raise ValueError(f"epsilons must be nonempty, finite, positive and decreasing, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -213,9 +207,9 @@ def exp_stability(cfg: ExperimentConfig, group: str = "polar",
             messages.append(
                 f"sup distance grew from {sups[i]:.3e} to {sups[i + 1]:.3e} as epsilon shrank"
             )
-    _write_csv(cfg, ("epsilon", "t", "orbit_distance"), rows, (f"group={group}",))
-    return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows),
-                            ("epsilon", "t", "orbit_distance"))
+    header = ("epsilon", "t", "orbit_distance")
+    _write_csv(cfg, header, rows, (f"group={group}",))
+    return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows), header)
 
 
 def exp_orbit_traversal(cfg: ExperimentConfig, dip_time_slack: float = 0.05) -> ExperimentResult:
@@ -307,17 +301,22 @@ _INT_KEYS = {"L", "seed", "max_degree", "diag_every"}
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines with '#' comments, mirroring ExperimentConfig."""
+    """Flat key=value lines with '#' comments, mirroring ExperimentConfig; no key set twice."""
     out = {}
+    first = {}  # key -> the line that set it, and its number
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, value = (s.strip() for s in line.split("=", 1))
+            here = f"{raw.rstrip()} (line {lineno})"
+            if key in out:
+                raise ValueError(f"bad config line: {here} sets {key!r} again, after {first[key]}")
             out[key] = value
+            first[key] = here
     return out
 
 

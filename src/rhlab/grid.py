@@ -23,8 +23,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError("Gauss-Legendre rule needs n >= 1 nodes")
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +106,17 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     A defaulted size comes from `exact_shape(3L)`: the analysis of a
     product of two degree-L fields against a degree-L harmonic integrates
     degree 3L, so n_lat = ceil((3L+1)/2) and n_lon is the smallest
-    5-smooth length >= 3L+1 (at L=170, 256 x 512).  Grids are cached by
-    value: equal arguments after defaulting return the same object, so
-    the Legendre table keyed on it, and the two work regions its
-    transforms run in, are built once.  At most two grids are kept,
-    since the table of the default grid at L=170 takes 15.3 MB and its
-    work regions 8.4 MB (`harmonics.grid_tables`, `harmonics._GridWork`).
-    The two places serve a run's stepping grid and its measurement grid.
-    A `Stepper` holds its grid, and so its table, for a whole run: the
-    default grid in coupled mode, `exact_shape(2L + deg chi)` for a
-    prescribed stream chi.  The measurement grid is the moment grid of
-    `moments_numeric`, which builds no table.  p = 2 distances,
-    polar and SO(3), use no grid; p != 2 adds a 4(L+1) x 4(L+1) one.
+    5-smooth length >= 3L+1 (at L=170, 256 x 512).  Equal arguments
+    after defaulting return the same object, and a grid keeps its
+    Legendre table and work regions (`harmonics.grid_tables`), so they
+    are built once per grid and live as long as it.  This cache keeps at
+    most two grids, since at L=170 the default grid's table takes
+    15.3 MB and its work regions 8.4 MB: a run's stepping grid, which
+    its `Stepper` holds for the whole run (the default grid in coupled
+    mode, `exact_shape(2L + deg chi)` for a prescribed stream chi), and
+    its measurement grid, the moment grid of `moments_numeric`, which
+    builds no table.  p = 2 distances, polar and SO(3), use no grid;
+    p != 2 adds a 4(L+1) x 4(L+1) one.
     """
     if L < 2:
         raise ValueError(f"truncation degree L={L} must be >= 2")
@@ -143,33 +141,25 @@ def _shared_grid(L: int, n_lat: int, n_lon: int) -> GridSpec:
                     mu_nodes=_read_only(mu), weights=_read_only(w))
 
 
-# a concept analyze and integrate could do without; it stays because the
-# benchmark's flop counter reads the grid of a traced call from f.spec
-@dataclass(frozen=True, eq=False)
-class GridField:
-    """Real scalar field sampled on a GridSpec (n_lat x n_lon values)."""
-
-    values: np.ndarray
-    spec: GridSpec
-
-    def __post_init__(self):
-        if self.values.shape != (self.spec.n_lat, self.spec.n_lon):
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.spec.n_lat}, {self.spec.n_lon})"
-            )
+def check_shape(values: np.ndarray, spec: GridSpec) -> None:
+    """Raise ValueError unless values has spec's grid shape (n_lat, n_lon)."""
+    if values.shape != (spec.n_lat, spec.n_lon):
+        raise ValueError(f"field shape {values.shape} does not match grid "
+                         f"({spec.n_lat}, {spec.n_lon})")
 
 
-def integrate(f: GridField) -> float:
-    """Surface integral of f over the sphere (d_sigma = cos(theta) dphi dtheta).
+def integrate(values: np.ndarray, spec: GridSpec) -> float:
+    """Surface integral over the sphere (d_sigma = cos(theta) dphi dtheta) of the values on spec.
 
-    Latitude-major reduction in fixed index order, so the result is bitwise
-    repeatable for the same values.  The latitude sum is a BLAS dot of
-    n_lat terms, which OpenBLAS keeps on one thread at these lengths, so
+    values must have the grid's shape (`check_shape`).  Latitude-major
+    reduction in fixed index order, so the result is bitwise repeatable
+    for the same values.  The latitude sum is a BLAS dot of n_lat terms,
+    which OpenBLAS keeps on one thread at these lengths, so
     OPENBLAS_NUM_THREADS does not change it.  Values from `synthesize`
     carry the contract stated in `harmonics._synth_values`.
     """
-    return integrate_rows(f.values.sum(axis=1), f.spec)
+    check_shape(values, spec)
+    return integrate_rows(values.sum(axis=1), spec)
 
 
 def integrate_rows(row_sums: np.ndarray, spec: GridSpec) -> float:

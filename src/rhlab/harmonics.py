@@ -17,12 +17,11 @@ negative-m half is reconstructed from c_j^{-m} = (-1)^m conj(c_j^m).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridField, GridSpec, build_grid
+from .grid import GridSpec, build_grid, check_shape
 
 SQRT4PI = float(np.sqrt(4.0 * np.pi))
 
@@ -129,18 +128,18 @@ def _slot_map(L: int) -> np.ndarray:
 
 
 class _GridWork:
-    """A grid's entry in `_TABLE_CACHE`: its Legendre table, the table's slot map and two work regions.
+    """A grid's Legendre table, the table's `_slot_map` and two work regions, kept by the grid.
 
-    `slots` (`_slot_map`) is the one description of the fold: the table
-    is scattered through it and `_Analysis` gathers through it.  The
-    regions A and B are flat float arrays, allocated by the grid's first
-    transform and grown, never shrunk, when a larger batch needs more.
-    Every stage of a transform reads one region and writes the other
-    (`_Synthesis`, `_Analysis`, `operators._jacobian_coeffs`), so a
-    stepping run allocates nothing per call.  `views` holds the views of
-    the regions that the stages run into, built once per batch shape by
-    `_work_views`; growing a region drops them.  Nothing here may refer
-    to the grid itself, or the weak-keyed cache would keep it.
+    `grid_tables` stores it in the grid's instance dict, under "_work",
+    as `cached_property` stores the grid's arrays, so it lives exactly
+    as long as the grid.  The regions A and B are flat float arrays,
+    allocated by the grid's first transform and grown, never shrunk,
+    when a larger batch needs more.  Every stage of a transform reads
+    one region and writes the other (`_Synthesis`, `_Analysis`,
+    `operators._jacobian_coeffs`), so a stepping run allocates nothing
+    per call.  `views` holds the views of the regions that the stages
+    run into, built once per batch shape by `_work_views`; growing a
+    region drops them.
     """
 
     __slots__ = ("table", "slots", "a", "b", "views")
@@ -159,11 +158,8 @@ class _GridWork:
         return self.a, self.b
 
 
-_TABLE_CACHE: "weakref.WeakKeyDictionary[GridSpec, _GridWork]" = weakref.WeakKeyDictionary()
-
-
 def grid_tables(spec: GridSpec) -> np.ndarray:
-    """The grid's cached Legendre table: its northern nodes, degrees split by parity, orders folded in pairs.
+    """The grid's Legendre table, built once: its northern nodes, degrees split by parity, orders folded in pairs.
 
     Gauss nodes come in pairs +-mu, and P_j^m(-mu) = (-1)^(j-m) P_j^m(mu),
     so the table holds only the ceil(n_lat/2) nodes with mu >= 0, in
@@ -191,10 +187,9 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
     `norm_legendre_table` runs at the northern nodes and hands each
     degree's column to a scatter through the slot map `_slot_map(L')`,
     kept with the table in the grid's `_GridWork`, so no table-sized
-    temporary is built.  The table is shared by every caller on `spec`,
-    so it is read-only.
+    temporary is built.  Every caller on `spec` shares it: read-only.
     """
-    work = _TABLE_CACHE.get(spec)
+    work = vars(spec).get("_work")
     if work is None:
         L = table_degree(spec.L)
         h = (L + 1) // 2
@@ -208,19 +203,15 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
 
         norm_legendre_table(L, mu, sink=scatter)
         table.setflags(write=False)
-        work = _TABLE_CACHE[spec] = _GridWork(table, slots)
+        work = vars(spec)["_work"] = _GridWork(table, slots)
     return work.table
 
 
 def _work_views(spec: GridSpec, key, build):
-    """The views of spec's work regions for `key`: build(spec, work, key) on first use.
-
-    The table is built through `grid_tables` on the grid's first transform.
-    """
-    work = _TABLE_CACHE.get(spec)
-    if work is None:
-        grid_tables(spec)
-        work = _TABLE_CACHE[spec]
+    """The views of spec's work regions for `key`: build(spec, work, key) on first use."""
+    if "_work" not in vars(spec):
+        grid_tables(spec)  # the grid's first transform builds its table
+    work = vars(spec)["_work"]
     views = work.views.get(key)
     if views is None:
         views = build(spec, work, key)
@@ -303,17 +294,6 @@ def from_coeff_dict(L: int, entries: dict[tuple[int, int], complex]) -> Spectral
     return SpectralField(L=L, coeffs=C)
 
 
-def pad_to(c: SpectralField, L: int) -> SpectralField:
-    """Embed c into truncation degree L >= c.L (zero-padding)."""
-    if L < c.L:
-        raise ValueError(f"cannot pad L={c.L} down to {L}")
-    if L == c.L:
-        return c
-    C = np.zeros((L + 1, L + 1), dtype=complex)
-    C[: c.L + 1, : c.L + 1] = c.coeffs
-    return _field(L, C)
-
-
 def top_degree(c: SpectralField) -> int:
     """Largest degree with a nonzero coefficient (0 for the zero field)."""
     nonzero = np.flatnonzero(np.any(c.coeffs != 0.0, axis=0))
@@ -388,21 +368,23 @@ class _Analysis:
         self.coefficients = self.products.view(complex).reshape(-1)
 
 
-def analyze(f: GridField, L: int) -> SpectralField:
-    """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma.
+def analyze(values: np.ndarray, spec: GridSpec, L: int) -> SpectralField:
+    """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma, f the values on spec.
 
-    The rows of each mirrored pair of latitudes +-mu are summed and
-    differenced and scaled by their quadrature weight, then transformed
-    by a longitude discrete Fourier sum and the Legendre quadrature
+    values must have the grid's shape (`grid.check_shape`).  The rows of
+    each mirrored pair of latitudes +-mu are summed and differenced and
+    scaled by their quadrature weight, then transformed by a longitude
+    discrete Fourier sum and the Legendre quadrature
     `_legendre_quadrature` against the grid's folded table, which
     serves any L <= spec.L + 1; a larger L raises ValueError.  Exact to
     roundoff for fields bandlimited to degree <= L.  The stepping path
-    calls the array-level `_analyze` directly.  Every stage runs in the
-    grid's work regions (`_Analysis`); the coefficients returned are
-    fresh.  The result is bitwise repeatable under the contract stated
+    calls `_analyze`, without the check and the field object.  Every
+    stage runs in the grid's work regions (`_Analysis`); the
+    coefficients returned are fresh.  The result is bitwise repeatable under the contract stated
     in `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
-    return _field(L, _analyze(f.values, f.spec, L))
+    check_shape(values, spec)
+    return _field(L, _analyze(values, spec, L))
 
 
 def _analyze(values: np.ndarray, spec: GridSpec, L: int) -> np.ndarray:
@@ -698,24 +680,21 @@ def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
     return H
 
 
-def synthesize(c: SpectralField, spec: GridSpec) -> GridField:
-    """Inverse transform: pointwise sum of c_j^m Y_j^m on the grid."""
-    values = _synth_values([c.coeffs], spec, ("value",))[0, 0].copy()
-    return GridField(values=values, spec=spec)
+def synthesize(c: SpectralField, spec: GridSpec) -> np.ndarray:
+    """Inverse transform: pointwise sum of c_j^m Y_j^m on the grid, as an (n_lat, n_lon) array."""
+    return _synth_values([c.coeffs], spec, ("value",))[0, 0].copy()
 
 
 # synthesize_dtheta and synthesize_dphi are the oracle pair of
 # synthesize_gradients, and the benchmark traces them
-def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> GridField:
+def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> np.ndarray:
     """d/dtheta of the field represented by c, evaluated on the grid."""
-    values = _synth_values([c.coeffs], spec, ("dtheta",))[0, 0].copy()
-    return GridField(values=values, spec=spec)
+    return _synth_values([c.coeffs], spec, ("dtheta",))[0, 0].copy()
 
 
-def synthesize_dphi(c: SpectralField, spec: GridSpec) -> GridField:
+def synthesize_dphi(c: SpectralField, spec: GridSpec) -> np.ndarray:
     """d/dphi of the field represented by c (spectral: multiply by i*m)."""
-    values = _synth_values([c.coeffs], spec, ("dphi",))[0, 0].copy()
-    return GridField(values=values, spec=spec)
+    return _synth_values([c.coeffs], spec, ("dphi",))[0, 0].copy()
 
 
 def synthesize_gradients(fields, spec: GridSpec) -> np.ndarray:

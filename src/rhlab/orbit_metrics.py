@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField, build_grid, integrate
+from .grid import build_grid, integrate
 from .harmonics import SpectralField, _field, norm_l2, synthesize, top_degree
 from .rotations import (
     angular_momentum,
@@ -66,8 +66,7 @@ def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
     if p == 2.0:
         return norm_l2(diff)
     spec = build_grid(f.L, n_lat=4 * (f.L + 1), n_lon=4 * (f.L + 1))
-    vals = synthesize(diff, spec).values
-    return float(integrate(GridField(values=np.abs(vals) ** p, spec=spec)) ** (1.0 / p))
+    return float(integrate(np.abs(synthesize(diff, spec)) ** p, spec) ** (1.0 / p))
 
 
 def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:

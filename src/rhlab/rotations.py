@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import GridField, build_grid
+from .grid import build_grid
 from .harmonics import SpectralField, _field, analyze, eval_point
 
 
@@ -178,4 +178,4 @@ def rotate_so3(c: SpectralField, euler: tuple[float, float, float]) -> SpectralF
     theta_p = np.arcsin(np.clip(Y[2], -1.0, 1.0))
     phi_p = np.arctan2(Y[1], Y[0])
     vals = eval_point(c, phi_p, theta_p)
-    return analyze(GridField(values=vals, spec=spec), c.L)
+    return analyze(vals, spec, c.L)

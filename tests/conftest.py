@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rhlab.grid import GridField
-from rhlab.harmonics import SpectralField, analyze, pad_to, synthesize_gradients
+from rhlab.harmonics import SpectralField, analyze, synthesize_gradients
 from rhlab.operators import stream_function
 
 # The same draws on every run, so a property that fails for one input in
@@ -36,15 +35,18 @@ def reference_tendency(dpsi, dzeta, spec, L):
     minus_jac = dpsi_th * dz_phi
     minus_jac = minus_jac - dpsi_phi * dz_th
     minus_jac = minus_jac / spec.cos_theta[:, None]
-    C = analyze(GridField(values=minus_jac, spec=spec), L).coeffs
+    C = analyze(minus_jac, spec, L).coeffs
     C[0, 0] = 0.0
     return C
 
 
 def reference_coupled_tendency(zeta, omega, spec):
-    """`reference_tendency` of zeta's own stream: psi and zeta synthesized in one call, padded to spec.L."""
+    """`reference_tendency` of zeta's own stream: psi and zeta synthesized in one call.
+
+    Synthesis zero-pads a field of lower degree than spec.L.
+    """
     psi = stream_function(zeta, omega)
-    grads = synthesize_gradients((pad_to(psi, spec.L), pad_to(zeta, spec.L)), spec)
+    grads = synthesize_gradients((psi, zeta), spec)
     return reference_tendency(grads[:, 0], grads[:, 1], spec, zeta.L)
 
 

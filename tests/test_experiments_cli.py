@@ -1,7 +1,10 @@
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhlab import __version__, cli
+from rhlab.dynamics import SolverConfig
 from rhlab.experiments import (
     _FLOAT_KEYS,
     _INT_KEYS,
@@ -73,6 +77,22 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="bad config line"):
             parse_config_file(p)
 
+    def test_repeated_key_rejected_naming_both_lines(self, tmp_path):
+        p = tmp_path / "twice.cfg"
+        p.write_text("L=21\n# comment\nomega=0.5\nL = 90  # again\n")
+        with pytest.raises(ValueError) as err:
+            parse_config_file(p)
+        assert str(err.value) == ("bad config line: L = 90  # again (line 4) sets 'L' again, "
+                                  "after L=21 (line 1)")
+
+    def test_overrides_replace_file_keys_and_earlier_overrides(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("L=8\nt_end=0.1\n")
+        args = argparse.Namespace(command="rh-verify", config=str(p),
+                                  overrides=["L=9", "t_end=0.2", "L=10"])
+        cfg, _ = cli._build_config(args)
+        assert (cfg.L, cfg.t_end) == (10, 0.2)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"frequency": "3"})
@@ -88,6 +108,32 @@ class TestConfigParsing:
     def test_epsilons_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
             ExperimentConfig(epsilons=(1e-3, 1e-2))
+
+    @pytest.mark.parametrize("epsilons, message", [
+        # an empty sweep would pass exp_stability with no rows
+        ((), "nonempty, finite, positive and decreasing"),
+        ((math.nan,), "nonempty, finite, positive and decreasing"),
+        ((1e-2, math.nan), "finite, positive and decreasing"),
+        ((math.inf, 1e-2), "finite, positive and decreasing"),
+    ])
+    def test_epsilons_must_be_finite_and_nonempty(self, epsilons, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(epsilons=epsilons)
+
+    @pytest.mark.parametrize("config", [ExperimentConfig, partial(SolverConfig, L=8, omega=0.0)],
+                             ids=["ExperimentConfig", "SolverConfig"])
+    @pytest.mark.parametrize("times, message", [
+        ({"dt": 0.0}, "dt must be positive, got 0"),
+        ({"dt": math.nan}, "dt must be positive, got nan"),
+        ({"dt": math.inf}, "dt and t_end must be finite, got dt=inf, t_end=1"),
+        ({"t_end": -1.0}, "t_end must be nonnegative, got -1"),
+        ({"t_end": math.nan}, "t_end must be nonnegative, got nan"),
+        ({"t_end": math.inf}, "dt and t_end must be finite, got dt=0.01, t_end=inf"),
+    ])
+    def test_time_step_and_end_time_must_be_finite(self, config, times, message):
+        # evolve would otherwise fail converting NaN or inf to a step count
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config(**{"dt": 1e-2, "t_end": 1.0, **times})
 
     @pytest.mark.parametrize("key, value, bad", [
         ("L", "abc", "abc"),
@@ -371,6 +417,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("config, override, message", [
         ("L=8\n", "L=abc", "config key 'L': 'abc' is not an integer"),
         ("L=8\njust words\n", "t_end=0.1", "bad config line: just words"),
+        ("L=8\nL=9\n", "t_end=0.1", "bad config line: L=9 (line 2) sets 'L' again, "
+                                     "after L=8 (line 1)"),
     ])
     def test_one_line_and_exit_code_two(self, tmp_path, config, override, message):
         p = tmp_path / "c.cfg"

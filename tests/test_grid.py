@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rhlab import cli, grid
 from rhlab.grid import (
-    GridField,
     build_grid,
     exact_shape,
     gauss_legendre,
@@ -110,8 +109,8 @@ class TestExactnessRule:
             n_lat, n_lon = exact_shape(2 * L)
             spec = build_grid(L, n_lat=n_lat, n_lon=n_lon)
             f, g = random_spectral(L, rng), random_spectral(L, rng)
-            fg = synthesize(f, spec).values * synthesize(g, spec).values
-            assert integrate(GridField(values=fg, spec=spec)) == pytest.approx(
+            fg = synthesize(f, spec) * synthesize(g, spec)
+            assert integrate(fg, spec) == pytest.approx(
                 inner_l2(f, g), rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("L", [6, 21, 42])
@@ -138,11 +137,11 @@ class TestExactnessRule:
         # roundoff scales with int |f|^m
         f = random_spectral(L, rng)
         spec = build_grid(L, n_lat=7 * L + 1, n_lon=14 * L + 2)
-        vals = synthesize(f, spec).values
+        vals = synthesize(f, spec)
         got = moments_numeric(f, 7)
         for m, I in zip(range(2, 8), got):
-            ref = integrate(GridField(values=vals**m, spec=spec))
-            scale = integrate(GridField(values=np.abs(vals)**m, spec=spec))
+            ref = integrate(vals**m, spec)
+            scale = integrate(np.abs(vals)**m, spec)
             assert abs(I - ref) < 1e-13 * scale
 
 
@@ -203,21 +202,21 @@ class TestGridCache:
 class TestIntegrate:
     def test_constant(self):
         spec = build_grid(4)
-        f = GridField(values=np.ones((spec.n_lat, spec.n_lon)), spec=spec)
-        assert integrate(f) == pytest.approx(4.0 * np.pi, rel=1e-14)
+        assert integrate(np.ones((spec.n_lat, spec.n_lon)), spec) == pytest.approx(
+            4.0 * np.pi, rel=1e-14)
 
     def test_sin_squared(self):
         spec = build_grid(4)
         vals = np.broadcast_to(spec.mu_nodes[:, None] ** 2,
                                (spec.n_lat, spec.n_lon)).copy()
-        assert integrate(GridField(values=vals, spec=spec)) == pytest.approx(
+        assert integrate(vals, spec) == pytest.approx(
             4.0 * np.pi / 3.0, rel=1e-14)
 
     def test_odd_in_mu(self):
         spec = build_grid(4)
         vals = np.broadcast_to(spec.mu_nodes[:, None],
                                (spec.n_lat, spec.n_lon)).copy()
-        assert abs(integrate(GridField(values=vals, spec=spec))) < 1e-14
+        assert abs(integrate(vals, spec)) < 1e-14
 
     @given(a=st.floats(-5, 5), b=st.floats(-5, 5), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -226,9 +225,8 @@ class TestIntegrate:
         r = np.random.default_rng(seed)
         f = r.normal(size=(spec.n_lat, spec.n_lon))
         g = r.normal(size=(spec.n_lat, spec.n_lon))
-        lhs = integrate(GridField(values=a * f + b * g, spec=spec))
-        rhs = (a * integrate(GridField(values=f, spec=spec))
-               + b * integrate(GridField(values=g, spec=spec)))
+        lhs = integrate(a * f + b * g, spec)
+        rhs = a * integrate(f, spec) + b * integrate(g, spec)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) < 1e-13 * scale
 
@@ -236,5 +234,4 @@ class TestIntegrate:
         L = 10
         spec = build_grid(L)
         f = random_spectral(L, rng, zero_mean=True)
-        g = synthesize(f, spec)
-        assert abs(integrate(g)) < 1e-12
+        assert abs(integrate(synthesize(f, spec), spec)) < 1e-12

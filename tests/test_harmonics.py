@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab import harmonics
-from rhlab.grid import MAX_L, GridField, build_grid, integrate
+from rhlab import grid
+from rhlab.grid import MAX_L, build_grid, integrate
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
@@ -70,15 +71,14 @@ class TestAssocLegendre:
         g = synthesize(c, spec)
         # the stored +m and reconstructed -m harmonic each carry unit norm
         expected = 1.0 if m == 0 else 2.0
-        assert integrate(GridField(values=g.values**2, spec=spec)) == pytest.approx(
-            expected, abs=1e-12)
+        assert integrate(g**2, spec) == pytest.approx(expected, abs=1e-12)
 
     def test_cross_orthogonality(self):
         L = 10
         spec = build_grid(L)
         g1 = synthesize(from_coeff_dict(L, {(3, 2): 1.0}), spec)
         g2 = synthesize(from_coeff_dict(L, {(5, 2): 1.0}), spec)
-        assert abs(integrate(GridField(values=g1.values * g2.values, spec=spec))) < 1e-12
+        assert abs(integrate(g1 * g2, spec)) < 1e-12
 
 
 def per_order_legendre_table(L, mu):
@@ -197,8 +197,8 @@ class TestLegendreOracle:
         assert table.nbytes == 86 * 2 * 87 * 128 * 8 <= 16e6
 
     def test_table_build_keeps_no_dense_temporary(self):
+        grid._shared_grid.cache_clear()
         spec = build_grid(90)
-        harmonics._TABLE_CACHE.pop(spec, None)
         tracemalloc.start()
         try:
             table = grid_tables(spec)
@@ -219,7 +219,7 @@ class TestSlotMap:
     def test_left_side_views_read_the_slots_of_the_map(self, L, nf, kinds):
         spec = build_grid(L)
         views = _work_views(spec, (nf, kinds), _Synthesis)
-        slots = harmonics._TABLE_CACHE[spec].slots
+        slots = vars(spec)["_work"].slots
         h, n_slots = views.table.shape[0], views.table.shape[2]
         R = 2 * nf * len(kinds)
         # each cell of the rows buffer [row, m, j] holds its own flat index
@@ -245,7 +245,7 @@ class TestTransformPair:
         L = 8
         spec = build_grid(L)
         g = synthesize(from_coeff_dict(L, {(2, 0): 1.0}), spec)
-        c = analyze(g, L)
+        c = analyze(g, spec, L)
         assert c.coeffs[0, 2] == pytest.approx(1.0, abs=1e-12)
         other = c.coeffs.copy()
         other[0, 2] = 0.0
@@ -254,8 +254,7 @@ class TestTransformPair:
     def test_constant_field_mean_coefficient(self):
         L = 4
         spec = build_grid(L)
-        g = GridField(values=np.ones((spec.n_lat, spec.n_lon)), spec=spec)
-        c = analyze(g, L)
+        c = analyze(np.ones((spec.n_lat, spec.n_lon)), spec, L)
         assert c.coeffs[0, 0] == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-13)
 
     @given(seed=st.integers(0, 2**32 - 1), L=st.integers(3, 42))
@@ -263,16 +262,30 @@ class TestTransformPair:
     def test_roundtrip(self, seed, L):
         spec = build_grid(L)
         f = random_spectral(L, np.random.default_rng(seed), zero_mean=False)
-        f2 = analyze(synthesize(f, spec), L)
+        f2 = analyze(synthesize(f, spec), spec, L)
         assert np.abs(f2.coeffs - f.coeffs).max() < 1e-12 * max(
             1.0, np.abs(f.coeffs).max())
+
+    def test_roundtrip_at_the_largest_L(self, rng):
+        spec = build_grid(MAX_L)
+        f = random_spectral(MAX_L, rng, zero_mean=False)
+        f2 = analyze(synthesize(f, spec), spec, MAX_L)
+        assert np.abs(f2.coeffs - f.coeffs).max() < 5e-12 * np.abs(f.coeffs).max()
+
+    @pytest.mark.parametrize("call", [lambda values, spec: analyze(values, spec, 4), integrate],
+                             ids=["analyze", "integrate"])
+    @pytest.mark.parametrize("shape", [(15, 7), (7, 14), (7 * 15,), (1, 7, 15)])
+    def test_wrong_shape_rejected(self, call, shape):
+        spec = build_grid(4)  # 7 x 15 nodes
+        with pytest.raises(ValueError, match=re.escape(f"{shape} does not match grid (7, 15)")):
+            call(np.zeros(shape), spec)
 
     def test_parseval(self, rng):
         L = 16
         spec = build_grid(L)
         f = random_spectral(L, rng, zero_mean=False)
         g = synthesize(f, spec)
-        quad = integrate(GridField(values=g.values**2, spec=spec))
+        quad = integrate(g**2, spec)
         spectral = inner_l2(f, f)
         assert quad == pytest.approx(spectral, rel=1e-11)
 
@@ -281,28 +294,27 @@ class TestTransformPair:
         spec = build_grid(L)
         f = random_spectral(L, rng)
         g = random_spectral(L, rng)
-        lhs = synthesize(SpectralField(L, 2.5 * f.coeffs + g.coeffs), spec).values
-        rhs = 2.5 * synthesize(f, spec).values + synthesize(g, spec).values
+        lhs = synthesize(SpectralField(L, 2.5 * f.coeffs + g.coeffs), spec)
+        rhs = 2.5 * synthesize(f, spec) + synthesize(g, spec)
         assert np.abs(lhs - rhs).max() < 1e-13 * max(1.0, np.abs(rhs).max())
 
     def test_zero_coefficients_give_zero_field(self):
         L = 5
         spec = build_grid(L)
         g = synthesize(from_coeff_dict(L, {}), spec)
-        assert np.abs(g.values).max() == 0.0
+        assert np.abs(g).max() == 0.0
 
     def test_undersized_grid_rejected(self):
         spec = build_grid(4)
-        g = GridField(values=np.zeros((spec.n_lat, spec.n_lon)), spec=spec)
         with pytest.raises(ValueError):
-            analyze(g, 40)
+            analyze(np.zeros((spec.n_lat, spec.n_lon)), spec, 40)
 
     def test_degree_above_the_table_rejected(self):
-        spec = build_grid(4)  # 7 x 13 nodes, enough for degree 6
-        g = GridField(values=np.zeros((spec.n_lat, spec.n_lon)), spec=spec)
-        analyze(g, spec.L + 1)
+        spec = build_grid(4)  # 7 x 15 nodes, enough for degree 6
+        values = np.zeros((spec.n_lat, spec.n_lon))
+        analyze(values, spec, spec.L + 1)
         with pytest.raises(ValueError, match=r"spec.L\+1=5"):
-            analyze(g, spec.L + 2)
+            analyze(values, spec, spec.L + 2)
 
     @pytest.mark.parametrize("call", [
         synthesize,
@@ -382,7 +394,7 @@ class TestDthetaSynthesis:
     def test_y10_closed_form(self):
         # Y_1^0 = sqrt(3 / 4pi) sin(theta)
         spec = build_grid(5)
-        got = synthesize_dtheta(from_coeff_dict(5, {(1, 0): 1.0}), spec).values
+        got = synthesize_dtheta(from_coeff_dict(5, {(1, 0): 1.0}), spec)
         want = np.sqrt(3.0 / (4.0 * np.pi)) * spec.cos_theta[:, None] * np.ones(spec.n_lon)
         assert np.abs(got - want).max() < 1e-13
 
@@ -390,7 +402,7 @@ class TestDthetaSynthesis:
         # 2 Re(c Y_2^1) = -sqrt(15 / 8pi) sin(2 theta) Re(c e^{i phi})
         c = 0.3 - 0.7j
         spec = build_grid(6)
-        got = synthesize_dtheta(from_coeff_dict(6, {(2, 1): c}), spec).values
+        got = synthesize_dtheta(from_coeff_dict(6, {(2, 1): c}), spec)
         theta = np.arcsin(spec.mu_nodes)[:, None]
         want = (-2.0 * np.sqrt(15.0 / (8.0 * np.pi)) * np.cos(2.0 * theta)
                 * np.real(c * np.exp(1j * spec.phi))[None, :])
@@ -408,7 +420,7 @@ class TestDthetaSynthesis:
         theta, phi = np.arcsin(spec.mu_nodes[k]), spec.phi[n]
         fd = (eval_point(f, phi, theta - 2 * h) - 8 * eval_point(f, phi, theta - h)
               + 8 * eval_point(f, phi, theta + h) - eval_point(f, phi, theta + 2 * h)) / (12 * h)
-        got = synthesize_dtheta(f, spec).values[k, n]
+        got = synthesize_dtheta(f, spec)[k, n]
         assert np.abs(got - fd).max() < 1e-9 * np.abs(got).max()
 
     @pytest.mark.parametrize("L", [5, 42])
@@ -419,8 +431,8 @@ class TestDthetaSynthesis:
         grids = synthesize_gradients((psi, zeta), spec)
         assert grids.shape == (2, 2, spec.n_lat, spec.n_lon)
         for i, f in enumerate((psi, zeta)):
-            for got, want in ((grids[0, i], synthesize_dphi(f, spec).values),
-                              (grids[1, i], synthesize_dtheta(f, spec).values)):
+            for got, want in ((grids[0, i], synthesize_dphi(f, spec)),
+                              (grids[1, i], synthesize_dtheta(f, spec))):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -435,11 +447,11 @@ class TestWorkRegions:
         spec = build_grid(21)
         psi, zeta = random_spectral(21, rng), random_spectral(21, rng)
         grads = synthesize_gradients((psi, zeta), spec)
-        values = synthesize(zeta, spec).values
+        values = synthesize(zeta, spec)
         kept = self.bits(grads), self.bits(values)
         synthesize_dtheta(psi, spec)
         synthesize_gradients((zeta,), spec)
-        analyze(GridField(values=values * 2.0, spec=spec), 21)
+        analyze(values * 2.0, spec, 21)
         advection_tendency(zeta, 0.5, spec)
         assert (self.bits(grads), self.bits(values)) == kept
 
@@ -466,17 +478,18 @@ class TestWorkRegions:
             assert not np.isfinite(advection_tendency(_field(L, C), 0.5, spec).coeffs).all()
             synthesize(_field(L, C), spec)
         after = self.bits(advection_tendency(good, 0.5, spec).coeffs), self.bits(
-            synthesize(good, spec).values)
-        harmonics._TABLE_CACHE.pop(spec)
+            synthesize(good, spec))
+        grid._shared_grid.cache_clear()
+        spec = build_grid(L)
         fresh = self.bits(advection_tendency(good, 0.5, spec).coeffs), self.bits(
-            synthesize(good, spec).values)
+            synthesize(good, spec))
         assert after == fresh
 
     def test_regions_are_kept_in_the_table_cache_entry(self, rng):
+        grid._shared_grid.cache_clear()
         spec = build_grid(21)
-        harmonics._TABLE_CACHE.pop(spec, None)
         advection_tendency(random_spectral(21, rng), 0.5, spec)
-        work = harmonics._TABLE_CACHE[spec]
+        work = vars(spec)["_work"]
         a, b = work.a, work.b
         advection_tendency(random_spectral(21, rng), 0.5, spec)
         assert work.a is a and work.b is b and work.table is grid_tables(spec)
@@ -486,9 +499,9 @@ class TestRealM0Check:
     """An imaginary m = 0 part is judged against the coefficient scale when the field is built."""
 
     PATHS = {
-        "synthesize": lambda f, spec: synthesize(f, spec).values,
-        "dphi": lambda f, spec: synthesize_dphi(f, spec).values,
-        "dtheta": lambda f, spec: synthesize_dtheta(f, spec).values,
+        "synthesize": synthesize,
+        "dphi": synthesize_dphi,
+        "dtheta": synthesize_dtheta,
         "gradients": lambda f, spec: synthesize_gradients((f,), spec),
         "advection": lambda f, spec: advection_tendency(f, 0.5, spec).coeffs,
         "eval_point": lambda f, spec: eval_point(f, 0.3, 0.4),
@@ -509,7 +522,7 @@ class TestRealM0Check:
         want = self.PATHS[path](real, spec)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
-    @pytest.mark.parametrize("call", [lambda f: synthesize(f, build_grid(3)).values,
+    @pytest.mark.parametrize("call", [lambda f: synthesize(f, build_grid(3)),
                                       lambda f: moments_numeric(f, 7)],
                              ids=["synthesize", "moments_numeric"])
     def test_nan_imaginary_m0_is_rejected(self, call):
@@ -593,8 +606,8 @@ class TestFieldValidity:
         # array would have its values read as imaginary parts too
         C = random_spectral(7, rng).coeffs.real.copy()
         spec = build_grid(7)
-        want = synthesize(SpectralField(7, C.astype(complex)), spec).values
-        assert np.array_equal(synthesize(SpectralField(7, C), spec).values, want)
+        want = synthesize(SpectralField(7, C.astype(complex)), spec)
+        assert np.array_equal(synthesize(SpectralField(7, C), spec), want)
 
     @pytest.mark.parametrize("L, shape", [(3, (4, 5)), (3, (3, 3)), (-1, (0, 0))])
     def test_wrong_shape_is_rejected(self, L, shape):
@@ -651,14 +664,16 @@ class TestEvalPoint:
         assert eval_point(c, 0.0, np.pi / 2) == pytest.approx(
             np.sqrt(5.0 / (4.0 * np.pi)), abs=1e-13)
 
-    def test_matches_grid_synthesis(self, rng):
-        L = 9
+    @pytest.mark.parametrize("L", [9, 90, MAX_L])
+    def test_matches_grid_synthesis(self, L, rng):
+        # at 40 sampled nodes: eval_point's table for every node of the
+        # L=170 grid would take 30 GB
         spec = build_grid(L)
         f = random_spectral(L, rng)
         g = synthesize(f, spec)
-        theta = np.arcsin(spec.mu_nodes)
-        PH, TH = np.meshgrid(spec.phi, theta)
-        assert np.abs(eval_point(f, PH, TH) - g.values).max() < 1e-12
+        k, n = rng.integers(spec.n_lat, size=40), rng.integers(spec.n_lon, size=40)
+        got = eval_point(f, spec.phi[n], np.arcsin(spec.mu_nodes[k]))
+        assert np.abs(got - g[k, n]).max() < 1e-13 * np.abs(g).max()
 
     def test_periodic_in_longitude(self, rng):
         f = random_spectral(7, rng)
@@ -690,7 +705,7 @@ class TestE2Basis:
         explicit = (a * (3 * mu**2 - 1) + b * 2 * mu * ct * np.cos(ph)
                     + c * 2 * mu * ct * np.sin(ph) + d * ct**2 * np.cos(2 * ph)
                     + e * ct**2 * np.sin(2 * ph))
-        assert np.abs(g.values - explicit).max() < 1e-13
+        assert np.abs(g - explicit).max() < 1e-13
 
     def test_half_turn_parity_of_single_phi_mode(self):
         c = e2_to_spectral(E2Coeffs(0.0, 1.0, 0.0, 0.0, 0.0))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhlab import grid
-from rhlab.grid import GridField, build_grid, gauss_legendre, integrate
+from rhlab.grid import build_grid, gauss_legendre, integrate
 from rhlab.harmonics import (
     E2Coeffs,
     SpectralField,
@@ -52,8 +52,8 @@ class TestLpDistance:
         # oracle: the 4(L+1) x 4(L+1) quadrature that p != 2 integrates on
         f, g = random_spectral(L, rng), random_spectral(L, rng)
         spec = build_grid(L, n_lat=4 * (L + 1), n_lon=4 * (L + 1))
-        vals = synthesize(SpectralField(L, f.coeffs - g.coeffs), spec).values
-        quad = integrate(GridField(values=vals**2, spec=spec)) ** 0.5
+        vals = synthesize(SpectralField(L, f.coeffs - g.coeffs), spec)
+        quad = integrate(vals**2, spec) ** 0.5
         assert lp_distance(f, g, 2.0) == pytest.approx(quad, rel=1e-12)
 
     def test_p2_builds_no_grid(self, rng, monkeypatch):
