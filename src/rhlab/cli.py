@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import NoReturn
 
@@ -71,8 +72,10 @@ def _build_config(args):
     Overrides replace the file's values, a later one an earlier one.  A
     config that cannot be read or parsed, sets a key twice in the file,
     holds an out-of-range value, sets a key that only another subcommand
-    reads, or names a stability group that does not apply ends the
-    process with one line on stderr and exit code 2.
+    reads, names a stability group that does not apply, or names an
+    output_path that is empty, a directory or in a missing directory ends
+    the process with one line on stderr and exit code 2, before any step
+    runs.  The output file is neither created nor truncated here.
     """
     try:
         mapping = parse_config_file(args.config) if args.config else {}
@@ -87,6 +90,10 @@ def _build_config(args):
                 raise ValueError(f"config key {key!r} is read only by rhlab {owner}")
         group = mapping.pop("group", "polar")
         cfg = config_from_mapping(mapping)
+        out = cfg.output_path
+        if out is not None and (not out or os.path.isdir(out)
+                                or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ValueError(f"output_path {out!r} is not a file in an existing directory")
         if args.command == "stability":
             check_stability_group(group, cfg.alpha)
         return cfg, group
@@ -94,7 +101,7 @@ def _build_config(args):
         _input_error(args.command, err)
 
 
-def _input_error(command: str, err: Exception) -> NoReturn:
+def _input_error(command: str, err: Exception | str) -> NoReturn:
     """End the process with one line on stderr and exit code 2."""
     print(f"rhlab {command}: {err}", file=sys.stderr)
     raise SystemExit(2) from None
@@ -146,16 +153,17 @@ def main(argv=None) -> int:
             return _report(exp_orbit_traversal(cfg))
         return _report(exp_rearrangement_bound(cfg))
 
-    if args.command == "invariants":
-        print("a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7")
-        print(invariants_csv_row(args.y, alpha=args.alpha))
-        return 0
-
-    if args.command == "classify":
-        h = same_h_orbit_deg2(args.y, args.yp)
-        o = same_o3_orbit(args.y, args.yp)
-        print(f"same_h_orbit: {h}")
-        print(f"same_o3_orbit: {o}")
+    if args.command in ("invariants", "classify"):
+        try:
+            if args.command == "invariants":
+                lines = ("a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7",
+                         invariants_csv_row(args.y, alpha=args.alpha))
+            else:
+                lines = (f"same_h_orbit: {same_h_orbit_deg2(args.y, args.yp)}",
+                         f"same_o3_orbit: {same_o3_orbit(args.y, args.yp)}")
+        except OverflowError as err:
+            _input_error(args.command, f"coefficients too large for float arithmetic: {err}")
+        print("\n".join(lines))
         return 0
 
     if args.command == "orbit-dist":

@@ -404,20 +404,6 @@ def _analyze(values: np.ndarray, spec: GridSpec, L: int) -> np.ndarray:
     return C
 
 
-def _legendre_contract(C: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """G[m, n] = sum_i C[m, i] table[m, i, n] for complex C and a real table.
-
-    The Legendre kernel of point evaluation, against a table of
-    `norm_legendre_table`.  It runs in real arithmetic: the real and
-    imaginary parts of C are stacked as two rows per m and contracted with
-    one batched matmul, so the table is read once and never promoted to
-    complex.
-    """
-    rows = np.stack((C.real, C.imag), axis=1)
-    out = np.matmul(rows, table)
-    return out[:, 0] + 1j * out[:, 1]
-
-
 def _legendre_quadrature(F: np.ndarray, views: _Analysis) -> np.ndarray:
     """C[m, j] = sum_k N_j^m P_j^m(mu_k) F_k[m] over all n_lat nodes, from the folded table.
 
@@ -572,7 +558,8 @@ def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
     OPENBLAS_NUM_THREADS fixed.  BLAS does not promise the same bits
     across thread counts (OpenBLAS 0.3.31 gave them with 1 and 2 threads
     at L = 21, 90 and 170); pin the variable where bits are compared.
-    `analyze` and `eval_point` share this contract.
+    `analyze` shares this contract.  `eval_point` and `_synth_streamed`
+    make no BLAS call: their sums are numpy's elementwise operations.
     """
     views = _work_views(spec, (len(Cs), kinds), _Synthesis)
     _legendre_sums(Cs, spec.L, views)
@@ -631,41 +618,44 @@ def _hemisphere_spectra(views: _Synthesis) -> None:
         np.subtract(even_south, odd_south, out=south)
 
 
-def _synth_streamed(C: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The grid values of a SpectralField's coefficients C[m, j], with no Legendre table.
+def _streamed_sums(C: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sums[p, m, part, k] = sum over j = p mod 2 of C[m, j] N_j^m P_j^m(mu_k), with no table.
 
-    The same sum as `_synth_values` in the same conventions, for a grid
-    that is synthesized on too seldom to pay for a table: the Legendre
-    recurrence is streamed through the sums (`_streamed_spectrum`).  The
-    sums are freed before the irfft's output is allocated.
+    The Legendre kernel off a grid's table, of `_synth_streamed` and
+    `eval_point`: `norm_legendre_table` runs once at mu, and its sink adds
+    each degree j's column, for every order m <= j, into the sum of the
+    degrees of j's parity; part 0 is the real and part 1 the imaginary
+    part.  The slots C[m, j < m] are never read.  It holds the sums, three
+    columns of the recurrence and one product: at most 9 (L+1) len(mu)
+    floats.
     """
-    return np.fft.irfft(_streamed_spectrum(C, spec), n=spec.n_lon, axis=-1, norm="forward")
-
-
-def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """The irfft input H[latitude, m] of `_synth_streamed`.
-
-    `norm_legendre_table` runs once at the northern nodes, and its sink
-    adds each degree j's column, for every order m <= j, into the
-    Legendre sum of the degrees of j's parity.  The row at a northern
-    node mu is the sum of the two, and the row at -mu is (-1)^m times
-    their difference, since P_j^m(-mu) = (-1)^(j-m) P_j^m(mu); an
-    equator row comes once.  The slots C[m, j < m] are never read; the
-    irfft drops the imaginary part of c_j^0, real by `SpectralField`.
-    """
-    C = np.asarray(C, dtype=complex)
     L = C.shape[1] - 1
-    half, eq = spec.n_lat // 2, spec.n_lat % 2
-    mu = spec.mu_nodes[half:]
     parts = C[..., None].view(float)
-    # sums[j % 2, m, part, northern node]: the degrees j of each parity
     sums = np.zeros((2, L + 1, 2, mu.size))
 
     def accumulate(j, column):
         sums[j % 2, : j + 1] += parts[: j + 1, j, :, None] * column[:, None, :]
 
     norm_legendre_table(L, mu, sink=accumulate)
-    even_j, odd_j = sums.transpose(0, 3, 1, 2)
+    return sums
+
+
+def _synth_streamed(C: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The grid values of a SpectralField's coefficients C[m, j], with no Legendre table.
+
+    The same sum as `_synth_values` in the same conventions, for a grid
+    that is synthesized on too seldom to pay for a table.  The Legendre
+    sums of each parity come from `_streamed_sums` at the northern nodes.
+    The irfft input's row at a northern node mu is the sum of the two, and
+    the row at -mu is (-1)^m times their difference, since
+    P_j^m(-mu) = (-1)^(j-m) P_j^m(mu); an equator row comes once.  The
+    sums are freed before the irfft's output is allocated.  The irfft
+    drops the imaginary part of c_j^0, real by `SpectralField`.
+    """
+    C = np.asarray(C, dtype=complex)
+    L = C.shape[1] - 1
+    half, eq = spec.n_lat // 2, spec.n_lat % 2
+    even_j, odd_j = _streamed_sums(C, spec.mu_nodes[half:]).transpose(0, 3, 1, 2)
     # H holds the orders m <= L only, each written below, and the irfft
     # pads the rest with zeros: at L=90 H takes 0.46 MB instead of 1.6 MB,
     # for an irfft about 1.5 times as slow, and this path exists to keep
@@ -677,7 +667,8 @@ def _streamed_spectrum(C: np.ndarray, spec: GridSpec) -> np.ndarray:
     np.add(even_j, odd_j, out=spectrum[half:])
     np.subtract(even_j[eq:], odd_j[eq:], out=south)
     south[:, 1::2] *= -1.0
-    return H
+    del even_j, odd_j
+    return np.fft.irfft(H, n=spec.n_lon, axis=-1, norm="forward")
 
 
 def synthesize(c: SpectralField, spec: GridSpec) -> np.ndarray:
@@ -708,22 +699,32 @@ def synthesize_gradients(fields, spec: GridSpec) -> np.ndarray:
     return _synth_values([c.coeffs for c in fields], spec, ("dphi", "dtheta")).copy()
 
 
+# points per block in which eval_point streams the Legendre recurrence: rotate_so3
+# at L=90 took 0.58 s and 38 MB with it, 0.73 s with 1024 and 137 MB with 16384
+EVAL_POINTS = 4096
+
+
 def eval_point(c: SpectralField, phi, theta):
     """Evaluate the field at arbitrary points (phi, theta), poles allowed.
 
     Same sum as `synthesize`; phi, theta may be scalars or equally shaped
-    arrays.  Returns a float for scalar input.
+    arrays.  Returns a float for scalar input.  The Legendre sums come
+    from `_streamed_sums`, EVAL_POINTS points at a time, so no table is
+    built and memory does not grow with the number of points.
     """
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi_b, theta_b = np.broadcast_arrays(phi_arr, theta_arr)
-    shape = phi_b.shape
-    mu = np.sin(theta_b.ravel())
-    G = _legendre_contract(c.coeffs, norm_legendre_table(c.L, mu))
-    vals = G[0].real.copy()
-    for m in range(1, c.L + 1):
-        vals += 2.0 * np.real(G[m] * np.exp(1j * m * phi_b.ravel()))
-    out = vals.reshape(shape)
+    phi_b, theta_b = np.broadcast_arrays(*np.atleast_1d(np.asarray(phi, dtype=float),
+                                                        np.asarray(theta, dtype=float)))
+    phi_flat, mu = phi_b.ravel(), np.sin(theta_b.ravel())
+    vals = np.empty(mu.size)
+    for start in range(0, mu.size, EVAL_POINTS):
+        block = slice(start, start + EVAL_POINTS)
+        # the real and imaginary parts of sum_j c_j^m N_j^m P_j^m, [m, point]
+        real, imag = _streamed_sums(c.coeffs, mu[block]).sum(axis=0).transpose(1, 0, 2)
+        angle = phi_flat[block]
+        vals[block] = real[0]
+        for m in range(1, c.L + 1):
+            vals[block] += 2.0 * (real[m] * np.cos(m * angle) - imag[m] * np.sin(m * angle))
+    out = vals.reshape(phi_b.shape)
     if np.isscalar(phi) and np.isscalar(theta):
         return float(out.reshape(-1)[0])
     return out

@@ -2,9 +2,11 @@
 from them.
 
 A field alpha sin(theta) + Y with Y in the degree-2 real basis
-(a, b, c, d, e) has moments I_m = int f^m d_sigma that are closed-form
-polynomials in (alpha, a, b, c, d, e).  The moments determine derived
-scalars A..F and right-hand sides b1..b6 of a quartic polynomial system
+(a, b, c, d, e) has moments I_m = int f^m d_sigma, the rearrangement
+invariants, that are polynomials in (alpha, a, b, c, d, e): up to the
+factors 4 pi r_m they are the integer polynomials A..F, which are derived
+here from that integral, monomial by monomial, on first use.  The
+moments determine right-hand sides b1..b6 of a quartic polynomial system
 whose unknowns are the reduced invariants (a, u, v, w); that system has
 at most two solutions, which is the algebraic heart of the orbit-
 identifiability results exercised here.
@@ -12,7 +14,9 @@ identifiability results exercised here.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,119 +74,72 @@ class ReducedInvariants:
         return (self.a, self.u, self.v, self.w)
 
 
-# I_m = _MOMENT_FACTORS[m - 2] * X_m for (X_2, ..., X_7) = (A, ..., F)
-_MOMENT_FACTORS = (4 * PI / 15, 16 * PI / 35, 4 * PI / 105,
-                   32 * PI / 231, 4 * PI / 3003, 16 * PI / 429)
+# I_m = 4 pi r_m X_m, r_m = _MOMENT_RATIOS[m - 2], for (X_2, ..., X_7) = (A, ..., F)
+_MOMENT_RATIOS = (Fraction(1, 15), Fraction(4, 35), Fraction(1, 105),
+                  Fraction(8, 231), Fraction(1, 3003), Fraction(4, 429))
+_MOMENT_FACTORS = tuple(4 * r.numerator * PI / r.denominator for r in _MOMENT_RATIOS)
+
+# f = alpha z + a (3z^2 - 1) + 2b xz + 2c yz + d (x^2 - y^2) + 2e xy on the unit
+# sphere, z = sin(theta), as terms (coefficient, index of the term's parameter
+# in (alpha, a, b, c, d, e), exponents of x, y, z)
+_F_TERMS = ((1, 0, (0, 0, 1)), (3, 1, (0, 0, 2)), (-1, 1, (0, 0, 0)), (2, 2, (1, 0, 1)),
+            (2, 3, (0, 1, 1)), (1, 4, (2, 0, 0)), (-1, 4, (0, 2, 0)), (2, 5, (1, 1, 0)))
 
 
-def _moment_scalars(alpha, a, b, c, d, e):
-    """The scalars A..F, one literal integer polynomial each.
+def _sphere_mean(i: int, j: int, k: int) -> Fraction:
+    """The mean of x^i y^j z^k over the unit sphere.
 
-    Integer coefficients keep the evaluation exact when the arguments are
-    `Fraction`s.
+    (i-1)!! (j-1)!! (k-1)!! / (i+j+k+1)!! when i, j and k are all even,
+    else 0 (Folland, "How to integrate a polynomial over a sphere", Amer.
+    Math. Monthly 108 (2001)).
     """
-    A = 12 * a**2 + 5 * alpha**2 + 4 * b**2 + 4 * c**2 + 4 * d**2 + 4 * e**2
-    B = (
-        4 * a**3 + 7 * a * alpha**2 + 2 * a * b**2 + 2 * a * c**2 - 4 * a * d**2
-        - 4 * a * e**2 + 2 * b**2 * d + 4 * b * c * e - 2 * c**2 * d
+    if i % 2 or j % 2 or k % 2:
+        return Fraction(0)
+    dfact = [math.prod(range(n, 0, -2)) for n in (i - 1, j - 1, k - 1, i + j + k + 1)]
+    return Fraction(dfact[0] * dfact[1] * dfact[2], dfact[3])
+
+
+@functools.cache
+def _moment_polynomials() -> tuple[dict[tuple[int, ...], Fraction], ...]:
+    """A..F as {exponents of (alpha, a, b, c, d, e): coefficient}.
+
+    Derived from I_m = int f^m d_sigma: f^m is expanded in the nine
+    variables (alpha, a, b, c, d, e, x, y, z), each monomial x^i y^j z^k
+    is replaced by its `_sphere_mean`, which gives I_m / (4 pi), and the
+    result is divided by r_m.  The coefficients come out as integers: A..F
+    are the integer polynomials of Constantin and Germain (Arch. Ration.
+    Mech. Anal. 245 (2022)), with 6, 9, 21, 35, 74 and 103 terms.  Built
+    on first use, in about 30 ms, and never at import.
+    """
+    f = {tuple(int(q == p) for q in range(6)) + xyz: c for c, p, xyz in _F_TERMS}
+    polynomials, power = [], f
+    for r in _MOMENT_RATIOS:
+        product = {}
+        for k1, c1 in power.items():
+            for k2, c2 in f.items():
+                k = tuple(map(operator.add, k1, k2))
+                product[k] = product.get(k, 0) + c1 * c2
+        power = product
+        X = {}
+        for k, c in power.items():
+            X[k[:6]] = X.get(k[:6], 0) + c * _sphere_mean(*k[6:]) / r
+        polynomials.append({e: q for e, q in X.items() if q})
+    return tuple(polynomials)
+
+
+def _moment_scalars(*x: Fraction) -> tuple[Fraction, ...]:
+    """The scalars A..F at the rationals x = (alpha, a, b, c, d, e), exactly.
+
+    X_m is homogeneous of degree m, so with D the common denominator of
+    x, X_m(x) = X_m(D x) / D^m: each of `_moment_polynomials` is summed on
+    the integers D x, from their precomputed powers, and divided once.
+    """
+    D = math.lcm(*(t.denominator for t in x))
+    powers = [[n**k for k in range(8)] for n in (t.numerator * (D // t.denominator) for t in x)]
+    return tuple(
+        sum(c * math.prod(map(list.__getitem__, powers, e)) for e, c in X.items()) / D**m
+        for m, X in enumerate(_moment_polynomials(), start=2)
     )
-    C = (
-        144 * a**4 + 264 * a**2 * alpha**2 + 96 * a**2 * b**2 + 96 * a**2 * c**2
-        + 96 * a**2 * d**2 + 96 * a**2 * e**2 + 21 * alpha**4 + 72 * alpha**2 * b**2
-        + 72 * alpha**2 * c**2 + 24 * alpha**2 * d**2 + 24 * alpha**2 * e**2
-        + 16 * b**4 + 32 * b**2 * c**2 + 32 * b**2 * d**2 + 32 * b**2 * e**2
-        + 16 * c**4 + 32 * c**2 * d**2 + 32 * c**2 * e**2 + 16 * d**4
-        + 32 * d**2 * e**2 + 16 * e**4
-    )
-    D = (
-        48 * a**5 + 176 * a**3 * alpha**2 + 40 * a**3 * b**2 + 40 * a**3 * c**2
-        - 32 * a**3 * d**2 - 32 * a**3 * e**2 + 24 * a**2 * b**2 * d
-        + 48 * a**2 * b * c * e - 24 * a**2 * c**2 * d + 33 * a * alpha**4
-        + 66 * a * alpha**2 * b**2 + 66 * a * alpha**2 * c**2 + 8 * a * b**4
-        + 16 * a * b**2 * c**2 - 8 * a * b**2 * d**2 - 8 * a * b**2 * e**2
-        + 8 * a * c**4 - 8 * a * c**2 * d**2 - 8 * a * c**2 * e**2 - 16 * a * d**4
-        - 32 * a * d**2 * e**2 - 16 * a * e**4 + 22 * alpha**2 * b**2 * d
-        + 44 * alpha**2 * b * c * e - 22 * alpha**2 * c**2 * d + 8 * b**4 * d
-        + 16 * b**3 * c * e + 8 * b**2 * d**3 + 8 * b**2 * d * e**2
-        + 16 * b * c**3 * e + 16 * b * c * d**2 * e + 16 * b * c * e**3
-        - 8 * c**4 * d - 8 * c**2 * d**3 - 8 * c**2 * d * e**2
-    )
-    E = (
-        10176 * a**6 + 45552 * a**4 * alpha**2 + 10176 * a**4 * b**2
-        + 10176 * a**4 * c**2 + 5568 * a**4 * d**2 + 5568 * a**4 * e**2
-        + 1536 * a**3 * b**2 * d + 3072 * a**3 * b * c * e - 1536 * a**3 * c**2 * d
-        + 15444 * a**2 * alpha**4 + 26208 * a**2 * alpha**2 * b**2
-        + 26208 * a**2 * alpha**2 * c**2 + 3744 * a**2 * alpha**2 * d**2
-        + 3744 * a**2 * alpha**2 * e**2 + 3264 * a**2 * b**4
-        + 6528 * a**2 * b**2 * c**2 + 4224 * a**2 * b**2 * d**2
-        + 4224 * a**2 * b**2 * e**2 + 3264 * a**2 * c**4
-        + 4224 * a**2 * c**2 * d**2 + 4224 * a**2 * c**2 * e**2
-        + 4416 * a**2 * d**4 + 8832 * a**2 * d**2 * e**2 + 4416 * a**2 * e**4
-        + 4992 * a * alpha**2 * b**2 * d + 9984 * a * alpha**2 * b * c * e
-        - 4992 * a * alpha**2 * c**2 * d + 768 * a * b**4 * d
-        + 1536 * a * b**3 * c * e - 1536 * a * b**2 * d**3
-        - 1536 * a * b**2 * d * e**2 + 1536 * a * b * c**3 * e
-        - 3072 * a * b * c * d**2 * e - 3072 * a * b * c * e**3
-        - 768 * a * c**4 * d + 1536 * a * c**2 * d**3 + 1536 * a * c**2 * d * e**2
-        + 429 * alpha**6 + 2860 * alpha**4 * b**2 + 2860 * alpha**4 * c**2
-        + 572 * alpha**4 * d**2 + 572 * alpha**4 * e**2 + 3120 * alpha**2 * b**4
-        + 6240 * alpha**2 * b**2 * c**2 + 3744 * alpha**2 * b**2 * d**2
-        + 3744 * alpha**2 * b**2 * e**2 + 3120 * alpha**2 * c**4
-        + 3744 * alpha**2 * c**2 * d**2 + 3744 * alpha**2 * c**2 * e**2
-        + 624 * alpha**2 * d**4 + 1248 * alpha**2 * d**2 * e**2
-        + 624 * alpha**2 * e**4 + 320 * b**6 + 960 * b**4 * c**2
-        + 1344 * b**4 * d**2 + 960 * b**4 * e**2 + 1536 * b**3 * c * d * e
-        + 960 * b**2 * c**4 + 1152 * b**2 * c**2 * d**2 + 3456 * b**2 * c**2 * e**2
-        + 960 * b**2 * d**4 + 1920 * b**2 * d**2 * e**2 + 960 * b**2 * e**4
-        - 1536 * b * c**3 * d * e + 320 * c**6 + 1344 * c**4 * d**2
-        + 960 * c**4 * e**2 + 960 * c**2 * d**4 + 1920 * c**2 * d**2 * e**2
-        + 960 * c**2 * e**4 + 320 * d**6 + 960 * d**4 * e**2 + 960 * d**2 * e**4
-        + 320 * e**6
-    )
-    F = (
-        576 * a**7 + 3792 * a**5 * alpha**2 + 672 * a**5 * b**2 + 672 * a**5 * c**2
-        - 192 * a**5 * d**2 - 192 * a**5 * e**2 + 288 * a**4 * b**2 * d
-        + 576 * a**4 * b * c * e - 288 * a**4 * c**2 * d + 2028 * a**3 * alpha**4
-        + 2736 * a**3 * alpha**2 * b**2 + 2736 * a**3 * alpha**2 * c**2
-        + 96 * a**3 * alpha**2 * d**2 + 96 * a**3 * alpha**2 * e**2
-        + 256 * a**3 * b**4 + 512 * a**3 * b**2 * c**2 - 64 * a**3 * b**2 * d**2
-        - 64 * a**3 * b**2 * e**2 + 256 * a**3 * c**4 - 64 * a**3 * c**2 * d**2
-        - 64 * a**3 * c**2 * e**2 - 320 * a**3 * d**4 - 640 * a**3 * d**2 * e**2
-        - 320 * a**3 * e**4 + 816 * a**2 * alpha**2 * b**2 * d
-        + 1632 * a**2 * alpha**2 * b * c * e - 816 * a**2 * alpha**2 * c**2 * d
-        + 192 * a**2 * b**4 * d + 384 * a**2 * b**3 * c * e
-        + 192 * a**2 * b**2 * d**3 + 192 * a**2 * b**2 * d * e**2
-        + 384 * a**2 * b * c**3 * e + 384 * a**2 * b * c * d**2 * e
-        + 384 * a**2 * b * c * e**3 - 192 * a**2 * c**4 * d
-        - 192 * a**2 * c**2 * d**3 - 192 * a**2 * c**2 * d * e**2
-        + 143 * a * alpha**6 + 650 * a * alpha**4 * b**2 + 650 * a * alpha**4 * c**2
-        + 52 * a * alpha**4 * d**2 + 52 * a * alpha**4 * e**2
-        + 480 * a * alpha**2 * b**4 + 960 * a * alpha**2 * b**2 * c**2
-        + 144 * a * alpha**2 * b**2 * d**2 + 144 * a * alpha**2 * b**2 * e**2
-        + 480 * a * alpha**2 * c**4 + 144 * a * alpha**2 * c**2 * d**2
-        + 144 * a * alpha**2 * c**2 * e**2 - 48 * a * alpha**2 * d**4
-        - 96 * a * alpha**2 * d**2 * e**2 - 48 * a * alpha**2 * e**4
-        + 32 * a * b**6 + 96 * a * b**4 * c**2 + 96 * a * b**2 * c**4
-        - 96 * a * b**2 * d**4 - 192 * a * b**2 * d**2 * e**2 - 96 * a * b**2 * e**4
-        + 32 * a * c**6 - 96 * a * c**2 * d**4 - 192 * a * c**2 * d**2 * e**2
-        - 96 * a * c**2 * e**4 - 64 * a * d**6 - 192 * a * d**4 * e**2
-        - 192 * a * d**2 * e**4 - 64 * a * e**6 + 130 * alpha**4 * b**2 * d
-        + 260 * alpha**4 * b * c * e - 130 * alpha**4 * c**2 * d
-        + 240 * alpha**2 * b**4 * d + 480 * alpha**2 * b**3 * c * e
-        + 144 * alpha**2 * b**2 * d**3 + 144 * alpha**2 * b**2 * d * e**2
-        + 480 * alpha**2 * b * c**3 * e + 288 * alpha**2 * b * c * d**2 * e
-        + 288 * alpha**2 * b * c * e**3 - 240 * alpha**2 * c**4 * d
-        - 144 * alpha**2 * c**2 * d**3 - 144 * alpha**2 * c**2 * d * e**2
-        + 32 * b**6 * d + 64 * b**5 * c * e + 32 * b**4 * c**2 * d + 64 * b**4 * d**3
-        + 64 * b**4 * d * e**2 + 128 * b**3 * c**3 * e + 128 * b**3 * c * d**2 * e
-        + 128 * b**3 * c * e**3 - 32 * b**2 * c**4 * d + 32 * b**2 * d**5
-        + 64 * b**2 * d**3 * e**2 + 32 * b**2 * d * e**4 + 64 * b * c**5 * e
-        + 128 * b * c**3 * d**2 * e + 128 * b * c**3 * e**3 + 64 * b * c * d**4 * e
-        + 128 * b * c * d**2 * e**3 + 64 * b * c * e**5 - 32 * c**6 * d
-        - 64 * c**4 * d**3 - 64 * c**4 * d * e**2 - 32 * c**2 * d**5
-        - 64 * c**2 * d**3 * e**2 - 32 * c**2 * d * e**4
-    )
-    return (A, B, C, D, E, F)
 
 
 def _round(q: Fraction) -> float:
@@ -190,7 +147,7 @@ def _round(q: Fraction) -> float:
     try:
         return float(q)
     except OverflowError:
-        return math.copysign(math.inf, q)
+        return math.inf if q > 0 else -math.inf
 
 
 def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:

@@ -322,6 +322,14 @@ class TestCLI:
         assert out[0] == "a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7"
         assert len(out[1].split(",")) == 12
 
+    @pytest.mark.parametrize("y, top", [("1e60,0,0,0,0", "inf,inf"), ("-1e60,0,0,0,0", "inf,-inf")])
+    def test_invariants_too_large_for_a_float_print_inf(self, capsys, y, top):
+        rc = cli.main(["invariants", f"--y={y}"])
+        row = capsys.readouterr().out.splitlines()[1]
+        assert rc == 0
+        assert row.endswith("," + top)
+        assert all(math.isfinite(float(v)) for v in row.split(",")[:-2])
+
     def test_classify_subcommand(self, capsys):
         rc = cli.main(["classify", "--y", "0.4,0.3,0.0,0.1,0.0",
                        "--yp", "0.4,0.3,0.0,0.1,0.0"])
@@ -446,12 +454,40 @@ class TestConfigErrors:
          "max_degree must be >= 1, got 0"),
         ("stability", "stability_so3.cfg", ["L=6", "t_end=0.002", "seed=-1"],
          "seed must be nonnegative, got -1"),
+        # rejected before the run, not by the CSV writer after it
+        ("rh-verify", "rh_exactness.cfg", ["output_path=/nonexistent/dir/out.csv"],
+         "output_path '/nonexistent/dir/out.csv' is not a file in an existing directory"),
+        ("rh-verify", "rh_exactness.cfg", ["output_path="],
+         "output_path '' is not a file in an existing directory"),
+        ("rearrange", "rearrangement.cfg", [f"output_path={SHIPPED}"],
+         f"output_path '{SHIPPED}' is not a file in an existing directory"),
     ])
     def test_out_of_range_value_is_one_line_and_exit_code_two(
             self, command, config, overrides, message):
         proc = _python("-m", "rhlab.cli", command, "--config", str(SHIPPED / config), *overrides)
         assert proc.returncode == 2
         assert proc.stderr == f"rhlab {command}: {message}\n"
+        assert proc.stdout == ""
+
+    def test_rejected_config_leaves_its_output_file_as_it_was(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        proc = _python("-m", "rhlab.cli", "rh-verify", "--config", str(SHIPPED / "rh_exactness.cfg"),
+                       f"output_path={out}", "dt=0")
+        assert proc.returncode == 2
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, args", [
+        ("invariants", ["--y", "1e120,0,0,0,0"]),
+        ("classify", ["--y", "1e120,0,0,0,0", "--yp", "1,0,0,0,0"]),
+        ("classify", ["--y", "1,0,0,0,0", "--yp=-1e120,0,0,0,0"]),
+    ])
+    def test_overflow_is_one_line_and_exit_code_two(self, command, args):
+        # char_poly's a**3 overflows for |a| above about 1e103
+        proc = _python("-m", "rhlab.cli", command, *args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"rhlab {command}: coefficients too large for float arithmetic")
+        assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("command, config, override, owner", [
@@ -563,6 +599,13 @@ class TestShippedConfigs:
 
 
 class TestImportCost:
+    def test_import_builds_no_moment_polynomials(self):
+        # the derivation of A..F runs on first use, not in the benchmark's setup
+        out = _python("-c", "import rhlab.cli, rhlab.experiments, rhlab.invariants_algebra as m; "
+                            "print(m._moment_polynomials.cache_info().currsize)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "0"
+
     def test_cli_import_leaves_scipy_optimize_out(self):
         # scipy.optimize takes ~0.5 s to import; only p != 2 distances need it
         out = _python("-c", "import sys, rhlab.cli; print('scipy.optimize' in sys.modules)")

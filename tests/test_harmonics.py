@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from rhlab import grid
 from rhlab.grid import MAX_L, build_grid, integrate
 from rhlab.harmonics import (
+    EVAL_POINTS,
     E2Coeffs,
     SpectralField,
     _Analysis,
     _Synthesis,
     _field,
-    _legendre_contract,
     _legendre_quadrature,
     _work_views,
     analyze,
@@ -330,38 +330,14 @@ class TestTransformPair:
 
 
 class TestLegendreContraction:
-    """The real-arithmetic kernels against a direct complex einsum.
+    """The analysis kernel in the folded layout against a direct complex einsum.
 
     The oracle table is a full-node `norm_legendre_table` of the grid's
-    table degree L + 1, viewed as P[:L+1, :L+1]; analysis weights the
-    Fourier coefficients.
+    table degree L + 1, viewed as P[:L_out+1, :L_out+1]; analysis weights
+    the Fourier coefficients.
     """
 
     L = 90
-
-    def _table(self):
-        spec = default_grid(self.L)
-        full = norm_legendre_table(spec.L + 1, spec.mu_nodes)
-        return spec, full[: self.L + 1, : self.L + 1]
-
-    def _weighted_fourier(self, spec, rng):
-        shape = (spec.n_lat, self.L + 1)
-        F = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        return F * spec.weights[:, None]
-
-    def test_synthesis_direction_matches_complex_einsum(self, rng):
-        _, P = self._table()
-        C = random_spectral(self.L, rng, zero_mean=False).coeffs
-        want = np.einsum("mj,mjk->mk", C, P)
-        got = _legendre_contract(C, P)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_analysis_direction_matches_complex_einsum(self, rng):
-        spec, P = self._table()
-        F = self._weighted_fourier(spec, rng)
-        want = np.einsum("mjk,km->mj", P, F)
-        got = _legendre_contract(F.T, P.transpose(0, 2, 1))
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("L_out", [2, L - 1, L, L + 1])
     def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng, L_out):
@@ -674,6 +650,23 @@ class TestEvalPoint:
         k, n = rng.integers(spec.n_lat, size=40), rng.integers(spec.n_lon, size=40)
         got = eval_point(f, spec.phi[n], np.arcsin(spec.mu_nodes[k]))
         assert np.abs(got - g[k, n]).max() < 1e-13 * np.abs(g).max()
+
+    def test_more_points_than_one_block_match_grid_synthesis(self, rng):
+        spec = build_grid(9)
+        f = random_spectral(9, rng)
+        g = synthesize(f, spec)
+        k = rng.integers(spec.n_lat, size=EVAL_POINTS + 1)
+        n = rng.integers(spec.n_lon, size=EVAL_POINTS + 1)
+        got = eval_point(f, spec.phi[n], np.arcsin(spec.mu_nodes[k]))
+        assert got.shape == (EVAL_POINTS + 1,)
+        assert np.abs(got - g[k, n]).max() < 1e-13 * np.abs(g).max()
+
+    def test_shapes(self, rng):
+        f = random_spectral(5, rng)
+        assert isinstance(eval_point(f, 0.3, 0.4), float)
+        assert eval_point(f, np.array(0.3), np.array(0.4)).shape == (1,)
+        assert eval_point(f, np.zeros((2, 3)), 0.4).shape == (2, 3)
+        assert eval_point(f, np.zeros(0), np.zeros(0)).shape == (0,)
 
     def test_periodic_in_longitude(self, rng):
         f = random_spectral(7, rng)

@@ -17,6 +17,8 @@ from rhlab.harmonics import (
     synthesize,
 )
 from rhlab.invariants_algebra import (
+    _MOMENT_FACTORS,
+    _moment_polynomials,
     char_poly,
     invariants_csv_row,
     moments_analytic,
@@ -45,6 +47,35 @@ def rotated_y(y, beta):
     return spectral_to_e2(f)
 
 
+def mono(alpha=0, a=0, b=0, c=0, d=0, e=0):
+    """Exponents of (alpha, a, b, c, d, e), the keys of `_moment_polynomials`."""
+    return (alpha, a, b, c, d, e)
+
+
+class TestMomentPolynomials:
+    """The derived A..F against the closed forms they replaced."""
+
+    def test_a_and_b_in_full(self):
+        A, B = _moment_polynomials()[:2]
+        assert A == {mono(a=2): 12, mono(alpha=2): 5, mono(b=2): 4, mono(c=2): 4,
+                     mono(d=2): 4, mono(e=2): 4}
+        assert B == {mono(a=3): 4, mono(a=1, alpha=2): 7, mono(a=1, b=2): 2,
+                     mono(a=1, c=2): 2, mono(a=1, d=2): -4, mono(a=1, e=2): -4,
+                     mono(b=2, d=1): 2, mono(b=1, c=1, e=1): 4, mono(c=2, d=1): -2}
+
+    def test_leading_terms_counts_and_integer_coefficients(self):
+        X = _moment_polynomials()
+        assert [len(p) for p in X] == [6, 9, 21, 35, 74, 103]
+        assert X[4][mono(a=6)] == 10176 and X[5][mono(a=7)] == 576
+        for m, p in enumerate(X, start=2):
+            assert all(c.denominator == 1 and c != 0 for c in p.values())
+            assert all(sum(e) == m for e in p)
+
+    def test_factors_are_the_closed_forms(self):
+        assert _MOMENT_FACTORS == (4 * np.pi / 15, 16 * np.pi / 35, 4 * np.pi / 105,
+                                   32 * np.pi / 231, 4 * np.pi / 3003, 16 * np.pi / 429)
+
+
 class TestMomentsAnalytic:
     def test_pure_zonal_background(self):
         ms = moments_analytic(0.9, E2Coeffs(0.0, 0.0, 0.0, 0.0, 0.0))
@@ -57,6 +88,12 @@ class TestMomentsAnalytic:
         a = 0.7
         ms = moments_analytic(0.0, E2Coeffs(a, 0.0, 0.0, 0.0, 0.0))
         assert ms.I[1] == pytest.approx(64.0 * np.pi * a**3 / 35.0)
+
+    @pytest.mark.parametrize("a", [1e60, -1e60])
+    def test_moments_too_large_for_a_float_are_infinite(self, a):
+        I = moments_analytic(0.0, E2Coeffs(a, 0.0, 0.0, 0.0, 0.0)).I
+        assert all(np.isfinite(I[:4]))
+        assert I[4] == np.inf and I[5] == np.copysign(np.inf, a)
 
     def test_b_fields_none_at_zero_alpha(self):
         ms = moments_analytic(0.0, E2Coeffs(0.3, 0.1, 0.2, -0.4, 0.5))

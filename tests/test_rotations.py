@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,15 +124,36 @@ GIMBAL_LOCK_EULERS = [(0.3, 0.0, 0.5), (0.3, 1e-9, 0.5), (0.2, np.pi, 0.4),
                       (0.2, np.pi - 1e-9, 0.4)]
 
 
+EULERS = [(0.9, 0.6, -1.1), (-2.0, 2.5, 3.0)] + GIMBAL_LOCK_EULERS
+
+
 class TestWignerRotation:
-    @pytest.mark.parametrize("L", [5, 21])
-    @pytest.mark.parametrize("euler", [(0.9, 0.6, -1.1), (-2.0, 2.5, 3.0)] + GIMBAL_LOCK_EULERS)
-    def test_equals_grid_rotation(self, L, euler):
+    @pytest.mark.parametrize("euler, L, rtol", [
+        *(pytest.param(euler, L, 1e-13, id=f"euler{i}-{L}")
+          for i, euler in enumerate(EULERS) for L in (5, 21)),
+        # where the oracle's Legendre table once raised MemoryError;
+        # measured 2.7e-12 of the largest coefficient
+        pytest.param(EULERS[0], 90, 1e-11, id="euler0-90"),
+    ])
+    def test_equals_grid_rotation(self, euler, L, rtol):
         # rotate_so3 resamples on the grid: an independent route to D(R) c
         f = random_spectral(L, np.random.default_rng(L))
         want = rotate_so3(f, euler).coeffs
         got = rotate_wigner(f, euler).coeffs
-        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+        assert np.abs(got - want).max() < rtol * np.abs(want).max()
+
+    def test_grid_rotation_memory_does_not_grow_with_its_grid(self):
+        # eval_point streams the Legendre recurrence over blocks of points:
+        # measured 26 MB at L=64, where a table over all 33 800 points
+        # took 1.2 GB
+        f = random_spectral(64, np.random.default_rng(64))
+        tracemalloc.start()
+        try:
+            rotate_so3(f, (0.9, 0.6, -1.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
     def test_generators_satisfy_the_commutation_relations(self):
         for j in range(6):
