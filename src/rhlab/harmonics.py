@@ -751,6 +751,16 @@ class E2Coeffs:
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e)
 
+    def matrix(self) -> np.ndarray:
+        """The traceless symmetric M with field(x) = x^T M x on the unit sphere.
+
+        x = (cos theta cos phi, cos theta sin phi, sin theta), so a rotation
+        R maps M to R M R^T, and the L2 inner product of two degree-2
+        fields is (8 pi / 15) tr(M1 M2).
+        """
+        a, b, c, d, e = self.as_tuple()
+        return np.array([[d - a, e, b], [e, -d - a, c], [b, c, 2.0 * a]])
+
 
 _K20 = float(np.sqrt(16.0 * np.pi / 5.0))   # 3 sin^2 - 1 = K20 * Y_2^0
 _K2M = float(np.sqrt(8.0 * np.pi / 15.0))   # scale of the |m| = 1, 2 entries
@@ -767,6 +777,19 @@ def e2_to_spectral(y: E2Coeffs, L: int = 2) -> SpectralField:
     })
 
 
+def e2_part(c: SpectralField) -> E2Coeffs:
+    """Coordinates (a, b, c, d, e) of the degree-2 part of c (L >= 2); other
+    degrees are ignored."""
+    c20, c21, c22 = (c.get(2, m) for m in range(3))
+    return E2Coeffs(
+        a=c20.real / _K20,
+        b=-c21.real / _K2M,
+        c=c21.imag / _K2M,
+        d=c22.real / _K2M,
+        e=-c22.imag / _K2M,
+    )
+
+
 def spectral_to_e2(c: SpectralField, tol: float = 1e-10) -> E2Coeffs:
     """Inverse change of basis; rejects fields with content outside degree 2."""
     total = inner_l2(c, c)
@@ -778,13 +801,7 @@ def spectral_to_e2(c: SpectralField, tol: float = 1e-10) -> E2Coeffs:
         raise ValueError(
             f"field has {(total - deg2) / total:.3e} relative energy outside degree 2"
         )
-    return E2Coeffs(
-        a=c20.real / _K20,
-        b=-c21.real / _K2M,
-        c=c21.imag / _K2M,
-        d=c22.real / _K2M,
-        e=-c22.imag / _K2M,
-    )
+    return e2_part(c)
 
 
 # --------------------------------------------------------------------------

@@ -251,7 +251,8 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
     are evaluated in exact rational arithmetic on the given floats, since
     in floating point the sixth right-hand side cancels terms of order
     |E| down to order alpha^2, and that roundoff can exceed 1e-10 of the
-    result.  A nonzero residual therefore means a failed identity.
+    result.  A nonzero residual therefore means a failed identity.  Each
+    value is rounded by `_round`, so one too large for a float is +-inf.
     """
     if alpha == 0.0:
         raise ValueError("the identities require alpha != 0")
@@ -276,8 +277,8 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
         (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / 48,
         (17 * A * C + 96 * B**2 - 12 * A**3 - E) / 16,
     )
-    residuals = tuple(float(l - r) for l, r in zip(lhs, rhs))
-    scales = tuple(float(max(abs(l), abs(r), 1)) for l, r in zip(lhs, rhs))
+    residuals = tuple(_round(l - r) for l, r in zip(lhs, rhs))
+    scales = tuple(_round(max(abs(l), abs(r), 1)) for l, r in zip(lhs, rhs))
     return residuals, scales
 
 
@@ -375,7 +376,8 @@ def same_h_orbit_deg2(y: E2Coeffs, yp: E2Coeffs, tol: float = ORBIT_TOL_DEG2) ->
 
 def char_poly(y: E2Coeffs) -> tuple[float, float]:
     """Coefficients (p1, p0) of the characteristic polynomial
-    lambda^3 + p1 lambda + p0 of the associated traceless matrix."""
+    lambda^3 + p1 lambda + p0 of the associated traceless matrix,
+    `E2Coeffs.matrix`."""
     a, b, c, d, e = y.as_tuple()
     p1 = -(3 * a * a + b * b + c * c + d * d + e * e)
     p0 = (-2 * a**3 - a * b * b - a * c * c + 2 * a * d * d + 2 * a * e * e

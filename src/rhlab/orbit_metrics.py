@@ -21,6 +21,15 @@ For p != 2, Nelder-Mead over the axes' local coordinates refines
 lp_distance, integrated on a grid, from every polished rotation and from
 the sampled minima of lp_distance on the circle about each axis through
 the best one.
+
+One case needs no search: the p = 2 SO(3) distance to a target that is
+exactly zero outside degrees 0 and 2, as the alpha = 0 RH wave of the
+SO(3) stability experiment is.  A degree-2 field is a quadratic form
+x^T M x, and the correlation is then a trace tr(A R B R^T) whose maximum
+over rotations von Neumann's trace inequality gives exactly (Mirsky,
+Monatsh. Math. 79 (1975)): `_so3_degree2_optimum` reads it off two 3x3
+eigendecompositions, and the distance is measured at that member as
+above.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import build_grid, integrate
-from .harmonics import SpectralField, _field, norm_l2, synthesize, top_degree
+from .harmonics import SpectralField, _field, e2_part, norm_l2, synthesize, top_degree
 from .rotations import (
     angular_momentum,
     degree_vector,
@@ -247,13 +256,45 @@ def dist_polar_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
     return d, float(np.arctan2(-R[1, 0], R[0, 0]) % (2.0 * np.pi))
 
 
+def _degrees_0_and_2(target: SpectralField) -> bool:
+    """Whether target (L >= 2) is exactly zero outside degrees 0 and 2."""
+    C = target.coeffs
+    return target.L >= 2 and not (C[:, 1].any() or C[:, 3:].any())
+
+
+def _so3_degree2_optimum(f: SpectralField, target: SpectralField) -> np.ndarray:
+    """The rotation R maximizing <f, D(R) t> for t in degrees 0 and 2.
+
+    The degree-0 parts do not rotate and the other degrees of f are
+    orthogonal to D(R) t, so the correlation is the constant part plus
+    (8 pi / 15) tr(A R B R^T), with A and B the matrices (`E2Coeffs.matrix`)
+    of the degree-2 parts of f and t.  By von Neumann's trace inequality
+    its maximum over O(3) is sum_i lam_i(A) lam_i(B), both sorted the same
+    way, attained at R = U_A U_B^T from the eigenvectors; -R gives the
+    same R B R^T, so one of the two is a proper rotation.
+    """
+    _, U = np.linalg.eigh(e2_part(f).matrix())
+    _, V = np.linalg.eigh(e2_part(target).matrix())
+    R = U @ V.T
+    return -R if np.linalg.det(R) < 0.0 else R
+
+
 def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
     """Distance from f to the SO(3) orbit of target; returns (d, euler).
 
-    The search is `_orbit_search` on all of SO(3): the correlation is
-    sampled by `_correlation_samples` on a 4(J+1)-per-axis Euler grid and
-    polished along all three axes.  The orbit member is
-    rotate_wigner(target, euler).
+    The orbit member is rotate_wigner(target, euler), and d is
+    lp_distance to it.  At p = 2, for a target with no content outside
+    degrees 0 and 2 (such as the alpha = 0 RH wave of the SO(3)
+    stability experiment), the optimal rotation is exact and closed-form:
+    `_so3_degree2_optimum` aligns the eigenframes of the two degree-2
+    quadratic forms.  Every other case runs `_orbit_search` on all of
+    SO(3): the correlation is sampled by `_correlation_samples` on a
+    4(J+1)-per-axis Euler grid and polished along all three axes.
     """
+    if f.L != target.L:
+        raise ValueError("fields must share a truncation degree")
+    if p == 2.0 and _degrees_0_and_2(target):
+        euler = matrix_to_euler(_so3_degree2_optimum(f, target))
+        return lp_distance(f, rotate_wigner(target, euler), p), euler
     d, R = _orbit_search(f, target, p, _correlation_samples, np.eye(3))
     return d, matrix_to_euler(R)

@@ -19,6 +19,7 @@ from rhlab.harmonics import (
     _work_views,
     analyze,
     default_grid,
+    e2_part,
     e2_to_spectral,
     eval_point,
     from_coeff_dict,
@@ -699,6 +700,32 @@ class TestE2Basis:
                     + c * 2 * mu * ct * np.sin(ph) + d * ct**2 * np.cos(2 * ph)
                     + e * ct**2 * np.sin(2 * ph))
         assert np.abs(g - explicit).max() < 1e-13
+
+    def test_matrix_quadratic_form_is_the_field(self, rng):
+        # x^T M x at the grid nodes' unit vectors is the synthesized field
+        y = E2Coeffs(*rng.normal(size=5))
+        spec = build_grid(4)
+        ct = spec.cos_theta[:, None]
+        ph = spec.phi[None, :]
+        x = np.stack(np.broadcast_arrays(ct * np.cos(ph), ct * np.sin(ph), spec.mu_nodes[:, None]))
+        form = np.einsum("akn,ab,bkn->kn", x, y.matrix(), x)
+        assert np.abs(form - synthesize(e2_to_spectral(y, 4), spec)).max() < 1e-13
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_inner_product_is_the_matrix_trace(self, seed):
+        r = np.random.default_rng(seed)
+        y1, y2 = E2Coeffs(*r.normal(size=5)), E2Coeffs(*r.normal(size=5))
+        trace = 8.0 * np.pi / 15.0 * np.trace(y1.matrix() @ y2.matrix())
+        inner = inner_l2(e2_to_spectral(y1, 5), e2_to_spectral(y2, 5))
+        assert inner == pytest.approx(trace, rel=1e-13, abs=1e-13)
+
+    def test_degree_two_part_ignores_other_degrees(self, rng):
+        y = E2Coeffs(*rng.normal(size=5))
+        rest = random_spectral(5, rng, zero_mean=False).coeffs
+        rest[:, 2] = 0.0
+        f = SpectralField(5, e2_to_spectral(y, 5).coeffs + rest)
+        assert e2_part(f).as_tuple() == pytest.approx(y.as_tuple(), abs=1e-14)
 
     def test_half_turn_parity_of_single_phi_mode(self):
         c = e2_to_spectral(E2Coeffs(0.0, 1.0, 0.0, 0.0, 0.0))

@@ -176,6 +176,13 @@ class TestAbcdeIdentities:
         with pytest.raises(ValueError, match="alpha"):
             verify_abcde_system(0.0, E2Coeffs(1.0, 0.0, 0.0, 0.0, 0.0))
 
+    def test_a_scale_beyond_float_range_is_inf(self):
+        # the fifth identity's sides are of order alpha^4 a^3 = 1e350
+        residuals, scales = verify_abcde_system(1e50, E2Coeffs(1e50, 0.0, 0.0, 0.0, 0.0))
+        assert residuals == (0.0,) * 6
+        assert scales[4] == np.inf
+        assert all(np.isfinite(s) for i, s in enumerate(scales) if i != 4)
+
 
 class TestPolynomialSystem:
     @given(alpha=st.floats(0.2, 2.0), y=coeff5)
@@ -255,30 +262,30 @@ class TestHOrbitClassifiers:
         assert same_o3_orbit(yc, yt)
 
 
-def quad_form_matrix(y: E2Coeffs) -> np.ndarray:
-    """The traceless symmetric 3x3 matrix whose quadratic form on the unit
-    sphere equals the degree-2 field with coordinates (a, b, c, d, e): the
-    oracle whose eigenvalues are the roots of char_poly."""
-    a, b, c, d, e = y.as_tuple()
-    return np.array([
-        [d - a, e, b],
-        [e, -d - a, c],
-        [b, c, 2 * a],
-    ])
-
-
 class TestCharPolyAndO3:
+    # E2Coeffs.matrix is checked against the field itself in
+    # tests/test_harmonics.py::TestE2Basis
     def test_matrix_is_traceless_symmetric(self):
-        M = quad_form_matrix(E2Coeffs(0.4, -0.3, 0.2, 0.6, -0.1))
+        M = E2Coeffs(0.4, -0.3, 0.2, 0.6, -0.1).matrix()
         assert np.trace(M) == pytest.approx(0.0, abs=1e-15)
         assert np.abs(M - M.T).max() == 0.0
 
     def test_char_poly_matches_eigenvalues(self):
         yc = E2Coeffs(0.4, -0.3, 0.2, 0.6, -0.1)
         p1, p0 = char_poly(yc)
-        lam = np.linalg.eigvalsh(quad_form_matrix(yc))
+        lam = np.linalg.eigvalsh(yc.matrix())
         for l in lam:
             assert l**3 + p1 * l + p0 == pytest.approx(0.0, abs=1e-12)
+
+    @given(y=coeff5)
+    @settings(max_examples=25, deadline=None)
+    def test_char_poly_is_that_of_the_matrix(self, y):
+        yc = E2Coeffs(*y)
+        p1, p0 = char_poly(yc)
+        lam = np.linalg.eigvalsh(yc.matrix())
+        coeffs = np.poly(lam)
+        scale = max(1.0, float(np.abs(lam).max())) ** 3
+        assert np.abs(coeffs - [1.0, 0.0, p1, p0]).max() <= 1e-13 * scale
 
     def test_pure_a_values(self):
         a = 0.9

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab import grid
+from rhlab import grid, orbit_metrics
 from rhlab.grid import build_grid, gauss_legendre, integrate
 from rhlab.harmonics import (
     E2Coeffs,
@@ -14,9 +14,19 @@ from rhlab.harmonics import (
     synthesize,
 )
 from rhlab.operators import sin_theta_field
-from rhlab.orbit_metrics import dist_polar_orbit, dist_so3_orbit, lp_distance
-from rhlab.rotations import reflect_longitude, rotate_polar, rotate_so3
+from rhlab.orbit_metrics import (
+    _correlation_samples,
+    _orbit_search,
+    dist_polar_orbit,
+    dist_so3_orbit,
+    lp_distance,
+)
+from rhlab.rotations import reflect_longitude, rotate_polar, rotate_so3, rotate_wigner
 from tests.conftest import random_spectral
+
+# how far a distance measured at one optimal orbit member may lie above one
+# measured at another, relative to ||f|| + ||target||
+ROUNDOFF = 1e-15
 
 
 class TestLpDistance:
@@ -107,6 +117,26 @@ def dense_polar_sweep(f, target, p, n=720, zooms=2):
     return best
 
 
+def polar_root_oracle(f, target):
+    """min over beta of ||f - rotate_polar(target, beta)||, exact at p = 2.
+
+    rotate_polar multiplies t_j^m by e^{i m beta}, so the correlation is
+    c(beta) = Re[s_0 + 2 sum_m s_m e^{-i m beta}], s_m = sum_j f_j^m
+    conj(t_j^m).  Its derivative times z^J, z = e^{i beta}, is the degree-2J
+    polynomial sum_m i m (conj(s_m) z^{J+m} - s_m z^{J-m}), whose roots
+    contain every critical point; the distance is measured at the angle of
+    each root, and at beta = 0 for a polynomial that vanishes.
+    """
+    s = (f.coeffs * target.coeffs.conj()).sum(axis=1)
+    J = f.L
+    poly = np.zeros(2 * J + 1, dtype=complex)  # highest power first
+    for m in range(1, J + 1):
+        poly[J - m] += 1j * m * np.conj(s[m])
+        poly[J + m] -= 1j * m * s[m]
+    betas = np.append(np.angle(np.roots(poly)), 0.0) if poly.any() else [0.0]
+    return min(lp_distance(f, rotate_polar(target, b), 2.0) for b in betas)
+
+
 class TestPolarOrbit:
     def test_exact_member_and_angle_recovery(self, rng):
         target = random_spectral(6, rng)
@@ -140,6 +170,21 @@ class TestPolarOrbit:
         dense = dense_polar_sweep(f, target, p)
         assert d <= dense + 1e-9
         assert d >= dense - 1e-3 * max(dense, 1e-6)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_p2_against_the_root_oracle(self, seed):
+        # L from 2 to 21; every third pair within 1e-3 ||target|| of the orbit
+        r = np.random.default_rng(seed)
+        L = 2 + seed % 20
+        f, target = random_spectral(L, r), random_spectral(L, r)
+        if seed % 3 == 0:
+            member = rotate_polar(target, r.uniform(0.0, 2.0 * np.pi))
+            f = SpectralField(L, member.coeffs + 1e-3 * norm_l2(target) * f.coeffs / norm_l2(f))
+        d, beta = dist_polar_orbit(f, target)
+        oracle = polar_root_oracle(f, target)
+        assert d == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert d <= oracle + ROUNDOFF * (norm_l2(f) + norm_l2(target))
+        assert lp_distance(f, rotate_polar(target, beta), 2.0) == pytest.approx(d, rel=1e-12, abs=0.0)
 
     def test_rejects_mismatched_truncation(self, rng):
         with pytest.raises(ValueError, match="truncation"):
@@ -202,6 +247,92 @@ class TestSO3Orbit:
         f = rotate_so3(target, (0.0, 1.0, 0.0))
         d, _ = dist_so3_orbit(f, target)
         assert d < 1e-4
+
+
+def e2_of_matrix(M):
+    """E2Coeffs of the traceless symmetric M: the inverse of E2Coeffs.matrix."""
+    return E2Coeffs(M[2, 2] / 2.0, M[0, 2], M[1, 2], (M[0, 0] - M[1, 1]) / 2.0, M[0, 1])
+
+
+def degree2_target(L, r, kind):
+    """A target in degrees 0 and 2 only; c_0^0 != 0 unless it is zonal."""
+    if kind == "zonal":  # eigenvalues (-a, -a, 2a): a repeated one
+        return e2_to_spectral(E2Coeffs(r.normal(), 0.0, 0.0, 0.0, 0.0), L)
+    if kind == "zero eigenvalue":  # eigenvalues (lam, 0, -lam), in a random frame
+        Q, _ = np.linalg.qr(r.normal(size=(3, 3)))
+        y = e2_of_matrix(Q @ np.diag([1.0, 0.0, -1.0]) @ Q.T * r.uniform(0.5, 2.0))
+    else:
+        y = E2Coeffs(*r.normal(size=5))
+    return SpectralField(L, e2_to_spectral(y, L).coeffs + from_coeff_dict(L, {(0, 0): r.normal()}).coeffs)
+
+
+def counting(monkeypatch, name):
+    """Replace orbit_metrics.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(orbit_metrics, name)
+
+    def wrapper(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(orbit_metrics, name, wrapper)
+    return calls
+
+
+class TestSO3DegreeTwoClosedForm:
+    @pytest.mark.parametrize("L", [2, 5, 12])
+    @pytest.mark.parametrize("kind", ["generic", "within 1e-2", "within 1e-3",
+                                      "f without degree 2", "zonal", "zero eigenvalue"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_the_search(self, L, kind, seed, monkeypatch):
+        r = np.random.default_rng([L, seed, len(kind)])
+        target = degree2_target(L, r, "generic" if kind.startswith(("within", "f ")) else kind)
+        f = random_spectral(L, r, zero_mean=False)
+        if kind.startswith("within"):  # within eps ||target|| of the orbit
+            eps = float(kind.split()[1])
+            member = rotate_so3(target, r.uniform(0.0, 2.0 * np.pi, 3))
+            f = SpectralField(L, member.coeffs + eps * norm_l2(target) * f.coeffs / norm_l2(f))
+        elif kind == "f without degree 2":
+            C = f.coeffs
+            C[:, 2] = 0.0
+            f = SpectralField(L, C)
+        samples = counting(monkeypatch, "_correlation_samples")
+        d, euler = dist_so3_orbit(f, target)
+        assert samples == []
+        searched, _ = _orbit_search(f, target, 2.0, _correlation_samples, np.eye(3))
+        assert d == pytest.approx(searched, rel=1e-12, abs=0.0)
+        assert d <= searched + ROUNDOFF * (norm_l2(f) + norm_l2(target))
+        assert lp_distance(f, rotate_wigner(target, euler), 2.0) == d
+
+    @pytest.mark.parametrize("euler", [(0.3, 0.0, 0.5), (0.3, 1e-9, 0.5), (0.2, np.pi, 0.4)])
+    def test_exact_member_at_gimbal_lock(self, euler):
+        target = degree2_target(5, np.random.default_rng(7), "generic")
+        f = rotate_so3(target, euler)
+        d, found = dist_so3_orbit(f, target)
+        assert d < 1e-12
+        assert lp_distance(f, rotate_so3(target, found), 2.0) == pytest.approx(d, abs=1e-12)
+
+    @pytest.mark.parametrize("stray", [(1, 1), (3, 2)])
+    def test_a_tiny_coefficient_in_another_degree_runs_the_search(self, stray, monkeypatch):
+        r = np.random.default_rng(5)
+        target = SpectralField(4, degree2_target(4, r, "generic").coeffs
+                               + from_coeff_dict(4, {stray: 1e-14}).coeffs)
+        f = random_spectral(4, r)
+        samples = counting(monkeypatch, "_correlation_samples")
+        dist_so3_orbit(f, target)
+        assert len(samples) == 1
+
+    def test_p3_runs_the_search(self, monkeypatch):
+        r = np.random.default_rng(6)
+        target = degree2_target(3, r, "generic")
+        samples = counting(monkeypatch, "_correlation_samples")
+        d, euler = dist_so3_orbit(rotate_so3(target, (0.4, 1.1, -0.3)), target, p=3.0)
+        assert len(samples) == 1
+        assert d < 1e-7
+
+    def test_rejects_mismatched_truncation(self, rng):
+        with pytest.raises(ValueError, match="truncation"):
+            dist_so3_orbit(random_spectral(4, rng), degree2_target(5, rng, "generic"))
 
 
 class TestSO3GlobalSearch:
