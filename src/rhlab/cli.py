@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentResult,
     check_stability_group,
     config_from_mapping,
+    default_rearrange_stream,
     exp_orbit_traversal,
     exp_rearrangement_bound,
     exp_rh_exactness,
@@ -72,7 +73,8 @@ def _build_config(args):
     Overrides replace the file's values, a later one an earlier one.  A
     config that cannot be read or parsed, sets a key twice in the file,
     holds an out-of-range value, sets a key that only another subcommand
-    reads, names a stability group that does not apply, or names an
+    reads, names a stability group that does not apply, sets an L below
+    the rearrangement stream's degree 3 for rearrange, or names an
     output_path that is empty, a directory or in a missing directory ends
     the process with one line on stderr and exit code 2, before any step
     runs.  The output file is neither created nor truncated here.
@@ -96,6 +98,8 @@ def _build_config(args):
             raise ValueError(f"output_path {out!r} is not a file in an existing directory")
         if args.command == "stability":
             check_stability_group(group, cfg.alpha)
+        if args.command == "rearrange":
+            default_rearrange_stream(cfg.L)
         return cfg, group
     except (OSError, ValueError) as err:
         _input_error(args.command, err)

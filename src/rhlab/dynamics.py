@@ -3,21 +3,32 @@ and `evolve`, the one loop that drives it.
 
 Two transport modes share one integrator: coupled mode evolves
 d_t zeta = -J grad(omega sin theta - G zeta) . grad(zeta) (the Euler
-equation in absolute-vorticity form), prescribed mode transports zeta by
-a fixed stream chi, which walks through the rearrangement class of the
-initial data without solving Euler.  Experiments observe the states that
-`evolve` yields; they never step the solver themselves.
+equation in absolute-vorticity form) through transforms, prescribed mode
+transports zeta by a fixed stream chi, which walks through the
+rearrangement class of the initial data without solving Euler.  Its
+tendency is linear in zeta, so it is built once as an exact spectral
+stencil (the interaction-coefficient form of the vorticity equation) and
+stepped without transforms; streams are limited to degree
+MAX_STREAM_DEGREE.  Experiments observe the states that `evolve` yields;
+they never step the solver themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .grid import build_grid, exact_shape
-from .harmonics import SpectralField, _field, _synth_values, synthesize_gradients, top_degree
-from .operators import _jacobian_coeffs, advection_tendency
+from .grid import GridSpec, build_grid, exact_shape
+from .harmonics import SpectralField, _field, _order_rows, top_degree
+from .operators import advection_tendency
+
+# The largest top degree of a prescribed stream.  A degree-d stream's
+# stencil has up to (2d + 1)(2d - 1) planes of (L+1)^2 coefficients (4 GB
+# at d = L = 90), so the stencil is the fast form only for small d; the
+# rearrangement stream has degree 3.
+MAX_STREAM_DEGREE = 3
 
 
 @dataclass(frozen=True)
@@ -25,8 +36,9 @@ class SolverConfig:
     """Fixed-step RK4 configuration.
 
     stream = None selects the coupled Euler mode; a SpectralField selects
-    prescribed-stream transport by that fixed chi.  `evolve` yields the
-    state every diag_every steps.
+    prescribed-stream transport by that fixed chi, which must have
+    truncation L and top degree <= MAX_STREAM_DEGREE, or ValueError is
+    raised.  `evolve` yields the state every diag_every steps.
     """
 
     L: int
@@ -38,6 +50,12 @@ class SolverConfig:
 
     def __post_init__(self):
         check_schedule(self.dt, self.t_end, self.diag_every)
+        if self.stream is not None:
+            if self.stream.L != self.L:
+                raise ValueError(f"stream truncation {self.stream.L} != config L {self.L}")
+            d = top_degree(self.stream)
+            if d > MAX_STREAM_DEGREE:
+                raise ValueError(f"stream of degree {d} exceeds MAX_STREAM_DEGREE = {MAX_STREAM_DEGREE}")
 
 
 def check_schedule(dt: float, t_end: float, diag_every: int) -> None:
@@ -53,35 +71,61 @@ def check_schedule(dt: float, t_end: float, diag_every: int) -> None:
 
 
 class Stepper:
-    """RK4 stepper with per-grid tables prepared once.
+    """RK4 stepper with its grid, or its stencil, prepared once.
 
-    Its grid is `exact_shape(2L + d)`, d the top degree of the field that
-    transports zeta: L in coupled mode, where this is the default grid,
-    and the stream's top degree in prescribed mode.  J(chi, zeta) has
-    degree at most L + d - 1 (the Jacobian's selection rule), so its
-    analysis against degree-L harmonics integrates degree <= 2L + d - 1
-    exactly.  The degree-3 rearrangement stream at L=90 steps on 92 x 192
-    nodes instead of the default 136 x 288.
+    Coupled mode steps on the default grid, `exact_shape(3L)`, through
+    `advection_tendency`'s transforms.  Prescribed mode never transforms:
+    its tendency zeta -> P_L[(chi_theta zeta_phi - chi_phi zeta_theta) /
+    cos(theta)] is linear in zeta with a fixed coefficient, so it is
+    built once as a spectral stencil, `planes` (`_transport_planes`), and
+    applied as a sum of each plane times a shifted view of a zero-padded
+    copy of zeta's coefficients, which the stepper keeps.  The copy holds
+    conj(c_j^m) in the rows of the negative orders -m (c_j^{-m} Y_j^{-m}
+    = conj(c_j^m) N_j^m P_j^m e^{-i m phi}), so the rows m' below the
+    stream's largest order are conjugate-linear.  As in
+    `operators._jacobian_coeffs`, c_0^0 and the imaginary parts of order
+    0 are then set to zero.
 
-    In prescribed mode the stream's gradient grids are precomputed, so a
-    step costs only the zeta-side transforms, on `advection_tendency`'s
-    array path; zeta's gradient grids are read in the grid's work region,
-    and the stream's are the stepper's own copy.
+    The stencil's quadrature grid, `spec`, is `exact_shape(2L + d)`, d
+    the stream's top degree: J(chi, zeta) has degree at most L + d - 1
+    (the Jacobian's selection rule), so its products with degree-L
+    harmonics have degree <= 2L + d - 1 and are integrated exactly.  The
+    degree-3 rearrangement stream at L=90 is built on 92 x 192 nodes,
+    where its 6 planes take 0.8 MB.  The sums are elementwise, with no
+    BLAS call, so the planes, and every prescribed step, do not depend
+    on the BLAS thread count.
     """
 
     def __init__(self, cfg: SolverConfig):
         self.cfg = cfg
-        d = cfg.L if cfg.stream is None else top_degree(cfg.stream)
-        self.spec = build_grid(cfg.L, *exact_shape(2 * cfg.L + d))
-        self._psi_grids = None
-        if cfg.stream is not None:
-            self._psi_grids = synthesize_gradients((cfg.stream,), self.spec)[:, 0]
+        L = cfg.L
+        d = L if cfg.stream is None else top_degree(cfg.stream)
+        self.spec = build_grid(L, *exact_shape(2 * L + d))
+        self.planes = {}
+        if cfg.stream is None:
+            return
+        self.planes = _transport_planes(cfg.stream, self.spec)
+        # orders -pm..L+pm and degrees -pd..L+pd of zeta, zero outside 0 <= m <= j <= L
+        pm = max((abs(mu) for mu, _ in self.planes), default=0)
+        pd = max((abs(delta) for _, delta in self.planes), default=0)
+        padded = np.zeros((L + 1 + 2 * pm, L + 1 + 2 * pd), dtype=complex)
+        self._coeffs = padded[pm : pm + L + 1, pd : pd + L + 1]
+        self._mirror = padded[:pm, pd : pd + L + 1]  # orders -1..-pm, bottom up
+        self._terms = [(plane, padded[pm - mu : pm - mu + L + 1, pd - delta : pd - delta + L + 1])
+                       for (mu, delta), plane in self.planes.items()]
 
     def tendency(self, zeta: SpectralField) -> SpectralField:
-        if self._psi_grids is None:
+        if self.cfg.stream is None:
             return advection_tendency(zeta, self.cfg.omega, self.spec)
-        dzeta = _synth_values((zeta.coeffs,), self.spec, ("dphi", "dtheta"))[:, 0]
-        return _field(zeta.L, _jacobian_coeffs(self._psi_grids, dzeta, self.spec, zeta.L))
+        C = zeta.coeffs
+        self._coeffs[...] = C
+        np.conjugate(C[len(self._mirror) : 0 : -1], out=self._mirror)
+        T = np.zeros_like(C)
+        for plane, source in self._terms:
+            T += plane * source
+        T[0, 0] = 0.0
+        T.imag[0] = 0.0
+        return _field(zeta.L, T)
 
     def step(self, zeta: SpectralField, step_index: int = 0) -> SpectralField:
         dt = self.cfg.dt
@@ -94,6 +138,73 @@ class Stepper:
             raise FloatingPointError(f"non-finite tendency at step {step_index}")
         C[0, 0] = 0.0
         return _field(zeta.L, C)
+
+
+def _transport_planes(chi: SpectralField, spec: GridSpec) -> dict[tuple[int, int], np.ndarray]:
+    """The stencil of transport by chi: planes[mu, delta][m', j'] weighs zeta's c_{j'-delta}^{m'-mu}.
+
+    Output (m', j') of P_L[(chi_theta zeta_phi - chi_phi zeta_theta) /
+    cos(theta)] depends only on zeta's orders m = m' - mu, mu an order
+    of chi or its negative, and degrees j = j' - delta, |delta| <= d - 1
+    and delta = d + 1 (mod 2) for a degree d of chi's order |mu| (the
+    Jacobian's selection rule); a negative m reads conj(c_j^{|m|}).
+    With chi_theta = sum_mu a_mu e^{i mu phi} and chi_phi = sum_mu b_mu
+    e^{i mu phi}, the block from order m to order m' = m + mu is
+
+        E[j', j] = 2 pi sum_k (w_k / cos theta_k) N P_{j'}^{m'}(mu_k)
+                   (i m a_mu(k) N P_j^{|m|}(mu_k) - b_mu(k) d_theta N P_j^{|m|}(mu_k)),
+
+    a Gauss quadrature on spec's nodes, exact on `exact_shape(2L + d)`.
+    Only the band's entries are computed, from the Legendre rows of the
+    grid's folded table one order at a time (`_order_rows`), and summed
+    over k by `np.einsum`, which makes no BLAS call.  A plane is
+    (L+1, L+1) complex and read-only.
+    """
+    L, C, top = spec.L, chi.coeffs, top_degree(chi)
+    # output order m' reads the orders m' - top..m' + top
+    rows = lru_cache(maxsize=2 * top + 1)(partial(_order_rows, spec))
+    # (mu, its deltas, and a_mu and b_mu) for each order of chi and its negative
+    profiles = []
+    for q in range(top + 1):
+        degrees = np.flatnonzero(C[q, 1 : top + 1]) + 1
+        if not degrees.size:
+            continue
+        deltas = sorted({delta for d in degrees for delta in range(1 - d, d, 2)})
+        values, dtheta = rows(q)
+        c = C[q, : top + 1, None]
+        a = (c * dtheta[: top + 1]).sum(axis=0)
+        b = 1j * q * (c * values[: top + 1]).sum(axis=0)
+        profiles.append((q, deltas, a, b))
+        if q:
+            profiles.append((-q, deltas, a.conj(), b.conj()))
+    planes = {(mu, delta): np.zeros((L + 1, L + 1), dtype=complex)
+              for mu, deltas, _, _ in profiles for delta in deltas}
+    weights = 2.0 * np.pi * spec.weights * spec.sec_theta
+    # source[p, j]: the real (p = 0) and imaginary (p = 1) parts of
+    # i m a_mu N P_j^{|m|} - b_mu d_theta N P_j^{|m|}, from j = first on
+    source, term = np.empty((2, L + 1, spec.n_lat)), np.empty((L + 1, spec.n_lat))
+    for m_out in range(L + 1 if planes else 0):
+        # rows j' >= m_out of the output order, and j >= first of the source
+        out = weights * rows(m_out)[0][m_out:]
+        for mu, deltas, a, b in profiles:
+            m = m_out - mu
+            if m > L:
+                continue
+            first = max(abs(m), m_out - deltas[-1])
+            values, dtheta = (r[first:] for r in rows(abs(m)))
+            part, t = source[:, : L + 1 - first], term[: L + 1 - first]
+            for p, (a_p, b_p) in enumerate(((-m * a.imag, b.real), (m * a.real, b.imag))):
+                np.multiply(values, a_p, out=part[p])
+                np.multiply(dtheta, b_p, out=t)
+                np.subtract(part[p], t, out=part[p])
+            for delta in deltas:
+                lo, hi = max(m_out, abs(m) + delta), min(L, L + delta) + 1
+                sums = np.einsum("jk,pjk->pj", out[lo - m_out : hi - m_out],
+                                 part[:, lo - delta - first : hi - delta - first])
+                planes[mu, delta][m_out, lo:hi] = sums[0] + 1j * sums[1]
+    for plane in planes.values():
+        plane.setflags(write=False)
+    return planes
 
 
 def evolve(zeta0: SpectralField, cfg: SolverConfig):

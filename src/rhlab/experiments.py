@@ -255,7 +255,9 @@ def exp_orbit_traversal(cfg: ExperimentConfig, dip_time_slack: float = 0.05) -> 
 
 
 def default_rearrange_stream(L: int) -> SpectralField:
-    """Unit-norm real part of the degree-3, order-1 harmonic."""
+    """Unit-norm real part of the degree-3, order-1 harmonic; L < 3 raises ValueError."""
+    if L < 3:
+        raise ValueError(f"the rearrangement stream has degree 3, so it needs L >= 3, got L={L}")
     return from_coeff_dict(L, {(3, 1): 1.0 / np.sqrt(2.0)})
 
 

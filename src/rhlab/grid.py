@@ -113,7 +113,8 @@ def build_grid(L: int, n_lat: int | None = None, n_lon: int | None = None) -> Gr
     most two grids, since at L=170 the default grid's table takes
     15.3 MB and its work regions 8.4 MB: a run's stepping grid, which
     its `Stepper` holds for the whole run (the default grid in coupled
-    mode, `exact_shape(2L + deg chi)` for a prescribed stream chi), and
+    mode; for a prescribed stream chi, the stencil's quadrature grid
+    `exact_shape(2L + deg chi)`, with its table and no work regions), and
     its measurement grid, the moment grid of `moments_numeric`, which
     builds no table.  p = 2 distances, polar and SO(3), use no grid;
     p != 2 adds a 4(L+1) x 4(L+1) one.

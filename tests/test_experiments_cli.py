@@ -461,6 +461,8 @@ class TestConfigErrors:
          "output_path '' is not a file in an existing directory"),
         ("rearrange", "rearrangement.cfg", [f"output_path={SHIPPED}"],
          f"output_path '{SHIPPED}' is not a file in an existing directory"),
+        ("rearrange", "rearrangement.cfg", ["L=2"],
+         "the rearrangement stream has degree 3, so it needs L >= 3, got L=2"),
     ])
     def test_out_of_range_value_is_one_line_and_exit_code_two(
             self, command, config, overrides, message):
