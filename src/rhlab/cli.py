@@ -177,7 +177,8 @@ def main(argv=None) -> int:
             check_p(args.p)
             if f.L != target.L:
                 raise ValueError(f"--f has L = {f.L} but --target has L = {target.L}")
-            if args.p != 2.0 and not 2 <= f.L <= MAX_L:
+            # load_spectral has rejected L > MAX_L
+            if args.p != 2.0 and f.L < 2:
                 raise ValueError(f"p = {args.p:g} integrates on a grid, which needs "
                                  f"2 <= L <= {MAX_L}; the fields have L = {f.L}")
         except (OSError, ValueError) as err:

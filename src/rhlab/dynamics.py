@@ -101,6 +101,7 @@ class Stepper:
         L = cfg.L
         d = L if cfg.stream is None else top_degree(cfg.stream)
         self.spec = build_grid(L, *exact_shape(2 * L + d))
+        self._stage = np.empty((L + 1, L + 1), dtype=complex)
         self.planes = {}
         if cfg.stream is None:
             return
@@ -111,6 +112,7 @@ class Stepper:
         padded = np.zeros((L + 1 + 2 * pm, L + 1 + 2 * pd), dtype=complex)
         self._coeffs = padded[pm : pm + L + 1, pd : pd + L + 1]
         self._mirror = padded[:pm, pd : pd + L + 1]  # orders -1..-pm, bottom up
+        self._product = np.empty((L + 1, L + 1), dtype=complex)
         self._terms = [(plane, padded[pm - mu : pm - mu + L + 1, pd - delta : pd - delta + L + 1])
                        for (mu, delta), plane in self.planes.items()]
 
@@ -122,18 +124,35 @@ class Stepper:
         np.conjugate(C[len(self._mirror) : 0 : -1], out=self._mirror)
         T = np.zeros_like(C)
         for plane, source in self._terms:
-            T += plane * source
+            np.multiply(plane, source, out=self._product)
+            T += self._product
         T[0, 0] = 0.0
         T.imag[0] = 0.0
         return _field(zeta.L, T)
 
+    def _stage_state(self, C: np.ndarray, h: float, k: np.ndarray) -> SpectralField:
+        """The RK4 stage state C + h k, formed in the kept array `_stage`."""
+        np.multiply(k, h, out=self._stage)
+        np.add(C, self._stage, out=self._stage)
+        return _field(self.cfg.L, self._stage)
+
     def step(self, zeta: SpectralField, step_index: int = 0) -> SpectralField:
-        dt = self.cfg.dt
+        """One RK4 step.  Only the returned state is a fresh array: the
+        stage states and the weighted sum of the tendencies are formed in
+        `_stage`, and the tendencies, fresh on every call, are reused."""
+        dt, C, stage = self.cfg.dt, zeta.coeffs, self._stage
         k1 = self.tendency(zeta).coeffs
-        k2 = self.tendency(_field(zeta.L, zeta.coeffs + 0.5 * dt * k1)).coeffs
-        k3 = self.tendency(_field(zeta.L, zeta.coeffs + 0.5 * dt * k2)).coeffs
-        k4 = self.tendency(_field(zeta.L, zeta.coeffs + dt * k3)).coeffs
-        C = zeta.coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = self.tendency(self._stage_state(C, 0.5 * dt, k1)).coeffs
+        k3 = self.tendency(self._stage_state(C, 0.5 * dt, k2)).coeffs
+        k4 = self.tendency(self._stage_state(C, dt, k3)).coeffs
+        # (dt / 6) (k1 + 2 k2 + 2 k3 + k4), in the same order of operations
+        np.multiply(k2, 2.0, out=stage)
+        np.add(k1, stage, out=stage)
+        np.multiply(k3, 2.0, out=k3)
+        np.add(stage, k3, out=stage)
+        np.add(stage, k4, out=stage)
+        np.multiply(stage, dt / 6.0, out=stage)
+        C = C + stage
         if not np.isfinite(C).all():
             raise FloatingPointError(f"non-finite tendency at step {step_index}")
         C[0, 0] = 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, build_grid, check_shape
+from .grid import MAX_L, GridSpec, build_grid, check_shape
 
 SQRT4PI = float(np.sqrt(4.0 * np.pi))
 
@@ -848,7 +848,8 @@ def save_spectral(c: SpectralField, path) -> None:
 def load_spectral(path) -> SpectralField:
     """Read the `save_spectral` text format, rejecting malformed lines.
 
-    Each coefficient line must hold four fields 'j m re im' with
+    A header L above grid.MAX_L raises ValueError before anything is
+    allocated.  Each coefficient line must hold four fields 'j m re im' with
     0 <= m <= j <= L, finite values, and no (j, m) given twice, and the
     m = 0 imaginary parts must pass `SpectralField`'s check, judged once
     every line is read; a violation raises ValueError naming the line.
@@ -859,6 +860,8 @@ def load_spectral(path) -> SpectralField:
         if len(header) != 2 or header[0] != "L" or not header[1].isdigit():
             raise ValueError(f"bad spectral file header: {header}, expected 'L <int>'")
         L = int(header[1])
+        if L > MAX_L:
+            raise ValueError(f"spectral file header L = {L} exceeds the largest supported L = {MAX_L}")
         C = np.zeros((L + 1, L + 1), dtype=complex)
         seen = set()
         m0_imag = (0.0, "")  # the largest m = 0 imaginary part, and where

@@ -2,34 +2,25 @@
 
 dist_polar_orbit minimizes over rotations about the polar axis (optionally
 composed with the longitude reflection); dist_so3_orbit minimizes over all
-of SO(3).  The polar orbit is the subgroup of SO(3) generated by J_z, so
-both run one search, `_orbit_search`, with the group given as data: a
-sampler of the correlation <f, D(R) t> and the local rotation axes that
-Newton may move along (z alone, or all three).  The correlation is a
-trigonometric polynomial in the rotation angles; one inverse FFT samples
-it on a uniform grid of 4(J+1) angles per axis, J the top degree of the
-target (`_polar_samples` at zero tilt, `_correlation_samples` over the
-three Euler angles, with the Wigner matrices of `rotations`).
-`_periodic_local_maxima` selects its sampled peaks and `_newton_polish`
-polishes them along the axes, so the result is the global optimum up to
-the sampling resolution.  The polynomial only locates the optimum: its
-expanded form cancels catastrophically near the orbit, so the returned
-distance is measured at the optimal orbit member, and is therefore also
-a certified upper bound.  At p = 2 that measurement is Parseval's
-norm_l2 of the difference (lp_distance), so it needs no quadrature grid.
-For p != 2, Nelder-Mead over the axes' local coordinates refines
-lp_distance, integrated on a grid, from every polished rotation and from
-the sampled minima of lp_distance on the circle about each axis through
-the best one.
+of SO(3).  Both run `_orbit_search` from start rotations that carry their
+correlation <f, D(R) t>.  The correlation only locates the optimum: its
+expanded form cancels catastrophically near the orbit, so the distance is
+measured at the optimal orbit member, and is therefore also a certified
+upper bound; at p = 2 by Parseval (lp_distance), with no grid.  For
+p != 2, Nelder-Mead refines lp_distance, integrated on a grid.
 
-One case needs no search: the p = 2 SO(3) distance to a target that is
-exactly zero outside degrees 0 and 2, as the alpha = 0 RH wave of the
-SO(3) stability experiment is.  A degree-2 field is a quadratic form
-x^T M x, and the correlation is then a trace tr(A R B R^T) whose maximum
-over rotations von Neumann's trace inequality gives exactly (Mirsky,
-Monatsh. Math. 79 (1975)): `_so3_degree2_optimum` reads it off two 3x3
-eigendecompositions, and the distance is measured at that member as
-above.
+The polar correlation is a trigonometric polynomial in one angle whose
+critical points are the angles of the roots of one polynomial of degree
+2M, M the largest order that f and the target share (`_polar_starts`).
+So the p = 2 polar distance is exact, with no sampling: for the alpha !=
+0 RH wave of criterion 8a, whose target has orders <= 2, from a quartic.
+The SO(3) correlation is sampled with one inverse FFT on 4(J+1) Euler
+angles per axis, J the top degree of the target, and its peaks are
+Newton-polished (`_so3_starts`), so that search is global up to the
+sampling resolution.  At p = 2 a target zero outside degrees 0 and 2, as
+the alpha = 0 RH wave is, needs no search: `_so3_degree2_optimum` takes
+the optimum exactly from two 3x3 eigendecompositions (von Neumann's trace
+inequality; Mirsky, Monatsh. Math. 79 (1975)).
 """
 
 from __future__ import annotations
@@ -38,18 +29,10 @@ import numpy as np
 
 from .grid import build_grid, integrate
 from .harmonics import SpectralField, _field, e2_part, norm_l2, synthesize, top_degree
-from .rotations import (
-    angular_momentum,
-    degree_vector,
-    euler_to_matrix,
-    jy_eigvecs,
-    matrix_to_euler,
-    reflect_longitude,
-    rotate_wigner,
-    wigner_D,
-)
+from .rotations import (angular_momentum, degree_vector, euler_to_matrix, jy_eigvecs, matrix_to_euler,
+                        reflect_longitude, rotate_polar, rotate_wigner, wigner_D)
 
-POLISH = 8            # sampled correlation maxima polished by Newton
+POLISH = 8            # correlation maxima refined: Newton-polished, or starting p != 2
 NEWTON_MAXITER = 30
 TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
 LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement, per start
@@ -96,18 +79,35 @@ def _rotation_exp(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + (np.sin(t) / t) * K + ((1.0 - np.cos(t)) / t ** 2) * (K @ K)
 
 
-def _polar_samples(fv, tv, n: int) -> np.ndarray:
-    """c(alpha) = <f, D(alpha, 0, 0) t> on n angles, shaped (n, 1, 1).
+def _polar_angle(R: np.ndarray) -> float:
+    """The beta in [0, 2 pi) of a z-rotation R: D(R) t = rotate_polar(t, beta)."""
+    return float(np.arctan2(-R[1, 0], R[0, 0]) % (2.0 * np.pi))
 
-    This is the SO(3) correlation at beta = gamma = 0: D(alpha, 0, 0)
-    multiplies t_j^m by e^{-i m alpha}, so c(alpha) = Re[s_0 + 2 sum_{m>=1}
-    s_m e^{i m alpha}] with s_m = sum_j f_j^m conj(t_j^m), and one irfft
-    samples it at the angles 2 pi (0..n-1)/n.
+
+def _polar_starts(f: SpectralField, target: SpectralField) -> list[tuple[float, np.ndarray]]:
+    """(c, R) at every critical point of c(beta) = <f, rotate_polar(target, beta)>.
+
+    c(beta) = Re[s_0 + 2 sum_{m>=1} s_m e^{-i m beta}], s_m = sum_j f_j^m
+    conj(t_j^m).  With z = e^{i beta}, c'(beta) z^M = sum_{m=1}^M i m
+    (conj(s_m) z^{M+m} - s_m z^{M-m}); the angles of its 2M roots contain
+    every critical point (a root off the unit circle only adds a
+    candidate).  M is the largest m with m |s_m| above eps times the
+    largest: a smaller end coefficient, zero or not, would swamp np.roots'
+    companion matrix.  A constant c starts at beta = 0.
     """
-    s = np.zeros(n // 2 + 1, dtype=complex)
-    for j, (f_j, t_j) in enumerate(zip(fv, tv)):
-        s[: j + 1] += f_j[j:] * t_j[j:].conj()
-    return (n * np.fft.irfft(s, n)).reshape(n, 1, 1)
+    s = (f.coeffs * target.coeffs.conj()).sum(axis=1)
+    weight = np.arange(1, len(s)) * np.abs(s[1:])
+    orders = np.flatnonzero(weight > np.finfo(float).eps * weight.max(initial=0.0)) + 1
+    if not orders.size:
+        return [(float(s[0].real), np.eye(3))]
+    M = orders[-1]
+    m = np.arange(1, M + 1)
+    poly = np.zeros(2 * M + 1, dtype=complex)  # highest power first
+    poly[M - m] = 1j * m * s[m].conj()
+    poly[M + m] = -1j * m * s[m]
+    beta = np.angle(np.roots(poly))
+    c = s[0].real + 2.0 * (np.exp(-1j * np.outer(beta, m)) * s[m]).sum(axis=1).real
+    return [(float(c_k), euler_to_matrix((-b, 0.0, 0.0))) for c_k, b in zip(c, beta)]
 
 
 def _correlation_samples(fv, tv, n: int) -> np.ndarray:
@@ -148,27 +148,22 @@ def _correlation_derivatives(fv, tv, R: np.ndarray):
     return c, g, 0.5 * (H + H.T)
 
 
-def _newton_polish(fv, tv, R: np.ndarray, axes: np.ndarray):
+def _newton_polish(fv, tv, R: np.ndarray):
     """Maximize c(R) = <f, D(R) t> by Newton steps R <- exp([w]x) R.
 
-    w = axes.T @ x moves along the orthonormal rows of `axes` only: the z
-    axis for the polar orbit, all three axes for SO(3).  The gradient and
-    Hessian are projected onto them, so the polar polish is Newton on the
-    one angle.  The local coordinates are smooth at every R, so the polish
-    does not stall at the Euler gimbal lock (beta = 0, pi) as Newton in
-    Euler angles does.  Directions without negative curvature take no
-    step, and a step is at most 0.5 rad.  Returns (c, R) after the last
-    step, or the start if the steps lost correlation.
+    The local coordinates w are smooth at every R, so the polish does not
+    stall at the Euler gimbal lock (beta = 0, pi).  Directions without
+    negative curvature take no step, and a step is at most 0.5 rad.
+    Returns (c, R) after the last step, or the start if c dropped.
     """
     c0 = None
     for _ in range(NEWTON_MAXITER):
         c, g, H = _correlation_derivatives(fv, tv, R)
-        g, H = axes @ g, axes @ H @ axes.T
         if c0 is None:
             c0, R0 = c, R
         lam, Q = np.linalg.eigh(H)
         concave = lam < -1e-12 * np.abs(lam).max()
-        w = -axes.T @ (Q[:, concave] @ ((Q[:, concave].T @ g) / lam[concave]))
+        w = -Q[:, concave] @ ((Q[:, concave].T @ g) / lam[concave])
         step = float(np.linalg.norm(w))
         R = _rotation_exp(w * min(1.0, 0.5 / step)) @ R if step > 0.0 else R
         if step < 1e-10:  # Newton converges quadratically: R is done
@@ -176,37 +171,39 @@ def _newton_polish(fv, tv, R: np.ndarray, axes: np.ndarray):
     return (c, R) if c >= c0 - 1e-12 * abs(c0) else (c0, R0)
 
 
-def _orbit_search(f: SpectralField, target: SpectralField, p: float, sampler, axes: np.ndarray):
-    """min over R of lp_distance(f, D(R) target, p) on the group that `sampler`
-    and `axes` describe; returns (d, R).
-
-    sampler(fv, tv, n) gives the correlation <f, D(R) t> at the Euler
-    angles 2 pi (a, b, g)/n of its sample indices, with n = 4(J+1) and J
-    the top degree of target.  The best POLISH periodic local maxima are
-    Newton-polished along `axes`.  At p = 2 the distance is measured, by
-    Parseval, at each polished R* that ties for the largest correlation.
-    For p != 2, Nelder-Mead over the axes' local coordinates starts from
-    every distinct polished R and from the sampled minima of lp_distance
-    on the n-point circle about each axis through the best one; each
-    lp_distance integrates on the one 4(L+1) x 4(L+1) grid.
-    """
-    if f.L != target.L:
-        raise ValueError("fields must share a truncation degree")
+def _so3_starts(f: SpectralField, target: SpectralField) -> list[tuple[float, np.ndarray]]:
+    """(c, R) at the best POLISH maxima of <f, D(R) t>, sampled by `_correlation_samples`
+    at the Euler angles 2 pi (a, b, g)/n, n = 4(J+1), and Newton-polished."""
     J = top_degree(target)
     fv = [degree_vector(f, j) for j in range(J + 1)]
     tv = [degree_vector(target, j) for j in range(J + 1)]
     n = 4 * (J + 1)
-    samples = sampler(fv, tv, n)
+    samples = _correlation_samples(fv, tv, n)
     seeds = _periodic_local_maxima(samples)[:POLISH]
-    polished = sorted((_newton_polish(fv, tv, euler_to_matrix(2.0 * np.pi * np.array(abg) / n), axes)
-                       for abg in zip(*np.unravel_index(seeds, samples.shape))),
-                      key=lambda cR: -cR[0])
+    return [_newton_polish(fv, tv, euler_to_matrix(2.0 * np.pi * np.array(abg) / n))
+            for abg in zip(*np.unravel_index(seeds, samples.shape))]
+
+
+def _orbit_search(f: SpectralField, target: SpectralField, p: float, starts, axes: np.ndarray):
+    """min over R of lp_distance(f, D(R) target, p) from `starts`, (c, R) pairs
+    with c = <f, D(R) t>; returns (d, R).
+
+    axes is the z axis alone for the polar group, whose members are
+    rotate_polar's exact phases, or all three for SO(3) (rotate_wigner).
+    At p = 2 the distance is measured at each distinct R that ties for the
+    largest c.  For p != 2, Nelder-Mead over the axes' local coordinates
+    starts from the POLISH distinct R of largest c and from the sampled
+    minima of lp_distance on the 4(J+1)-point circle about each axis
+    through the best one, J the top degree of target.
+    """
     distinct: list[tuple[float, np.ndarray]] = []
-    for c, R in polished:
+    for c, R in sorted(starts, key=lambda cR: -cR[0]):
         if all(np.abs(R - other).max() > 1e-8 for _, other in distinct):
             distinct.append((c, R))
 
     def dist(R):
+        if len(axes) == 1:
+            return lp_distance(f, rotate_polar(target, _polar_angle(R)), p)
         return lp_distance(f, rotate_wigner(target, matrix_to_euler(R)), p)
 
     if p == 2.0:
@@ -218,11 +215,12 @@ def _orbit_search(f: SpectralField, target: SpectralField, p: float, sampler, ax
     from scipy import optimize
 
     # An L^p minimum can sit on a shoulder of the L^2 distance, in no
-    # polished basin.  So lp_distance is also sampled at n angles on the
+    # correlation basin.  So lp_distance is also sampled at n angles on the
     # circle about each axis through the best candidate (for the polar
     # orbit that circle is the whole group), and its sampled minima start
     # Nelder-Mead as well.
-    starts = [R for _, R in distinct]
+    n = 4 * (top_degree(target) + 1)
+    starts = [R for _, R in distinct[:POLISH]]
     for a in axes:
         circle = [_rotation_exp(2.0 * np.pi * k / n * a) @ distinct[0][1] for k in range(n)]
         on_circle = np.array([dist(R) for R in circle])
@@ -240,20 +238,22 @@ def dist_polar_orbit(f: SpectralField, target: SpectralField, p: float = 2.0,
     """Distance from f to the polar-rotation orbit of target.
 
     Returns (distance, beta_star), the orbit member being
-    rotate_polar(target, beta_star).  The search is `_orbit_search` on
-    the rotations exp(-beta [e_z]x) about the z axis: the correlation is
-    sampled by `_polar_samples` and polished along z alone.  With
-    include_reflection the orbit also contains reflect_longitude
-    compositions, and beta_star refers to the winning family.
+    rotate_polar(target, beta_star).  `_orbit_search` starts along z from
+    the exact critical points of the correlation (`_polar_starts`), so the
+    p = 2 distance is exact.  With include_reflection the orbit also
+    contains reflect_longitude compositions, and beta_star refers to the
+    winning family.
     """
+    if f.L != target.L:
+        raise ValueError("fields must share a truncation degree")
     z = np.eye(3)[2:]
-    d, R = _orbit_search(f, target, p, _polar_samples, z)
+    d, R = _orbit_search(f, target, p, _polar_starts(f, target), z)
     if include_reflection:
-        dr, Rr = _orbit_search(f, reflect_longitude(target), p, _polar_samples, z)
+        mirrored = reflect_longitude(target)
+        dr, Rr = _orbit_search(f, mirrored, p, _polar_starts(f, mirrored), z)
         if dr < d:
             d, R = dr, Rr
-    # D(Rz(a)) t = rotate_polar(t, -a)
-    return d, float(np.arctan2(-R[1, 0], R[0, 0]) % (2.0 * np.pi))
+    return d, _polar_angle(R)
 
 
 def _degrees_0_and_2(target: SpectralField) -> bool:
@@ -288,13 +288,12 @@ def dist_so3_orbit(f: SpectralField, target: SpectralField, p: float = 2.0):
     stability experiment), the optimal rotation is exact and closed-form:
     `_so3_degree2_optimum` aligns the eigenframes of the two degree-2
     quadratic forms.  Every other case runs `_orbit_search` on all of
-    SO(3): the correlation is sampled by `_correlation_samples` on a
-    4(J+1)-per-axis Euler grid and polished along all three axes.
+    SO(3) from `_so3_starts`.
     """
     if f.L != target.L:
         raise ValueError("fields must share a truncation degree")
     if p == 2.0 and _degrees_0_and_2(target):
         euler = matrix_to_euler(_so3_degree2_optimum(f, target))
         return lp_distance(f, rotate_wigner(target, euler), p), euler
-    d, R = _orbit_search(f, target, p, _correlation_samples, np.eye(3))
+    d, R = _orbit_search(f, target, p, _so3_starts(f, target), np.eye(3))
     return d, matrix_to_euler(R)

@@ -358,3 +358,166 @@ class TestStencil:
             assert plane[0].any()
             if mu == -1:
                 assert not plane[L].any()
+
+
+# The prescribed tendency in closed form, an oracle that shares nothing
+# with the quadrature build: no Gauss node, no Legendre table.  The
+# tendency is i sum_a (d_a chi~)(L_a zeta), chi~ = sum_d r^d chi_d the
+# solid extension of chi and L_a = -i r^ x grad the angular momentum, that
+# is i[(1/2)(d_x - i d_y)chi~ L_+ zeta + (1/2)(d_x + i d_y)chi~ L_- zeta
+# + d_z chi~ L_z zeta].  Each factor is a banded map of the orthonormal
+# Condon-Shortley harmonics Y_j^m, written as (dm, dj, coefficient(m, j))
+# for Y_j^m -> coefficient Y_{j+dj}^{m+dm}.
+ANGULAR_MOMENTUM = {
+    "z": [(0, 0, lambda m, j: m)],
+    "+": [(1, 0, lambda m, j: np.sqrt((j - m) * (j + m + 1)))],
+    "-": [(-1, 0, lambda m, j: np.sqrt((j + m) * (j - m + 1)))],
+}
+MULTIPLY = {  # by z, x + iy and x - iy
+    "z": [(0, 1, lambda m, j: np.sqrt(((j + 1) ** 2 - m**2) / ((2 * j + 1) * (2 * j + 3)))),
+          (0, -1, lambda m, j: np.sqrt((j**2 - m**2) / ((2 * j - 1) * (2 * j + 1))))],
+    "+": [(1, 1, lambda m, j: -np.sqrt((j + m + 1) * (j + m + 2) / ((2 * j + 1) * (2 * j + 3)))),
+          (1, -1, lambda m, j: np.sqrt((j - m) * (j - m - 1) / ((2 * j - 1) * (2 * j + 1))))],
+    "-": [(-1, 1, lambda m, j: np.sqrt((j - m + 1) * (j - m + 2) / ((2 * j + 1) * (2 * j + 3)))),
+          (-1, -1, lambda m, j: -np.sqrt((j + m) * (j + m - 1) / ((2 * j - 1) * (2 * j + 1))))],
+}
+# Y_j^m of degree <= 2 as polynomials: (coefficient, product of z, x + iy, x - iy) terms
+LOW_HARMONICS = {
+    (0, 0): [(np.sqrt(1 / (4 * np.pi)), "")],
+    (1, 0): [(np.sqrt(3 / (4 * np.pi)), "z")],
+    (1, 1): [(-np.sqrt(3 / (8 * np.pi)), "+")],
+    (1, -1): [(np.sqrt(3 / (8 * np.pi)), "-")],
+    (2, 0): [(3 * np.sqrt(5 / (16 * np.pi)), "zz"), (-np.sqrt(5 / (16 * np.pi)), "")],
+    (2, 1): [(-np.sqrt(15 / (8 * np.pi)), "z+")],
+    (2, -1): [(np.sqrt(15 / (8 * np.pi)), "z-")],
+    (2, 2): [(np.sqrt(15 / (32 * np.pi)), "++")],
+    (2, -2): [(np.sqrt(15 / (32 * np.pi)), "--")],
+}
+# d_z, d_x + i d_y and d_x - i d_y of r^l Y_l^m: (dm, coefficient(m, l)) of
+# r^{l-1} Y_{l-1}^{m+dm}, times sqrt((2l + 1)/(2l - 1))
+SOLID_GRADIENT = {
+    "z": (0, lambda m, l: np.sqrt((l + m) * (l - m))),
+    "+": (1, lambda m, l: np.sqrt((l - m) * (l - m - 1))),
+    "-": (-1, lambda m, l: -np.sqrt((l + m) * (l + m - 1))),
+}
+
+
+def every_order(C):
+    """{(j, m): c_j^m} of a stored field over every order: c_j^{-m} = (-1)^m conj(c_j^m)."""
+    out = {}
+    for m, j in zip(*np.nonzero(C)):
+        out[j, m] = C[m, j]
+        if m:
+            out[j, -m] = (-1) ** m * np.conj(C[m, j])
+    return out
+
+
+def then(op, maps, K):
+    """The banded map op = {(dm, dj): A[m + K, j]}, A weighing source (m, j)
+    into (m + dm, j + dj), followed by the sum of `maps`; |m| <= j <= K."""
+    m0, j0 = np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1), indexing="ij")
+    out = {}
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for (dm, dj), A in op.items():
+            m, j = m0 + dm, j0 + dj
+            for em, ej, coefficient in maps:
+                ok = (np.abs(m) <= j) & (np.abs(m + em) <= j + ej) & (j + ej <= K)
+                key = (dm + em, dj + ej)
+                out[key] = out.get(key, 0.0) + np.where(ok, coefficient(m, j) * A, 0.0)
+    return out
+
+
+def times_field(op, g, K):
+    """op followed by multiplication by the field g = {(j, m): g_j^m} of degree <= 2."""
+    out = {}
+    for (j, m), value in g.items():
+        for coefficient, word in LOW_HARMONICS[j, m]:
+            term = op
+            for letter in word:
+                term = then(term, MULTIPLY[letter], K)
+            for key, A in term.items():
+                out[key] = out.get(key, 0.0) + value * coefficient * A
+    return out
+
+
+def solid_gradient(chi, axis):
+    dm, coefficient = SOLID_GRADIENT[axis]
+    out = {}
+    for (l, m), c in chi.items():
+        if l and abs(m + dm) <= l - 1:
+            v = np.sqrt((2 * l + 1) / (2 * l - 1)) * coefficient(m, l) * c
+            out[l - 1, m + dm] = out.get((l - 1, m + dm), 0.0) + v
+    return out
+
+
+def closed_form_transport(chi, L):
+    """The prescribed tendency as a banded map on every order, composed on degrees <= L + 3."""
+    K = L + 3
+    m, j = np.meshgrid(np.arange(-K, K + 1), np.arange(K + 1), indexing="ij")
+    identity = {(0, 0): (np.abs(m) <= j).astype(complex)}
+    chi = every_order(chi.coeffs)
+    out = {}
+    for angular, gradient, weight in (("+", "-", 0.5j), ("-", "+", 0.5j), ("z", "z", 1j)):
+        term = times_field(then(identity, ANGULAR_MOMENTUM[angular], K),
+                           solid_gradient(chi, gradient), K)
+        for key, A in term.items():
+            out[key] = out.get(key, 0.0) + weight * A
+    return out, K
+
+
+def closed_form_planes(chi, L):
+    """`Stepper.planes` from the closed form: a source of negative order m is read
+    as conj(c_j^{|m|}), so its entries carry (-1)^{|m|}."""
+    op, K = closed_form_transport(chi, L)
+    mo, jo = np.meshgrid(np.arange(L + 1), np.arange(L + 1), indexing="ij")
+    planes = {}
+    for (mu, delta), A in op.items():
+        m, j = mo - mu, jo - delta
+        ok = (mo <= jo) & (np.abs(m) <= j) & (j <= L)
+        entries = A[np.where(ok, m + K, 0), np.where(ok, j, 0)]
+        planes[mu, delta] = np.where(ok, np.where(m < 0, (-1.0) ** np.abs(m), 1.0) * entries, 0.0)
+    return planes
+
+
+def closed_form_tendency(zeta, chi):
+    """The prescribed tendency of zeta, with c_0^0 and the imaginary parts of order 0 set to zero."""
+    L = zeta.L
+    op, K = closed_form_transport(chi, L)
+    source = np.zeros((2 * K + 1, K + 1), dtype=complex)
+    for (j, m), c in every_order(zeta.coeffs).items():
+        source[m + K, j] = c
+    full = np.zeros((2 * K + 1, K + 1), dtype=complex)
+    for (dm, dj), A in op.items():
+        products = A * source  # nonzero only where both ends have |m| <= j <= K
+        full[max(dm, 0) : 2 * K + 1 + min(dm, 0), max(dj, 0) : K + 1 + min(dj, 0)] += \
+            products[max(-dm, 0) : 2 * K + 1 - max(dm, 0), max(-dj, 0) : K + 1 - max(dj, 0)]
+    T = full[K : K + L + 1, : L + 1].copy()
+    T[0, 0] = 0.0
+    T.imag[0] = 0.0
+    return T
+
+
+class TestStencilClosedForm:
+    """The stencil against the closed form of the prescribed tendency."""
+
+    # measured: <= 1.1e-14 of the largest entry (at L=90, 3.0e-13)
+    @pytest.mark.parametrize("L", [5, 12, 21])
+    def test_planes_match_the_closed_form(self, L):
+        rng = np.random.default_rng(L)
+        for name, chi in stencil_streams(L, rng).items():
+            st = Stepper(SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=chi))
+            scale = max(np.abs(plane).max() for plane in st.planes.values())
+            want = {key: plane for key, plane in closed_form_planes(chi, L).items()
+                    if np.abs(plane).max() > 1e-13 * scale}
+            assert sorted(st.planes) == sorted(want), name
+            for key, plane in st.planes.items():
+                assert np.abs(plane - want[key]).max() <= 1e-13 * scale, (name, key)
+
+    # measured: <= 2.3e-13 relative
+    def test_tendency_at_L90_matches_the_closed_form(self):
+        L = 90
+        rng = np.random.default_rng(L)
+        for name, chi in stencil_streams(L, rng).items():
+            st = Stepper(SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=chi))
+            zeta = random_spectral(L, rng)
+            assert relative_gap(st.tendency(zeta).coeffs, closed_form_tendency(zeta, chi)) <= 1e-12, name

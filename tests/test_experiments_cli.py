@@ -519,14 +519,16 @@ class TestConfigErrors:
         ("bad.dat", [], "spectral file line 2 ('1 0 x 0'): fields are not "
                         "'int int float float'"),
         ("f5.dat", [], "--f has L = 5 but --target has L = 4"),
-        # p != 2 integrates on a grid, which L = 1 or 171 cannot have;
-        # the later --target replaces the first
+        # p != 2 integrates on a grid, which L = 1 cannot have; the later
+        # --target replaces the first
         ("f1.dat", ["--target", "{dir}/t1.dat", "--p", "3"],
          "p = 3 integrates on a grid, which needs 2 <= L <= 170; the fields have L = 1"),
         ("f1.dat", ["--target", "{dir}/t1.dat", "--p", "3", "--group", "so3"],
          "p = 3 integrates on a grid, which needs 2 <= L <= 170; the fields have L = 1"),
+        # an L above 170 is rejected from the header, before any allocation
         ("f171.dat", ["--target", "{dir}/f171.dat", "--p", "1.5"],
-         "p = 1.5 integrates on a grid, which needs 2 <= L <= 170; the fields have L = 171"),
+         "spectral file header L = 171 exceeds the largest supported L = 170"),
+        ("huge.dat", [], "spectral file header L = 100000 exceeds the largest supported L = 170"),
     ])
     def test_orbit_dist_input_is_one_line_and_exit_code_two(
             self, tmp_path, f_name, extra, message):
@@ -539,6 +541,7 @@ class TestConfigErrors:
         if f_name == "f171.dat":
             save_spectral(random_spectral(171, rng), tmp_path / f_name)
         (tmp_path / "bad.dat").write_text("L 4\n1 0 x 0\n")
+        (tmp_path / "huge.dat").write_text("L 100000\n1 0 1.0 0.0\n")
         proc = _python("-m", "rhlab.cli", "orbit-dist", "--f", str(tmp_path / f_name),
                        "--target", str(tmp_path / "t.dat"),
                        *(arg.format(dir=tmp_path) for arg in extra))

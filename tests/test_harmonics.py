@@ -807,6 +807,25 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="line 2 .*imaginary part 1e-11"):
             load_spectral(path)
 
+    @pytest.mark.parametrize("L", [171, 100000])
+    def test_header_above_max_l_rejected_before_allocating(self, tmp_path, monkeypatch, L):
+        path = tmp_path / "field.txt"
+        path.write_text(f"L {L}\n0 0 1.0 0.0\n")
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("load_spectral allocated before checking L")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=f"header L = {L} exceeds the largest supported L = 170"):
+            load_spectral(path)
+
+    def test_header_at_max_l_reads(self, tmp_path):
+        path = tmp_path / "field.txt"
+        path.write_text("L 170\n170 3 0.5 0.25\n")
+        f = load_spectral(path)
+        assert f.L == 170
+        assert f.coeffs[3, 170] == 0.5 + 0.25j
+
     @pytest.mark.parametrize("header", ["", "L", "L two", "L -1", "N 3"])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "field.txt"

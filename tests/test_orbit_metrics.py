@@ -12,11 +12,12 @@ from rhlab.harmonics import (
     from_coeff_dict,
     norm_l2,
     synthesize,
+    top_degree,
 )
 from rhlab.operators import sin_theta_field
 from rhlab.orbit_metrics import (
-    _correlation_samples,
     _orbit_search,
+    _so3_starts,
     dist_polar_orbit,
     dist_so3_orbit,
     lp_distance,
@@ -102,39 +103,63 @@ class TestLpDistance:
             lp_distance(random_spectral(4, rng), random_spectral(5, rng), 2.0)
 
 
-def dense_polar_sweep(f, target, p, n=720, zooms=2):
+def dense_polar_sweep(f, target, p, n=720, zooms=2, basins=1, n_zoom=720):
     """Brute-force min of lp_distance(f, rotate_polar(target, b), p): n
-    uniform angles, then `zooms` times n angles across the best sample's
-    two neighbouring intervals, fine enough for a sharp minimum at L = 21."""
+    uniform angles, then, from each of the `basins` best sampled local
+    minima, `zooms` times n_zoom angles across the best sample's two
+    neighbouring intervals.  The defaults are fine enough for a sharp
+    minimum at L = 21; p = 2 rows that must agree to 1e-12 zoom further."""
     betas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    best = np.inf
-    for _ in range(zooms + 1):
-        vals = [lp_distance(f, rotate_polar(target, b), p) for b in betas]
-        k = int(np.argmin(vals))
-        best = min(best, vals[k])
-        h = betas[1] - betas[0]
-        betas = np.linspace(betas[k] - h, betas[k] + h, n)
+    vals = np.array([lp_distance(f, rotate_polar(target, b), p) for b in betas])
+    minima = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
+    best = vals.min()
+    for k in minima[np.argsort(vals[minima])][:basins]:
+        beta, h = betas[k], betas[1] - betas[0]
+        for _ in range(zooms):
+            grid = np.linspace(beta - h, beta + h, n_zoom)
+            vals = [lp_distance(f, rotate_polar(target, b), p) for b in grid]
+            beta, h = grid[int(np.argmin(vals))], grid[1] - grid[0]
+            best = min(best, min(vals))
     return best
 
 
-def polar_root_oracle(f, target):
-    """min over beta of ||f - rotate_polar(target, beta)||, exact at p = 2.
+def sampled_polar_search(f, target):
+    """The p = 2 polar search that the exact roots replaced: min over beta of
+    ||f - rotate_polar(target, beta)||, sampled and Newton-polished.
 
-    rotate_polar multiplies t_j^m by e^{i m beta}, so the correlation is
     c(beta) = Re[s_0 + 2 sum_m s_m e^{-i m beta}], s_m = sum_j f_j^m
-    conj(t_j^m).  Its derivative times z^J, z = e^{i beta}, is the degree-2J
-    polynomial sum_m i m (conj(s_m) z^{J+m} - s_m z^{J-m}), whose roots
-    contain every critical point; the distance is measured at the angle of
-    each root, and at beta = 0 for a polynomial that vanishes.
+    conj(t_j^m), is sampled by one irfft at 4(J+1) angles, J the top degree
+    of target; its 8 best periodic local maxima take Newton steps in beta
+    (only where c'' < 0, each at most 0.5 rad, until one is below 1e-10,
+    and kept only if c did not drop), and the distance is measured at each
+    polished angle whose c is within 1e-10 ||f|| ||target|| of the best.
     """
-    s = (f.coeffs * target.coeffs.conj()).sum(axis=1)
-    J = f.L
-    poly = np.zeros(2 * J + 1, dtype=complex)  # highest power first
-    for m in range(1, J + 1):
-        poly[J - m] += 1j * m * np.conj(s[m])
-        poly[J + m] -= 1j * m * s[m]
-    betas = np.append(np.angle(np.roots(poly)), 0.0) if poly.any() else [0.0]
-    return min(lp_distance(f, rotate_polar(target, b), 2.0) for b in betas)
+    J = top_degree(target)
+    n = 4 * (J + 1)
+    s = (f.coeffs * target.coeffs.conj()).sum(axis=1)[: J + 1]
+    m = np.arange(J + 1)
+    weight = np.where(m > 0, 2.0, 1.0) * s
+
+    def derivatives(beta):
+        e = weight * np.exp(-1j * m * beta)
+        return e.sum().real, (-1j * m * e).sum().real, (-(m**2) * e).sum().real
+
+    samples = n * np.fft.irfft(np.conj(np.pad(s, (0, n // 2 - J))), n)
+    peaks = np.flatnonzero((samples >= np.roll(samples, 1)) & (samples >= np.roll(samples, -1)))
+    polished = []
+    for k in peaks[np.argsort(-samples[peaks], kind="stable")][:8]:
+        beta = beta0 = 2.0 * np.pi * k / n
+        c0 = derivatives(beta0)[0]
+        for _ in range(30):
+            _, g, H = derivatives(beta)
+            step = -g / H if H < 0.0 else 0.0
+            beta += float(np.clip(step, -0.5, 0.5))
+            if abs(step) < 1e-10:
+                break
+        c = derivatives(beta)[0]
+        polished.append((c, beta) if c >= c0 - 1e-12 * abs(c0) else (c0, beta0))
+    top = max(c for c, _ in polished) - 1e-10 * norm_l2(f) * norm_l2(target)
+    return min(lp_distance(f, rotate_polar(target, b), 2.0) for c, b in polished if c >= top)
 
 
 class TestPolarOrbit:
@@ -172,7 +197,7 @@ class TestPolarOrbit:
         assert d >= dense - 1e-3 * max(dense, 1e-6)
 
     @pytest.mark.parametrize("seed", range(60))
-    def test_p2_against_the_root_oracle(self, seed):
+    def test_p2_against_the_oracles(self, seed):
         # L from 2 to 21; every third pair within 1e-3 ||target|| of the orbit
         r = np.random.default_rng(seed)
         L = 2 + seed % 20
@@ -181,10 +206,57 @@ class TestPolarOrbit:
             member = rotate_polar(target, r.uniform(0.0, 2.0 * np.pi))
             f = SpectralField(L, member.coeffs + 1e-3 * norm_l2(target) * f.coeffs / norm_l2(f))
         d, beta = dist_polar_orbit(f, target)
-        oracle = polar_root_oracle(f, target)
-        assert d == pytest.approx(oracle, rel=1e-12, abs=0.0)
-        assert d <= oracle + ROUNDOFF * (norm_l2(f) + norm_l2(target))
-        assert lp_distance(f, rotate_polar(target, beta), 2.0) == pytest.approx(d, rel=1e-12, abs=0.0)
+        roundoff = ROUNDOFF * (norm_l2(f) + norm_l2(target))
+        for oracle in (dense_polar_sweep(f, target, 2.0, zooms=6, basins=3, n_zoom=64),
+                       sampled_polar_search(f, target)):
+            assert d == pytest.approx(oracle, rel=1e-12, abs=0.0)
+            assert d <= oracle + roundoff
+        assert lp_distance(f, rotate_polar(target, beta), 2.0) == d
+
+    @pytest.mark.parametrize("L", [90, 170])
+    def test_p2_at_large_L_against_the_dense_sweep(self, L):
+        # a 1% perturbation on degrees <= 6, as in criterion 8a; at L = 170
+        # the polynomial has degree 340
+        r = np.random.default_rng(L)
+        target = random_spectral(L, r)
+        pert = random_spectral(L, r, max_degree=6)
+        f = SpectralField(L, rotate_polar(target, 0.7).coeffs
+                          + 1e-2 * norm_l2(target) * pert.coeffs / norm_l2(pert))
+        d, beta = dist_polar_orbit(f, target)
+        dense = dense_polar_sweep(f, target, 2.0, zooms=6, n_zoom=64)
+        assert d == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert d <= dense + ROUNDOFF * (norm_l2(f) + norm_l2(target))
+        assert beta == pytest.approx(0.7, abs=1e-3)
+
+    @pytest.mark.parametrize("tiny", [1e-30, 1e-100, 1e-310])
+    def test_p2_with_a_negligible_top_order(self, tiny):
+        # top-order content far below roundoff must not become the leading
+        # coefficient of the polynomial, where it would swamp the roots
+        r = np.random.default_rng(15)
+        L = 15
+        target = random_spectral(L, r, max_degree=L - 2)
+        f = SpectralField(L, rotate_polar(target, 1.0).coeffs + 1e-3 * random_spectral(L, r).coeffs)
+        C = target.coeffs.copy()
+        C[L - 1 :, L] = tiny
+        target = SpectralField(L, C)
+        d, _ = dist_polar_orbit(f, target)
+        assert d == pytest.approx(sampled_polar_search(f, target), rel=1e-12, abs=0.0)
+
+    def test_p2_takes_the_roots_and_samples_nothing(self, rng, monkeypatch):
+        irfft = []
+        inner = np.fft.irfft
+
+        def counting_irfft(*args, **kwargs):
+            irfft.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        derivatives = counting(monkeypatch, "_correlation_derivatives")
+        samples = counting(monkeypatch, "_correlation_samples")
+        f, target = random_spectral(8, rng), random_spectral(8, rng)
+        dist_polar_orbit(f, target)
+        dist_polar_orbit(f, target, include_reflection=True)
+        assert irfft == derivatives == samples == []
 
     def test_rejects_mismatched_truncation(self, rng):
         with pytest.raises(ValueError, match="truncation"):
@@ -299,7 +371,7 @@ class TestSO3DegreeTwoClosedForm:
         samples = counting(monkeypatch, "_correlation_samples")
         d, euler = dist_so3_orbit(f, target)
         assert samples == []
-        searched, _ = _orbit_search(f, target, 2.0, _correlation_samples, np.eye(3))
+        searched, _ = _orbit_search(f, target, 2.0, _so3_starts(f, target), np.eye(3))
         assert d == pytest.approx(searched, rel=1e-12, abs=0.0)
         assert d <= searched + ROUNDOFF * (norm_l2(f) + norm_l2(target))
         assert lp_distance(f, rotate_wigner(target, euler), 2.0) == d
