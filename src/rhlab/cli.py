@@ -4,7 +4,11 @@ Subcommands: rh-verify, stability, traversal, rearrange, invariants,
 classify, orbit-dist.  Experiment subcommands read a flat key=value
 config file (see experiments.parse_config_file) with command-line
 key=value overrides; the exit code is 0 exactly when every in-run
-assertion passed.
+assertion passed and 1 when one failed.  A rejected input (see
+`_build_config`) and a run that blows up, whose state stops being
+finite (`dynamics.Stepper.step` raises FloatingPointError), end the
+process with one line on stderr, such as "rhlab stability: non-finite
+tendency at step 1", and exit code 2; a run that blows up writes no CSV.
 """
 
 from __future__ import annotations
@@ -13,7 +17,10 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from typing import NoReturn
+
+import numpy as np
 
 from .experiments import (
     ExperimentResult,
@@ -73,8 +80,10 @@ def _build_config(args):
     Overrides replace the file's values, a later one an earlier one.  A
     config that cannot be read or parsed, sets a key twice in the file,
     holds an out-of-range value, sets a key that only another subcommand
-    reads, names a stability group that does not apply, sets an L below
-    the rearrangement stream's degree 3 for rearrange, or names an
+    reads, names a stability group that does not apply, sets a
+    max_degree above L for stability (its perturbation has degrees
+    1..max_degree), sets an L below the rearrangement stream's degree 3
+    for rearrange, or names an
     output_path that is empty, a directory or in a missing directory ends
     the process with one line on stderr and exit code 2, before any step
     runs.  The output file is neither created nor truncated here.
@@ -98,6 +107,8 @@ def _build_config(args):
             raise ValueError(f"output_path {out!r} is not a file in an existing directory")
         if args.command == "stability":
             check_stability_group(group, cfg.alpha)
+            if cfg.max_degree > cfg.L:
+                raise ValueError(f"max_degree must be <= L = {cfg.L}, got {cfg.max_degree}")
         if args.command == "rearrange":
             default_rearrange_stream(cfg.L)
         return cfg, group
@@ -106,7 +117,7 @@ def _build_config(args):
 
 
 def _input_error(command: str, err: Exception | str) -> NoReturn:
-    """End the process with one line on stderr and exit code 2."""
+    """End the process with one line on stderr and exit code 2: a rejected input, or a run that blew up."""
     print(f"rhlab {command}: {err}", file=sys.stderr)
     raise SystemExit(2) from None
 
@@ -149,13 +160,17 @@ def main(argv=None) -> int:
 
     if args.command in ("rh-verify", "stability", "traversal", "rearrange"):
         cfg, group = _build_config(args)
-        if args.command == "rh-verify":
-            return _report(exp_rh_exactness(cfg))
-        if args.command == "stability":
-            return _report(exp_stability(cfg, group=group))
-        if args.command == "traversal":
-            return _report(exp_orbit_traversal(cfg))
-        return _report(exp_rearrangement_bound(cfg))
+        run = {"rh-verify": exp_rh_exactness, "traversal": exp_orbit_traversal,
+               "rearrange": exp_rearrangement_bound,
+               "stability": partial(exp_stability, group=group)}[args.command]
+        try:
+            # a blow-up is reported once, by the stepper's finiteness
+            # check, and not also by numpy's warnings on the way to it
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = run(cfg)
+        except FloatingPointError as err:  # the run blew up
+            _input_error(args.command, err)
+        return _report(result)
 
     if args.command in ("invariants", "classify"):
         try:

@@ -208,28 +208,26 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
 
 
 def _order_rows(spec: GridSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """N_j^m P_j^m and its d/dtheta at every node of spec, for degrees j <= spec.L.
+    """N_j^m P_j^m and its d/dtheta at the northern nodes of spec, for degrees j <= spec.L.
 
-    Two (spec.L + 1, n_lat) arrays, zero for j < m, read from the grid's
-    folded table (`grid_tables`) one order at a time through its slot
-    map: the northern nodes directly, the southern ones by parity,
-    P_j^m(-mu) = (-1)^(j-m) P_j^m(mu).  d/dtheta is the recurrence of
-    `_dtheta_weights` divided by cos(theta), so it reads the table's
+    Two (spec.L + 1, ceil(n_lat / 2)) arrays, zero for j < m, at the
+    nodes mu >= 0 in ascending order (the equator first when n_lat is
+    odd), as the grid's folded table (`grid_tables`) holds them: they
+    are its rows for order m, read through its slot map.  The southern
+    nodes follow by parity, P_j^m(-mu) = (-1)^(j-m) P_j^m(mu), and
+    d/dtheta P_j^m has the opposite parity.  d/dtheta is the recurrence
+    of `_dtheta_weights` divided by cos(theta), so it reads the table's
     degree spec.L + 1.  No BLAS call is made.
     """
     table = grid_tables(spec)
-    L, half, eq = spec.L, spec.n_lat // 2, spec.n_lat % 2
-    north = table.reshape(-1, table.shape[-1])[vars(spec)["_work"].slots[m, : L + 2] // 2]
-    values = np.empty((L + 2, spec.n_lat))
-    values[:, half:] = north
-    parity = np.where((np.arange(L + 2) - m) % 2, -1.0, 1.0)[:, None]
-    np.multiply(north[:, eq:][:, ::-1], parity, out=values[:, :half])
+    L = spec.L
+    values = table.reshape(-1, table.shape[-1])[vars(spec)["_work"].slots[m, : L + 2] // 2]
     j = np.arange(L + 2.0)
     eps = np.sqrt(np.maximum(j * j - m * m, 0.0) / np.abs(4.0 * j * j - 1.0))
     j = j[: L + 1, None]
     dtheta = -j * eps[1:, None] * values[1:]
     dtheta[1:] += (j[1:] + 1.0) * eps[1 : L + 1, None] * values[: L]
-    dtheta *= spec.sec_theta
+    dtheta *= spec.sec_theta[spec.n_lat // 2 :]
     return values[: L + 1], dtheta
 
 

@@ -97,10 +97,9 @@ def test_criterion_7_flow_matches_its_characteristics():
     # the characteristics start at the nodes of the degree-L default grid,
     # on which `analyze` gives the characteristic field's degrees <= L
     grid = build_grid(L)
-    mu, w = np.polynomial.legendre.leggauss(grid.n_lat)
     phi = 2.0 * np.pi * np.arange(grid.n_lon) / grid.n_lon
-    theta = np.arcsin(mu)
-    weights = np.outer(w, np.full(grid.n_lon, 2.0 * np.pi / grid.n_lon))
+    theta = np.arcsin(grid.mu_nodes)
+    weights = np.outer(grid.weights, np.full(grid.n_lon, 2.0 * np.pi / grid.n_lon))
     Q = gradient_tensor(default_rearrange_stream(3))
 
     feet = unit_vectors(*np.meshgrid(phi, theta)).reshape(3, -1)

@@ -319,11 +319,9 @@ def stencil_streams(L, rng):
 class TestStencil:
     """Prescribed transport as a spectral stencil, against the transform composition."""
 
-    # At L <= 90 the composition and the stencil agree to <= 3.7e-13
-    # relative.  At L=170 the composition's own dust, its entries outside
-    # the band, reaches 1.6e-12 of the largest, and the gap measured
-    # 1.7e-12 (the c_0^0 != 0 stream).
-    @pytest.mark.parametrize("L, bound", [(12, 1e-12), (21, 1e-12), (90, 1e-12), (170, 4e-12)])
+    # The largest gap measured, relative, over the streams: 1.8e-15 at
+    # L=12, 2.5e-15 at 21, 1.9e-14 at 90 and 3.3e-14 at 170.
+    @pytest.mark.parametrize("L, bound", [(12, 6e-15), (21, 8e-15), (90, 6e-14), (170, 1e-13)])
     def test_matches_the_composition(self, L, bound):
         rng = np.random.default_rng(L)
         for name, chi in stencil_streams(L, rng).items():
@@ -500,7 +498,7 @@ def closed_form_tendency(zeta, chi):
 class TestStencilClosedForm:
     """The stencil against the closed form of the prescribed tendency."""
 
-    # measured: <= 1.1e-14 of the largest entry (at L=90, 3.0e-13)
+    # measured: <= 3.3e-15 of the largest entry (at L=90, 1.5e-14)
     @pytest.mark.parametrize("L", [5, 12, 21])
     def test_planes_match_the_closed_form(self, L):
         rng = np.random.default_rng(L)
@@ -511,13 +509,13 @@ class TestStencilClosedForm:
                     if np.abs(plane).max() > 1e-13 * scale}
             assert sorted(st.planes) == sorted(want), name
             for key, plane in st.planes.items():
-                assert np.abs(plane - want[key]).max() <= 1e-13 * scale, (name, key)
+                assert np.abs(plane - want[key]).max() <= 1e-14 * scale, (name, key)
 
-    # measured: <= 2.3e-13 relative
+    # measured: <= 1.2e-14 relative
     def test_tendency_at_L90_matches_the_closed_form(self):
         L = 90
         rng = np.random.default_rng(L)
         for name, chi in stencil_streams(L, rng).items():
             st = Stepper(SolverConfig(L=L, omega=0.0, dt=1e-3, t_end=1.0, stream=chi))
             zeta = random_spectral(L, rng)
-            assert relative_gap(st.tendency(zeta).coeffs, closed_form_tendency(zeta, chi)) <= 1e-12, name
+            assert relative_gap(st.tendency(zeta).coeffs, closed_form_tendency(zeta, chi)) <= 3.5e-14, name

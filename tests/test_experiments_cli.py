@@ -454,6 +454,12 @@ class TestConfigErrors:
          "max_degree must be >= 1, got 0"),
         ("stability", "stability_so3.cfg", ["L=6", "t_end=0.002", "seed=-1"],
          "seed must be nonnegative, got -1"),
+        # otherwise the perturbation would be clamped to degree L
+        ("stability", "stability_so3.cfg", ["L=6", "t_end=0.002", "max_degree=7"],
+         "max_degree must be <= L = 6, got 7"),
+        # a run that blows up, with no traceback and no numpy warning
+        ("stability", "stability_so3.cfg", ["L=8", "t_end=0.002", "omega=1e308"],
+         "non-finite tendency at step 1"),
         # rejected before the run, not by the CSV writer after it
         ("rh-verify", "rh_exactness.cfg", ["output_path=/nonexistent/dir/out.csv"],
          "output_path '/nonexistent/dir/out.csv' is not a file in an existing directory"),
@@ -470,6 +476,13 @@ class TestConfigErrors:
         assert proc.returncode == 2
         assert proc.stderr == f"rhlab {command}: {message}\n"
         assert proc.stdout == ""
+
+    def test_run_that_blows_up_writes_no_csv(self, tmp_path):
+        out = tmp_path / "out.csv"
+        proc = _python("-m", "rhlab.cli", "stability", "--config", str(SHIPPED / "stability_so3.cfg"),
+                       "L=8", "t_end=0.002", "omega=1e308", f"output_path={out}")
+        assert proc.returncode == 2
+        assert not out.exists()
 
     def test_rejected_config_leaves_its_output_file_as_it_was(self, tmp_path):
         out = tmp_path / "out.csv"

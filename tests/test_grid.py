@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,31 @@ class TestGaussLegendre:
         assert np.array_equal(weights, weights[::-1])
         if n % 2:
             assert nodes[n // 2] == 0.0
+
+    @pytest.mark.parametrize("n", [19, 32, 74, 92, 136, 256, 316, 596])
+    def test_discrete_orthonormality(self, n):
+        # the rule integrates P~_i P~_j (degree <= 2n - 2) exactly, so the
+        # Gram matrix of the normalized Legendre polynomials of degree < n
+        # is the identity; P~_j = sqrt(j + 1/2) P_j by this test's own
+        # recurrence.  Measured <= 2.3e-14 up to 596 nodes (the L=170
+        # moment grid); numpy's eigenvalue rule gives 1.2e-13 to 2.2e-12
+        # for n >= 74.
+        x, w = gauss_legendre(n)
+        P = np.empty((n, n))
+        P[0] = np.sqrt(0.5)
+        P[1] = np.sqrt(1.5) * x
+        for j in range(1, n - 1):
+            P[j + 1] = (np.sqrt((2 * j + 1) * (2 * j + 3)) * x * P[j]
+                        - j * np.sqrt((2 * j + 3) / (2 * j - 1)) * P[j - 1]) / (j + 1)
+        gram = (P * w) @ P.T
+        assert np.abs(gram - np.eye(n)).max() <= 5e-14
+
+    def test_building_a_grid_imports_no_numpy_polynomial(self):
+        code = ("import sys; from rhlab.grid import build_grid; build_grid(90); "
+                "assert 'numpy.polynomial' not in sys.modules")
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestBuildGrid:

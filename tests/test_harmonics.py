@@ -267,11 +267,13 @@ class TestTransformPair:
         assert np.abs(f2.coeffs - f.coeffs).max() < 1e-12 * max(
             1.0, np.abs(f.coeffs).max())
 
+    # measured: 4.4e-14 of the largest coefficient (1.0e-12 with numpy's
+    # eigenvalue rule, whose weights are off by up to 2.1e-11 at 256 nodes)
     def test_roundtrip_at_the_largest_L(self, rng):
         spec = build_grid(MAX_L)
         f = random_spectral(MAX_L, rng, zero_mean=False)
         f2 = analyze(synthesize(f, spec), spec, MAX_L)
-        assert np.abs(f2.coeffs - f.coeffs).max() < 5e-12 * np.abs(f.coeffs).max()
+        assert np.abs(f2.coeffs - f.coeffs).max() < 1.3e-13 * np.abs(f.coeffs).max()
 
     @pytest.mark.parametrize("call", [lambda values, spec: analyze(values, spec, 4), integrate],
                              ids=["analyze", "integrate"])
