@@ -4,29 +4,34 @@ Subcommands: rh-verify, stability, traversal, rearrange, invariants,
 classify, orbit-dist.  Experiment subcommands read a flat key=value
 config file (see experiments.parse_config_file) with command-line
 key=value overrides; the exit code is 0 exactly when every in-run
-assertion passed and 1 when one failed.  A rejected input (see
-`_build_config`) and a run that blows up, whose state stops being
-finite (`dynamics.Stepper.step` raises FloatingPointError), end the
-process with one line on stderr, such as "rhlab stability: non-finite
-tendency at step 1", and exit code 2; a run that blows up writes no CSV.
+assertion passed and 1 when one failed.
+
+Every failure takes one path.  `main` runs the subcommand inside one
+handler: an OSError, ValueError or FloatingPointError ends the process
+with one line on stderr, such as "rhlab stability: non-finite tendency
+at step 1", and exit code 2; an OverflowError does too, as "rhlab
+<cmd>: coefficients too large for float arithmetic: <err>".  Nothing
+reaches stdout first, and a run that fails writes no CSV.  Each input
+rule lives in the code that applies it and raises there: a config's
+ranges in `ExperimentConfig`, an experiment's own rules in the
+experiment, before its first step, and a blow-up in
+`dynamics.Stepper.step`.  The price of one handler: a ValueError from a
+fault in the numerics also ends as one line, which names it; the tests
+call the experiments directly and so still see its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from functools import partial
-from typing import NoReturn
 
 import numpy as np
 
 from .experiments import (
     ExperimentResult,
-    check_stability_group,
     config_from_mapping,
-    default_rearrange_stream,
     exp_orbit_traversal,
     exp_rearrangement_bound,
     exp_rh_exactness,
@@ -63,6 +68,9 @@ def _add_experiment_args(sub):
                      help="config overrides applied after the file")
 
 
+_EXPERIMENTS = {"rh-verify": exp_rh_exactness, "stability": exp_stability,
+                "traversal": exp_orbit_traversal, "rearrange": exp_rearrangement_bound}
+
 # keys that only one experiment reads; every other key is read, or
 # recorded in the CSV header, by every experiment
 _KEY_OWNERS = {
@@ -75,51 +83,25 @@ _KEY_OWNERS = {
 
 
 def _build_config(args):
-    """The config file with overrides applied, and the orbit group.
+    """The config file with overrides applied, and the stability group.
 
-    Overrides replace the file's values, a later one an earlier one.  A
-    config that cannot be read or parsed, sets a key twice in the file,
-    holds an out-of-range value, sets a key that only another subcommand
-    reads, names a stability group that does not apply, sets a
-    max_degree above L for stability (its perturbation has degrees
-    1..max_degree), sets an L below the rearrangement stream's degree 3
-    for rearrange, or names an
-    output_path that is empty, a directory or in a missing directory ends
-    the process with one line on stderr and exit code 2, before any step
-    runs.  The output file is neither created nor truncated here.
+    Overrides replace the file's values, a later one an earlier one.  An
+    override that is not key=value, or a key that only another
+    subcommand reads, raises ValueError here; the file's own rules are
+    `parse_config_file`'s, and the values' rules `ExperimentConfig`'s.
     """
-    try:
-        mapping = parse_config_file(args.config) if args.config else {}
-        for item in args.overrides:
-            if "=" not in item:
-                raise ValueError(f"override {item!r} is not of the form key=value")
-            key, value = item.split("=", 1)
-            mapping[key.strip()] = value.strip()
-        for key in mapping:
-            owner = _KEY_OWNERS.get(key, args.command)
-            if owner != args.command:
-                raise ValueError(f"config key {key!r} is read only by rhlab {owner}")
-        group = mapping.pop("group", "polar")
-        cfg = config_from_mapping(mapping)
-        out = cfg.output_path
-        if out is not None and (not out or os.path.isdir(out)
-                                or not os.path.isdir(os.path.dirname(out) or ".")):
-            raise ValueError(f"output_path {out!r} is not a file in an existing directory")
-        if args.command == "stability":
-            check_stability_group(group, cfg.alpha)
-            if cfg.max_degree > cfg.L:
-                raise ValueError(f"max_degree must be <= L = {cfg.L}, got {cfg.max_degree}")
-        if args.command == "rearrange":
-            default_rearrange_stream(cfg.L)
-        return cfg, group
-    except (OSError, ValueError) as err:
-        _input_error(args.command, err)
-
-
-def _input_error(command: str, err: Exception | str) -> NoReturn:
-    """End the process with one line on stderr and exit code 2: a rejected input, or a run that blew up."""
-    print(f"rhlab {command}: {err}", file=sys.stderr)
-    raise SystemExit(2) from None
+    mapping = parse_config_file(args.config) if args.config else {}
+    for item in args.overrides:
+        if "=" not in item:
+            raise ValueError(f"override {item!r} is not of the form key=value")
+        key, value = item.split("=", 1)
+        mapping[key.strip()] = value.strip()
+    for key in mapping:
+        owner = _KEY_OWNERS.get(key, args.command)
+        if owner != args.command:
+            raise ValueError(f"config key {key!r} is read only by rhlab {owner}")
+    group = mapping.pop("group", "polar")
+    return config_from_mapping(mapping), group
 
 
 def _report(result: ExperimentResult) -> int:
@@ -129,6 +111,41 @@ def _report(result: ExperimentResult) -> int:
     return 0 if result.ok else 1
 
 
+def _run(args) -> int:
+    """The subcommand's work and its exit code; a failure raises to `main`."""
+    if args.command in _EXPERIMENTS:
+        cfg, group = _build_config(args)
+        run = _EXPERIMENTS[args.command]
+        if args.command == "stability":
+            run = partial(run, group=group)
+        return _report(run(cfg))
+
+    if args.command == "invariants":
+        lines = ("a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7",
+                 invariants_csv_row(args.y, alpha=args.alpha))
+    elif args.command == "classify":
+        lines = (f"same_h_orbit: {same_h_orbit_deg2(args.y, args.yp)}",
+                 f"same_o3_orbit: {same_o3_orbit(args.y, args.yp)}")
+    else:  # orbit-dist
+        f = load_spectral(args.f)
+        target = load_spectral(args.target)
+        check_p(args.p)
+        if f.L != target.L:
+            raise ValueError(f"--f has L = {f.L} but --target has L = {target.L}")
+        # load_spectral has rejected L > MAX_L
+        if args.p != 2.0 and f.L < 2:
+            raise ValueError(f"p = {args.p:g} integrates on a grid, which needs "
+                             f"2 <= L <= {MAX_L}; the fields have L = {f.L}")
+        if args.group == "polar":
+            d, beta = dist_polar_orbit(f, target, args.p, include_reflection=args.reflection)
+            lines = (f"distance: {d:.17g}", f"beta_star: {beta:.17g}")
+        else:
+            d, euler = dist_so3_orbit(f, target, args.p)
+            lines = (f"distance: {d:.17g}", "euler_star: " + ",".join(f"{v:.17g}" for v in euler))
+    print("\n".join(lines))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rhlab",
@@ -136,7 +153,7 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("rh-verify", "stability", "traversal", "rearrange"):
+    for name in _EXPERIMENTS:
         sub = subs.add_parser(name)
         _add_experiment_args(sub)
 
@@ -157,59 +174,17 @@ def main(argv=None) -> int:
                     help="include the longitude reflection in the polar orbit")
 
     args = parser.parse_args(argv)
-
-    if args.command in ("rh-verify", "stability", "traversal", "rearrange"):
-        cfg, group = _build_config(args)
-        run = {"rh-verify": exp_rh_exactness, "traversal": exp_orbit_traversal,
-               "rearrange": exp_rearrangement_bound,
-               "stability": partial(exp_stability, group=group)}[args.command]
-        try:
-            # a blow-up is reported once, by the stepper's finiteness
-            # check, and not also by numpy's warnings on the way to it
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = run(cfg)
-        except FloatingPointError as err:  # the run blew up
-            _input_error(args.command, err)
-        return _report(result)
-
-    if args.command in ("invariants", "classify"):
-        try:
-            if args.command == "invariants":
-                lines = ("a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7",
-                         invariants_csv_row(args.y, alpha=args.alpha))
-            else:
-                lines = (f"same_h_orbit: {same_h_orbit_deg2(args.y, args.yp)}",
-                         f"same_o3_orbit: {same_o3_orbit(args.y, args.yp)}")
-        except OverflowError as err:
-            _input_error(args.command, f"coefficients too large for float arithmetic: {err}")
-        print("\n".join(lines))
-        return 0
-
-    if args.command == "orbit-dist":
-        try:
-            f = load_spectral(args.f)
-            target = load_spectral(args.target)
-            check_p(args.p)
-            if f.L != target.L:
-                raise ValueError(f"--f has L = {f.L} but --target has L = {target.L}")
-            # load_spectral has rejected L > MAX_L
-            if args.p != 2.0 and f.L < 2:
-                raise ValueError(f"p = {args.p:g} integrates on a grid, which needs "
-                                 f"2 <= L <= {MAX_L}; the fields have L = {f.L}")
-        except (OSError, ValueError) as err:
-            _input_error(args.command, err)
-        if args.group == "polar":
-            d, beta = dist_polar_orbit(f, target, args.p,
-                                       include_reflection=args.reflection)
-            print(f"distance: {d:.17g}")
-            print(f"beta_star: {beta:.17g}")
-        else:
-            d, euler = dist_so3_orbit(f, target, args.p)
-            print(f"distance: {d:.17g}")
-            print("euler_star: " + ",".join(f"{v:.17g}" for v in euler))
-        return 0
-
-    raise AssertionError("unreachable")
+    try:
+        # a blow-up is reported once, by the check that meets it, and
+        # not also by numpy's warnings on the way to it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(args)
+    except OverflowError as err:
+        message = f"coefficients too large for float arithmetic: {err}"
+    except (OSError, ValueError, FloatingPointError) as err:
+        message = str(err)
+    print(f"rhlab {args.command}: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 if __name__ == "__main__":

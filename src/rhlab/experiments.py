@@ -10,6 +10,7 @@ seed, configuration, and package version for reproducibility.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +44,11 @@ class ExperimentConfig:
     The perturbation recipe draws Gaussian spherical-harmonic
     coefficients on degrees 1..max_degree, removes the mean, and
     normalizes to unit L^2 norm, so epsilon sweeps are comparable.
+    Construction checks each field's range.  output_path must name a file
+    in an existing directory; `_write_csv` writes it after the run, so a
+    run that fails leaves a file already there as it was.  Rules that
+    tie a field to an experiment (max_degree <= L, the stability group,
+    the rearrangement stream's L >= 3) are the experiment's.
     """
 
     name: str = "experiment"
@@ -76,6 +82,10 @@ class ExperimentConfig:
         # each finite and above the next, the last above 0 (so NaN fails); none would pass vacuously
         if not eps or not all(math.inf > a > b for a, b in zip(eps, eps[1:] + (0.0,))):
             raise ValueError(f"epsilons must be nonempty, finite, positive and decreasing, got {eps}")
+        out = self.output_path
+        if out is not None and (not out or os.path.isdir(out)
+                                or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ValueError(f"output_path {out!r} is not a file in an existing directory")
 
 
 @dataclass(frozen=True)
@@ -89,10 +99,12 @@ class ExperimentResult:
 
 def random_bandlimited(L: int, seed: int, max_degree: int = 6) -> SpectralField:
     """Seeded zero-mean unit-norm field with Gaussian coefficients on
-    degrees 1..max_degree."""
+    degrees 1..max_degree; a max_degree above L raises ValueError."""
+    if max_degree > L:
+        raise ValueError(f"max_degree must be <= L = {L}, got {max_degree}")
     rng = np.random.default_rng(seed)
     C = np.zeros((L + 1, L + 1), dtype=complex)
-    for j in range(1, min(max_degree, L) + 1):
+    for j in range(1, max_degree + 1):
         C[0, j] = rng.normal()
         for m in range(1, j + 1):
             C[m, j] = rng.normal() + 1j * rng.normal()

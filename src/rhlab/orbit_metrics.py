@@ -194,7 +194,8 @@ def _orbit_search(f: SpectralField, target: SpectralField, p: float, starts, axe
     largest c.  For p != 2, Nelder-Mead over the axes' local coordinates
     starts from the POLISH distinct R of largest c and from the sampled
     minima of lp_distance on the 4(J+1)-point circle about each axis
-    through the best one, J the top degree of target.
+    through the best one, J the top degree of target.  A correlation that
+    overflows a float raises FloatingPointError.
     """
     distinct: list[tuple[float, np.ndarray]] = []
     for c, R in sorted(starts, key=lambda cR: -cR[0]):
@@ -206,9 +207,14 @@ def _orbit_search(f: SpectralField, target: SpectralField, p: float, starts, axe
             return lp_distance(f, rotate_polar(target, _polar_angle(R)), p)
         return lp_distance(f, rotate_wigner(target, matrix_to_euler(R)), p)
 
+    best = distinct[0][0] if distinct else np.nan
+    scale = norm_l2(f) * norm_l2(target)
+    top = best - TIE_RTOL * scale
+    if np.isnan(top):  # ||f|| ||t|| overflowed: no start is left, or none can tie
+        raise FloatingPointError(f"non-finite orbit correlation: largest <f, D(R) t> = {best:g}, "
+                                 f"||f|| ||t|| = {scale:g}")
     if p == 2.0:
-        tie = TIE_RTOL * norm_l2(f) * norm_l2(target)
-        return min(((dist(R), R) for c, R in distinct if c >= distinct[0][0] - tie),
+        return min(((dist(R), R) for c, R in distinct if c >= top),
                    key=lambda dR: dR[0])
 
     # scipy.optimize costs ~0.5 s to import and only p != 2 needs it

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhlab import __version__, cli
-from rhlab.dynamics import SolverConfig
+from rhlab.dynamics import SolverConfig, Stepper
 from rhlab.experiments import (
     _FLOAT_KEYS,
     _INT_KEYS,
@@ -50,6 +50,11 @@ class TestRandomBandlimited:
         c = random_bandlimited(10, seed=43)
         assert np.array_equal(a.coeffs, b.coeffs)
         assert not np.array_equal(a.coeffs, c.coeffs)
+
+    def test_max_degree_above_L_is_rejected_not_clamped(self):
+        with pytest.raises(ValueError) as err:
+            random_bandlimited(6, 0, 7)
+        assert str(err.value) == "max_degree must be <= L = 6, got 7"
 
 
 class TestConfigParsing:
@@ -104,6 +109,13 @@ class TestConfigParsing:
     def test_group_key_is_ignored_by_config(self):
         cfg = config_from_mapping({"group": "so3", "L": "8"})
         assert cfg.L == 8
+
+    @pytest.mark.parametrize("out", ["/nonexistent/x.csv", "", "."])
+    def test_output_path_must_be_a_file_in_an_existing_directory(self, out):
+        # rejected here, not by the CSV writer after every step has run
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig(output_path=out)
+        assert str(err.value) == f"output_path {out!r} is not a file in an existing directory"
 
     def test_epsilons_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
@@ -490,6 +502,41 @@ class TestConfigErrors:
         proc = _python("-m", "rhlab.cli", "rh-verify", "--config", str(SHIPPED / "rh_exactness.cfg"),
                        f"output_path={out}", "dt=0")
         assert proc.returncode == 2
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, config, overrides, message", [
+        # inputs that only an experiment rejects, before its first step
+        ("rh-verify", "rh_exactness.cfg", ["Y=0,0,0,0,0"], "Y must be nonzero"),
+        ("stability", "stability_polar.cfg", ["Y=0,0,0,0,0"], "Y must be nonzero"),
+        ("traversal", "traversal.cfg", ["Y=0,0,0,0,0"], "Y must be nonzero"),
+        ("rearrange", "rearrangement.cfg", ["Y=0,0,0,0,0"], "Y must be nonzero"),
+        # alpha + delta = 3 omega = 0: the perturbed wave stands still
+        ("traversal", "traversal.cfg", ["delta=-1.0"],
+         "perturbed drift speed vanishes; no traversal occurs"),
+        # the class maximum's alpha**2 overflows
+        ("rearrange", "rearrangement.cfg", ["alpha=1e200"],
+         "coefficients too large for float arithmetic: (34, 'Numerical result out of range')"),
+    ])
+    def test_experiment_rule_is_one_line_exit_code_two_and_no_step(
+            self, tmp_path, capsys, monkeypatch, command, config, overrides, message):
+        argv = [command, "--config", str(SHIPPED / config), *overrides]
+        out = tmp_path / "out.csv"
+        proc = _python("-m", "rhlab.cli", *argv, f"output_path={out}")
+        assert proc.returncode == 2
+        assert proc.stderr == f"rhlab {command}: {message}\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+        # in-process, on an output file that is already there
+        out.write_text("kept\n")
+        steps = []
+        step = Stepper.step
+        monkeypatch.setattr(Stepper, "step",
+                            lambda self, *a, **kw: steps.append(1) or step(self, *a, **kw))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([*argv, f"output_path={out}"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr() == ("", f"rhlab {command}: {message}\n")
+        assert steps == []
         assert out.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command, args", [

@@ -453,3 +453,21 @@ class TestSO3GlobalSearch:
         d, euler = dist_so3_orbit(f, target, p=3.0)
         assert d < 1e-7
         assert lp_distance(f, rotate_so3(target, euler), 3.0) == pytest.approx(d, abs=1e-12)
+
+
+class TestCorrelationOverflow:
+    @pytest.mark.parametrize("dist", [dist_polar_orbit, dist_so3_orbit], ids=["polar", "so3"])
+    def test_overflowed_correlation_raises_floating_point_error(self, dist):
+        # at 1e200 ||f|| itself overflows; the search used to end in
+        # "min() arg is an empty sequence"
+        r = np.random.default_rng(0)
+        f, target = random_spectral(6, r), random_spectral(6, r)
+        d, angles = dist(f, target)
+        big = SpectralField(6, 1e150 * f.coeffs), SpectralField(6, 1e150 * target.coeffs)
+        d_big, angles_big = dist(*big)
+        assert d_big == pytest.approx(1e150 * d, rel=1e-14)
+        np.testing.assert_allclose(angles_big, angles, rtol=0.0, atol=1e-13)
+        huge = SpectralField(6, 1e200 * f.coeffs), SpectralField(6, 1e200 * target.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite orbit correlation"):
+            dist(*huge)
