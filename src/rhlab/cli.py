@@ -23,7 +23,6 @@ call the experiments directly and so still see its traceback.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from functools import partial
 
@@ -37,29 +36,23 @@ from .experiments import (
     exp_rh_exactness,
     exp_stability,
     parse_config_file,
+    parse_e2,
+    parse_finite_float,
 )
 from .grid import MAX_L
-from .harmonics import E2Coeffs, load_spectral
+from .harmonics import load_spectral
 from .invariants_algebra import invariants_csv_row, same_h_orbit_deg2, same_o3_orbit
 from .orbit_metrics import check_p, dist_polar_orbit, dist_so3_orbit
 
 
-def _finite_float(text: str) -> float:
-    """A finite float; anything else is an argparse error (exit code 2)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
-def _parse_e2(text: str) -> E2Coeffs:
-    parts = [_finite_float(v) for v in text.split(",")]
-    if len(parts) != 5:
-        raise argparse.ArgumentTypeError("expected five comma-separated values a,b,c,d,e")
-    return E2Coeffs(*parts)
+def _argument(parse):
+    """`parse` as an argparse type: its ValueError is an argument error (exit code 2)."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
 def _add_experiment_args(sub):
@@ -158,12 +151,12 @@ def main(argv=None) -> int:
         _add_experiment_args(sub)
 
     inv = subs.add_parser("invariants", help="print the invariant tuple of a degree-2 field")
-    inv.add_argument("--alpha", type=_finite_float, default=0.0)
-    inv.add_argument("--y", type=_parse_e2, required=True, metavar="a,b,c,d,e")
+    inv.add_argument("--alpha", type=_argument(parse_finite_float), default=0.0)
+    inv.add_argument("--y", type=_argument(parse_e2), required=True, metavar="a,b,c,d,e")
 
     cls = subs.add_parser("classify", help="orbit classification of two degree-2 fields")
-    cls.add_argument("--y", type=_parse_e2, required=True, metavar="a,b,c,d,e")
-    cls.add_argument("--yp", type=_parse_e2, required=True, metavar="a,b,c,d,e")
+    cls.add_argument("--y", type=_argument(parse_e2), required=True, metavar="a,b,c,d,e")
+    cls.add_argument("--yp", type=_argument(parse_e2), required=True, metavar="a,b,c,d,e")
 
     od = subs.add_parser("orbit-dist", help="distance from a field to an orbit")
     od.add_argument("--f", required=True, help="spectral text file of the field")

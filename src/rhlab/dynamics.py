@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridSpec, build_grid, exact_shape
-from .harmonics import SpectralField, _field, _order_rows, top_degree
+from .harmonics import SpectralField, _dtheta_recurrence, _field, _order_rows, top_degree
 from .operators import advection_tendency
 
 # The largest top degree of a prescribed stream.  A degree-d stream's
@@ -95,6 +95,15 @@ class Stepper:
     where its 6 planes take 0.8 MB.  The sums are elementwise, with no
     BLAS call, so the planes, and every prescribed step, do not depend
     on the BLAS thread count.
+
+    The kept arrays and their price, measured on the prescribed L=90
+    step (three runs of 40 interleaved rounds of 50 steps against
+    variants without them, 1 BLAS thread, 2-core shared host): forming
+    the stage states and the weighted sum in `_stage` instead of in
+    fresh temporaries makes the step 7-13% faster (median 0.60-0.81
+    against 0.68-0.87 ms; faster in 28-35 of 40 rounds).  The product
+    buffer `_product` shows no resolved gain: without it the median
+    moved by -0.5% to +3% (faster in 18-28 of 40 rounds).
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -194,7 +203,7 @@ def _transport_planes(chi: SpectralField, spec: GridSpec) -> dict[tuple[int, int
     """
     L, C, top = spec.L, chi.coeffs, top_degree(chi)
     # output order m' reads the orders m' - top..m' + top
-    rows = lru_cache(maxsize=2 * top + 1)(partial(_order_rows, spec))
+    rows = lru_cache(maxsize=2 * top + 1)(partial(_order_rows, spec, _dtheta_recurrence(L)))
     # (mu, deltas, i a_mu and b_mu as (real, imaginary) rows) for each order
     # of chi and its negative and each parity of its degrees
     profiles = []

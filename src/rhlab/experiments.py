@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -310,9 +311,6 @@ def exp_rearrangement_bound(cfg: ExperimentConfig, bound_tol: float = 1e-6,
 # key=value configuration files
 # --------------------------------------------------------------------------
 
-_FLOAT_KEYS = {"omega", "alpha", "p", "dt", "t_end", "delta", "beta_target"}
-_INT_KEYS = {"L", "seed", "max_degree", "diag_every"}
-
 
 def parse_config_file(path) -> dict:
     """Flat key=value lines with '#' comments, mirroring ExperimentConfig; no key set twice."""
@@ -334,25 +332,45 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _config_float(key: str, text: str) -> float:
+def parse_finite_float(text: str) -> float:
+    """A finite float; anything else raises ValueError naming the text."""
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"config key {key!r}: {text!r} is not a number") from None
+        raise ValueError(f"{text!r} is not a number") from None
     if not math.isfinite(value):
-        raise ValueError(f"config key {key!r}: {text!r} is not a finite number")
+        raise ValueError(f"{text!r} is not a finite number")
     return value
 
 
-def _config_int(key: str, text: str) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"config key {key!r}: {text!r} is not an integer") from None
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(parse_finite_float(v) for v in text.split(","))
+
+
+def parse_e2(text: str) -> E2Coeffs:
+    """Five comma-separated finite floats a,b,c,d,e."""
+    parts = _parse_floats(text)
+    if len(parts) != 5:
+        raise ValueError("expected five comma-separated values a,b,c,d,e")
+    return E2Coeffs(*parts)
+
+
+# the parser of each ExperimentConfig field, chosen by the field's type
+_TYPE_PARSERS = {int: _parse_int, float: parse_finite_float, tuple[float, ...]: _parse_floats,
+                 E2Coeffs: parse_e2, str: str, str | None: str}
+CONFIG_PARSERS = {key: _TYPE_PARSERS[kind]
+                  for key, kind in get_type_hints(ExperimentConfig).items()}
 
 
 def config_from_mapping(mapping: dict, **defaults) -> ExperimentConfig:
-    """Build an ExperimentConfig from string key=value pairs.
+    """Build an ExperimentConfig from string key=value pairs, each parsed by `CONFIG_PARSERS`.
 
     A value that does not parse, or a non-finite number, raises a
     ValueError naming the key and the value.
@@ -360,21 +378,12 @@ def config_from_mapping(mapping: dict, **defaults) -> ExperimentConfig:
     cfg = ExperimentConfig(**defaults) if defaults else ExperimentConfig()
     updates = {}
     for key, value in mapping.items():
-        if key in _FLOAT_KEYS:
-            updates[key] = _config_float(key, value)
-        elif key in _INT_KEYS:
-            updates[key] = _config_int(key, value)
-        elif key == "epsilons":
-            updates[key] = tuple(_config_float(key, v) for v in value.split(","))
-        elif key == "Y":
-            parts = [_config_float(key, v) for v in value.split(",")]
-            if len(parts) != 5:
-                raise ValueError("Y must have five components a,b,c,d,e")
-            updates[key] = E2Coeffs(*parts)
-        elif key in ("name", "output_path"):
-            updates[key] = value
-        elif key == "group":
+        if key == "group":
             continue  # consumed by the CLI, not part of the config object
-        else:
+        if key not in CONFIG_PARSERS:
             raise ValueError(f"unknown config key {key!r}")
+        try:
+            updates[key] = CONFIG_PARSERS[key](value)
+        except ValueError as err:
+            raise ValueError(f"config key {key!r}: {err}") from None
     return replace(cfg, **updates)

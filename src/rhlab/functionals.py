@@ -51,6 +51,12 @@ def e_deg2(f: SpectralField, alpha: float) -> float:
 
 
 def e_deg2_max(alpha: float, y_norm_sq: float) -> float:
-    """The maximum of e_deg2 over the rearrangement class of alpha sin(theta) + Y."""
+    """The maximum of e_deg2 over the rearrangement class of alpha sin(theta) + Y.
+
+    An alpha whose beta^2 overflows a float raises OverflowError naming it.
+    """
     beta = SINTHETA_C10 * alpha
-    return beta ** 2 / 6.0 + y_norm_sq / 12.0
+    try:
+        return beta ** 2 / 6.0 + y_norm_sq / 12.0
+    except OverflowError:
+        raise OverflowError(f"alpha = {alpha:g}") from None

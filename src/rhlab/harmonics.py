@@ -79,21 +79,23 @@ def norm_legendre_table(L: int, mu: np.ndarray, sink=None) -> np.ndarray | None:
     return P if sink is None else None
 
 
-def _dtheta_weights(L: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (down, up) of the d/dtheta rows of `_synth_values`, indexed like one of its rows.
-
-    cos(theta) d/dtheta Y_j^m = (j+1) eps_j^m Y_{j-1}^m - j eps_{j+1}^m
-    Y_{j+1}^m: down[m w + j - 1] and up[m w + j] carry c_j^m to degree
-    j-1 and to degree j+1, for orders m <= L and degrees j < w = width,
-    the row width of `_synth_values`, zero for j > L; they are laid out to
-    multiply the coefficients shifted by one degree.
-    """
+def _dtheta_recurrence(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(theta) d/dtheta Y_j^m = down[m, j] Y_{j-1}^m + up[m, j] Y_{j+1}^m for m, j <= L,
+    (down, up)[m, j] = ((j+1) eps_j^m, -j eps_{j+1}^m)."""
     eps = _recurrence_eps(L + 1)[: L + 1]
     j = np.arange(L + 1)
-    down = np.zeros((L + 1, width))
-    up = np.zeros((L + 1, width))
-    down[:, : L + 1] = (j + 1.0) * eps[:, : L + 1]
-    up[:, : L + 1] = -j * eps[:, 1:]
+    return (j + 1.0) * eps[:, : L + 1], -j * eps[:, 1:]
+
+
+def _dtheta_weights(L: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_dtheta_recurrence` laid out for the d/dtheta rows of `_synth_values`, indexed like one of its rows.
+
+    down[m w + j - 1] and up[m w + j] carry c_j^m to degrees j-1 and j+1,
+    for orders m <= L and degrees j < w = width, the rows' width, zero
+    for j > L: they multiply the coefficients shifted by one degree.
+    """
+    down, up = np.zeros((2, L + 1, width))
+    down[:, : L + 1], up[:, : L + 1] = _dtheta_recurrence(L)
     return down.ravel()[1:], up.ravel()[:-1]
 
 
@@ -207,7 +209,7 @@ def grid_tables(spec: GridSpec) -> np.ndarray:
     return work.table
 
 
-def _order_rows(spec: GridSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _order_rows(spec: GridSpec, recurrence, m: int) -> tuple[np.ndarray, np.ndarray]:
     """N_j^m P_j^m and its d/dtheta at the northern nodes of spec, for degrees j <= spec.L.
 
     Two (spec.L + 1, ceil(n_lat / 2)) arrays, zero for j < m, at the
@@ -215,18 +217,16 @@ def _order_rows(spec: GridSpec, m: int) -> tuple[np.ndarray, np.ndarray]:
     odd), as the grid's folded table (`grid_tables`) holds them: they
     are its rows for order m, read through its slot map.  The southern
     nodes follow by parity, P_j^m(-mu) = (-1)^(j-m) P_j^m(mu), and
-    d/dtheta P_j^m has the opposite parity.  d/dtheta is the recurrence
-    of `_dtheta_weights` divided by cos(theta), so it reads the table's
-    degree spec.L + 1.  No BLAS call is made.
+    d/dtheta P_j^m has the opposite parity.  d/dtheta is row m of
+    `recurrence`, `_dtheta_recurrence(spec.L)`, divided by cos(theta),
+    so it reads the table's degree spec.L + 1.  No BLAS call is made.
     """
     table = grid_tables(spec)
     L = spec.L
     values = table.reshape(-1, table.shape[-1])[vars(spec)["_work"].slots[m, : L + 2] // 2]
-    j = np.arange(L + 2.0)
-    eps = np.sqrt(np.maximum(j * j - m * m, 0.0) / np.abs(4.0 * j * j - 1.0))
-    j = j[: L + 1, None]
-    dtheta = -j * eps[1:, None] * values[1:]
-    dtheta[1:] += (j[1:] + 1.0) * eps[1 : L + 1, None] * values[: L]
+    down, up = (r[m, :, None] for r in recurrence)
+    dtheta = up * values[1:]
+    dtheta[1:] += down[1:] * values[:L]
     dtheta *= spec.sec_theta[spec.n_lat // 2 :]
     return values[: L + 1], dtheta
 

@@ -142,6 +142,13 @@ def _moment_scalars(*x: Fraction) -> tuple[Fraction, ...]:
     )
 
 
+def _identity_sides(A, B, C, D, E, F) -> tuple[Fraction, ...]:
+    """The right-hand sides, in A..F, of the six moment identities of `verify_abcde_system`."""
+    return (A, B, (C - A**2) / 4, (D - A * B) / 2,
+            (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / 48,
+            (17 * A * C + 96 * B**2 - 12 * A**3 - E) / 16)
+
+
 def _round(q: Fraction) -> float:
     """The float nearest to q, with IEEE overflow to infinity."""
     try:
@@ -158,19 +165,16 @@ def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:
     floating point b6 cancels terms of order |E| down to order alpha^2
     before dividing by alpha^2, which cost it up to 1e-11 of relative
     accuracy at alpha >= 0.2, growing as 1/alpha^2 below.  The moments
-    I_m are the rounded scalars times their factors.
+    I_m are the rounded scalars times their factors, and b1..b6 the
+    identities' sides (`_identity_sides`) over powers of alpha^2, offset.
     """
     x = tuple(Fraction(t) for t in (alpha, *y.as_tuple()))
-    A, B, C, D, E, F = scalars = _moment_scalars(*x)
+    scalars = _moment_scalars(*x)
+    r1, r2, r3, r4, r5, r6 = _identity_sides(*scalars)
     a2 = x[0] ** 2
-    b = [(A - 5 * a2) / 4, B]
+    b = [(r1 - 5 * a2) / 4, r2]
     if alpha != 0.0:
-        b += [
-            (C - A**2) / (16 * a2) + a2 / 4,
-            (D - A * B) / (2 * a2),
-            (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / (48 * a2 * a2),
-            (17 * A * C + 96 * B**2 - 12 * A**3 - E) / (16 * a2) + 9 * a2 * a2,
-        ]
+        b += [r3 / (4 * a2) + a2 / 4, r4 / a2, r5 / (a2 * a2), r6 / a2 + 9 * a2 * a2]
     A, B, C, D, E, F = (_round(q) for q in scalars)
     b1, b2, b3, b4, b5, b6 = [_round(q) for q in b] + [None] * (6 - len(b))
     I = tuple(k * s for k, s in zip(_MOMENT_FACTORS, (A, B, C, D, E, F)))
@@ -257,7 +261,6 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
     if alpha == 0.0:
         raise ValueError("the identities require alpha != 0")
     x = tuple(Fraction(t) for t in (alpha, *y.as_tuple()))
-    A, B, C, D, E, F = _moment_scalars(*x)
     a, u, v, w = reduced_invariants(E2Coeffs(*x[1:])).as_tuple()
     a2 = x[0] ** 2
     lhs = (
@@ -269,14 +272,7 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
         a2 * (324 * a2 * a**2 + 288 * a**2 * v - 144 * a * w + 68 * a2 * u
               - 44 * a2 * v + 16 * u**2 - 16 * u * v - 32 * v**2 - 9 * a2**2),
     )
-    rhs = (
-        A,
-        B,
-        (C - A**2) / 4,
-        (D - A * B) / 2,
-        (6 * A * D - 6 * A**2 * B + 3 * B * C - 3 * F) / 48,
-        (17 * A * C + 96 * B**2 - 12 * A**3 - E) / 16,
-    )
+    rhs = _identity_sides(*_moment_scalars(*x))
     residuals = tuple(_round(l - r) for l, r in zip(lhs, rhs))
     scales = tuple(_round(max(abs(l), abs(r), 1)) for l, r in zip(lhs, rhs))
     return residuals, scales
@@ -377,11 +373,15 @@ def same_h_orbit_deg2(y: E2Coeffs, yp: E2Coeffs, tol: float = ORBIT_TOL_DEG2) ->
 def char_poly(y: E2Coeffs) -> tuple[float, float]:
     """Coefficients (p1, p0) of the characteristic polynomial
     lambda^3 + p1 lambda + p0 of the associated traceless matrix,
-    `E2Coeffs.matrix`."""
+    `E2Coeffs.matrix`.  A Y whose a^3 overflows a float raises
+    OverflowError naming it."""
     a, b, c, d, e = y.as_tuple()
     p1 = -(3 * a * a + b * b + c * c + d * d + e * e)
-    p0 = (-2 * a**3 - a * b * b - a * c * c + 2 * a * d * d + 2 * a * e * e
-          - b * b * d - 2 * b * c * e + c * c * d)
+    try:
+        p0 = (-2 * a**3 - a * b * b - a * c * c + 2 * a * d * d + 2 * a * e * e
+              - b * b * d - 2 * b * c * e + c * c * d)
+    except OverflowError:
+        raise OverflowError("Y = " + ",".join(f"{v:g}" for v in y.as_tuple())) from None
     return (p1, p0)
 
 

@@ -36,6 +36,9 @@ POLISH = 8            # correlation maxima refined: Newton-polished, or starting
 NEWTON_MAXITER = 30
 TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
 LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement, per start
+# Bytes the SO(3) correlation samples may take: about 48 n^3, n = 4(J+1),
+# for the FFT's input, output and scaled copy, so target degrees J <= 69.
+SO3_SEARCH_BYTES = 2**30
 
 
 def check_p(p: float) -> None:
@@ -173,11 +176,17 @@ def _newton_polish(fv, tv, R: np.ndarray):
 
 def _so3_starts(f: SpectralField, target: SpectralField) -> list[tuple[float, np.ndarray]]:
     """(c, R) at the best POLISH maxima of <f, D(R) t>, sampled by `_correlation_samples`
-    at the Euler angles 2 pi (a, b, g)/n, n = 4(J+1), and Newton-polished."""
+    at the Euler angles 2 pi (a, b, g)/n, n = 4(J+1), and Newton-polished.
+
+    A J whose samples would exceed SO3_SEARCH_BYTES raises ValueError first."""
     J = top_degree(target)
+    n = 4 * (J + 1)
+    if 48 * n**3 > SO3_SEARCH_BYTES:
+        raise ValueError(f"the SO(3) search at target degree J = {J} samples n^3 Euler angles, "
+                         f"n = 4(J+1) = {n}, in about {48 * n**3} bytes, above SO3_SEARCH_BYTES "
+                         f"= {SO3_SEARCH_BYTES}")
     fv = [degree_vector(f, j) for j in range(J + 1)]
     tv = [degree_vector(target, j) for j in range(J + 1)]
-    n = 4 * (J + 1)
     samples = _correlation_samples(fv, tv, n)
     seeds = _periodic_local_maxima(samples)[:POLISH]
     return [_newton_polish(fv, tv, euler_to_matrix(2.0 * np.pi * np.array(abg) / n))

@@ -61,6 +61,11 @@ class TestDeg2:
         assert e_deg2(f, alpha) == pytest.approx(
             e_deg2_max(alpha, norm_l2(Y)**2), rel=1e-13)
 
+    def test_class_maximum_overflow_names_alpha(self):
+        with pytest.raises(OverflowError) as err:
+            e_deg2_max(1e200, 1.0)
+        assert str(err.value) == "alpha = 1e+200"
+
     def test_pure_degree_two_at_zero_alpha(self):
         Y = e2_to_spectral(E2Coeffs(0.2, -0.1, 0.4, 0.0, 0.3), 6)
         assert e_deg2(Y, 0.0) == pytest.approx(norm_l2(Y)**2 / 12.0, rel=1e-13)

@@ -293,6 +293,12 @@ class TestCharPolyAndO3:
         assert p1 == pytest.approx(-3.0 * a * a)
         assert p0 == pytest.approx(-2.0 * a**3)
 
+    def test_overflow_names_y(self):
+        # a**3 overflows for |a| above about 1e103
+        with pytest.raises(OverflowError) as err:
+            char_poly(E2Coeffs(-1e120, 0.5, 0.0, 0.0, 0.0))
+        assert str(err.value) == "Y = -1e+120,0.5,0,0,0"
+
     @given(y=coeff5)
     @settings(max_examples=25, deadline=None)
     def test_char_poly_from_low_moments(self, y):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from rhlab.harmonics import (
 )
 from rhlab.operators import sin_theta_field
 from rhlab.orbit_metrics import (
+    SO3_SEARCH_BYTES,
     _orbit_search,
     _so3_starts,
     dist_polar_orbit,
@@ -471,3 +474,22 @@ class TestCorrelationOverflow:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="non-finite orbit correlation"):
             dist(*huge)
+
+
+class TestSO3SearchBudget:
+    def test_degree_above_the_budget_is_rejected_before_any_sample(self):
+        # J = 69 is the largest degree whose 48 n^3 bytes, n = 4(J+1), fit
+        assert 48 * (4 * 70) ** 3 <= SO3_SEARCH_BYTES < 48 * (4 * 71) ** 3
+        r = np.random.default_rng(8)
+        f, target = random_spectral(70, r), random_spectral(70, r)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                dist_so3_orbit(f, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "the SO(3) search at target degree J = 70 samples n^3 Euler angles, n = 4(J+1) = 284, "
+            f"in about {48 * 284**3} bytes, above SO3_SEARCH_BYTES = {SO3_SEARCH_BYTES}")
+        assert peak < 4e6
