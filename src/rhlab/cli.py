@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
-
 import numpy as np
 
 from .experiments import (
@@ -64,19 +62,18 @@ def _add_experiment_args(sub):
 _EXPERIMENTS = {"rh-verify": exp_rh_exactness, "stability": exp_stability,
                 "traversal": exp_orbit_traversal, "rearrange": exp_rearrangement_bound}
 
-# keys that only one experiment reads; every other key is read, or
-# recorded in the CSV header, by every experiment
+# keys that only one experiment reads, and the others reject; every
+# experiment's CSV records every key
 _KEY_OWNERS = {
     "epsilons": "stability",
     "max_degree": "stability",
-    "group": "stability",
     "delta": "traversal",
     "beta_target": "traversal",
 }
 
 
 def _build_config(args):
-    """The config file with overrides applied, and the stability group.
+    """The config file with overrides applied.
 
     Overrides replace the file's values, a later one an earlier one.  An
     override that is not key=value, or a key that only another
@@ -93,8 +90,7 @@ def _build_config(args):
         owner = _KEY_OWNERS.get(key, args.command)
         if owner != args.command:
             raise ValueError(f"config key {key!r} is read only by rhlab {owner}")
-    group = mapping.pop("group", "polar")
-    return config_from_mapping(mapping), group
+    return config_from_mapping(mapping)
 
 
 def _report(result: ExperimentResult) -> int:
@@ -107,11 +103,7 @@ def _report(result: ExperimentResult) -> int:
 def _run(args) -> int:
     """The subcommand's work and its exit code; a failure raises to `main`."""
     if args.command in _EXPERIMENTS:
-        cfg, group = _build_config(args)
-        run = _EXPERIMENTS[args.command]
-        if args.command == "stability":
-            run = partial(run, group=group)
-        return _report(run(cfg))
+        return _report(_EXPERIMENTS[args.command](_build_config(args)))
 
     if args.command == "invariants":
         lines = ("a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7",

@@ -96,14 +96,12 @@ class Stepper:
     BLAS call, so the planes, and every prescribed step, do not depend
     on the BLAS thread count.
 
-    The kept arrays and their price, measured on the prescribed L=90
-    step (three runs of 40 interleaved rounds of 50 steps against
-    variants without them, 1 BLAS thread, 2-core shared host): forming
-    the stage states and the weighted sum in `_stage` instead of in
-    fresh temporaries makes the step 7-13% faster (median 0.60-0.81
-    against 0.68-0.87 ms; faster in 28-35 of 40 rounds).  The product
-    buffer `_product` shows no resolved gain: without it the median
-    moved by -0.5% to +3% (faster in 18-28 of 40 rounds).
+    The kept array `_stage` and its price, measured on the prescribed
+    L=90 step (three runs of 40 interleaved rounds of 50 steps against a
+    variant without it, 1 BLAS thread, 2-core shared host): forming the
+    stage states and the weighted sum there instead of in fresh
+    temporaries makes the step 7-13% faster (median 0.60-0.81 against
+    0.68-0.87 ms; faster in 28-35 of 40 rounds).
     """
 
     def __init__(self, cfg: SolverConfig):
@@ -122,7 +120,6 @@ class Stepper:
         padded = np.zeros((L + 1 + 2 * pm, L + 1 + 2 * pd), dtype=complex)
         self._coeffs = padded[pm : pm + L + 1, pd : pd + L + 1]
         self._mirror = padded[:pm, pd : pd + L + 1]  # orders -1..-pm, bottom up
-        self._product = np.empty((L + 1, L + 1), dtype=complex)
         self._terms = [(plane, padded[pm - mu : pm - mu + L + 1, pd - delta : pd - delta + L + 1])
                        for (mu, delta), plane in self.planes.items()]
 
@@ -134,8 +131,7 @@ class Stepper:
         np.conjugate(C[len(self._mirror) : 0 : -1], out=self._mirror)
         T = np.zeros_like(C)
         for plane, source in self._terms:
-            np.multiply(plane, source, out=self._product)
-            T += self._product
+            T += plane * source
         T[0, 0] = 0.0
         T.imag[0] = 0.0
         return _field(zeta.L, T)

@@ -1,10 +1,11 @@
 """Scripted experiments: traveling-wave verification, orbital-stability
 sweeps, orbit traversal, and the rearrangement maximality bound.
 
-Each experiment builds an initial state, observes the states that
-`dynamics.evolve` yields (one CSV row per yielded state), checks its
-in-run assertions, and can write a CSV whose comment header records the
-seed, configuration, and package version for reproducibility.
+Each experiment is a function of its `ExperimentConfig` alone.  It
+builds an initial state, observes the states that `dynamics.evolve`
+yields (one CSV row per yielded state), checks its in-run assertions,
+and can write a CSV whose comment header is the package version and the
+whole config, so that `config_from_mapping` reads the run back from it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class ExperimentConfig:
     Construction checks each field's range.  output_path must name a file
     in an existing directory; `_write_csv` writes it after the run, so a
     run that fails leaves a file already there as it was.  Rules that
-    tie a field to an experiment (max_degree <= L, the stability group,
-    the rearrangement stream's L >= 3) are the experiment's.
+    tie a field to an experiment (max_degree <= L, the rearrangement
+    stream's L >= 3) are the experiment's.
     """
 
     name: str = "experiment"
@@ -125,22 +126,12 @@ def _solver_config(cfg: ExperimentConfig, stream: SpectralField | None = None) -
                         stream=stream, diag_every=cfg.diag_every)
 
 
-def _comments(cfg: ExperimentConfig, extra=()):
-    lines = [
-        f"rhlab {__version__}",
-        f"experiment={cfg.name} L={cfg.L} omega={cfg.omega:.17g} alpha={cfg.alpha:.17g}",
-        "Y=" + ",".join(f"{v:.17g}" for v in cfg.Y.as_tuple()),
-        f"seed={cfg.seed} dt={cfg.dt:.17g} t_end={cfg.t_end:.17g} p={cfg.p:.17g}",
-    ]
-    lines.extend(extra)
-    return lines
-
-
-def _write_csv(cfg: ExperimentConfig, header, rows, extra_comments=()):
+def _write_csv(cfg: ExperimentConfig, header, rows):
+    """The CSV at cfg.output_path, if any: `config_comments(cfg)`, the header, the rows."""
     if cfg.output_path is None:
         return
     with open(cfg.output_path, "w") as fh:
-        for line in _comments(cfg, extra_comments):
+        for line in config_comments(cfg):
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -162,26 +153,17 @@ def exp_rh_exactness(cfg: ExperimentConfig, err_tol: float = 1e-6) -> Experiment
     return ExperimentResult(cfg.name, ok, messages, tuple(rows), header)
 
 
-def check_stability_group(group: str, alpha: float) -> None:
-    """Raise ValueError unless `group` names an orbit whose stability is stated at alpha."""
-    if group not in ("polar", "so3"):
-        raise ValueError(f"unknown group {group!r} (expected polar or so3)")
-    if group == "polar" and alpha == 0.0:
-        raise ValueError("polar-orbit stability is stated for alpha != 0")
-    if group == "so3" and alpha != 0.0:
-        raise ValueError("rotation-orbit stability is stated for alpha = 0")
-
-
-def exp_stability(cfg: ExperimentConfig, group: str = "polar",
-                  trend_slack: float = 1.1) -> ExperimentResult:
+def exp_stability(cfg: ExperimentConfig, trend_slack: float = 1.1) -> ExperimentResult:
     """Epsilon sweep of the orbit distance along perturbed RH evolutions.
 
-    group="polar" (alpha != 0) measures the distance to the polar-rotation
-    orbit; group="so3" (alpha = 0) to the full rotation orbit.  The sweep
-    passes when sup_t d(t) does not increase as epsilon shrinks, within
-    the stated slack.
+    The orbit is the one whose stability the paper proves at cfg.alpha:
+    for alpha != 0 the wave is stable up to rotations about the polar
+    axis, so the distance is to the polar-rotation orbit; for alpha = 0
+    it is stable up to all of SO(3), so the distance is to the full
+    rotation orbit.  The sweep passes when sup_t d(t) does not increase
+    as epsilon shrinks, within the stated slack.
     """
-    check_stability_group(group, cfg.alpha)
+    dist_orbit = dist_polar_orbit if cfg.alpha != 0.0 else dist_so3_orbit
     Y, state, zeta0 = _rh_ingredients(cfg)
     eta = random_bandlimited(cfg.L, cfg.seed, cfg.max_degree)
     solver = _solver_config(cfg)
@@ -194,10 +176,7 @@ def exp_stability(cfg: ExperimentConfig, group: str = "polar",
         z0 = SpectralField(cfg.L, zeta0.coeffs + eps * eta.coeffs)
         sup_d = drift_e = drift_c1 = 0.0
         for t, zeta in evolve(z0, solver):
-            if group == "polar":
-                d, _ = dist_polar_orbit(zeta, target, cfg.p)
-            else:
-                d, _ = dist_so3_orbit(zeta, target, cfg.p)
+            d, _ = dist_orbit(zeta, target, cfg.p)
             rows.append((eps, t, d))
             sup_d = max(sup_d, d)
             # conservation side-channel on the same run
@@ -221,7 +200,7 @@ def exp_stability(cfg: ExperimentConfig, group: str = "polar",
                 f"sup distance grew from {sups[i]:.3e} to {sups[i + 1]:.3e} as epsilon shrank"
             )
     header = ("epsilon", "t", "orbit_distance")
-    _write_csv(cfg, header, rows, (f"group={group}",))
+    _write_csv(cfg, header, rows)
     return ExperimentResult(cfg.name, ok, tuple(messages), tuple(rows), header)
 
 
@@ -251,7 +230,7 @@ def exp_orbit_traversal(cfg: ExperimentConfig, dip_time_slack: float = 0.05) -> 
     rows = [(t, lp_distance(zeta, target, cfg.p))
             for t, zeta in evolve(exact_state(pert, 0.0), _solver_config(cfg))]
     header = ("t", "distance_to_target")
-    _write_csv(cfg, header, rows, (f"delta={delta:g}",))
+    _write_csv(cfg, header, rows)
     threshold = 2.0 * delta * SIN_THETA_NORM
     below = [t for t, d in rows if d < threshold]
     messages = [f"dip threshold {threshold:.6e}, predicted dip time {t_pred:.4f}"]
@@ -362,11 +341,31 @@ def parse_e2(text: str) -> E2Coeffs:
     return E2Coeffs(*parts)
 
 
-# the parser of each ExperimentConfig field, chosen by the field's type
+def _format_floats(values) -> str:
+    return ",".join(f"{v:.17g}" for v in values)
+
+
+# the parser of each ExperimentConfig field, and the writer that it reads
+# back exactly (floats to 17 significant digits), chosen by the field's type
 _TYPE_PARSERS = {int: _parse_int, float: parse_finite_float, tuple[float, ...]: _parse_floats,
                  E2Coeffs: parse_e2, str: str, str | None: str}
-CONFIG_PARSERS = {key: _TYPE_PARSERS[kind]
-                  for key, kind in get_type_hints(ExperimentConfig).items()}
+_TYPE_FORMATTERS = {int: str, float: "{:.17g}".format, tuple[float, ...]: _format_floats,
+                    E2Coeffs: lambda y: _format_floats(y.as_tuple()), str: str}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+CONFIG_PARSERS = {key: _TYPE_PARSERS[kind] for key, kind in _FIELD_TYPES.items()}
+# output_path names where a run is written, not what it is
+CONFIG_FORMATTERS = {key: _TYPE_FORMATTERS[kind] for key, kind in _FIELD_TYPES.items()
+                     if key != "output_path"}
+
+
+def config_comments(cfg: ExperimentConfig) -> list[str]:
+    """`rhlab <version>`, then `key=value` for each config field but output_path, in field order.
+
+    `config_from_mapping` of the key=value lines gives back cfg with
+    output_path None.
+    """
+    return [f"rhlab {__version__}"] + [f"{key}={write(getattr(cfg, key))}"
+                                       for key, write in CONFIG_FORMATTERS.items()]
 
 
 def config_from_mapping(mapping: dict, **defaults) -> ExperimentConfig:
@@ -378,8 +377,6 @@ def config_from_mapping(mapping: dict, **defaults) -> ExperimentConfig:
     cfg = ExperimentConfig(**defaults) if defaults else ExperimentConfig()
     updates = {}
     for key, value in mapping.items():
-        if key == "group":
-            continue  # consumed by the CLI, not part of the config object
         if key not in CONFIG_PARSERS:
             raise ValueError(f"unknown config key {key!r}")
         try:

@@ -149,6 +149,13 @@ def _identity_sides(A, B, C, D, E, F) -> tuple[Fraction, ...]:
             (17 * A * C + 96 * B**2 - 12 * A**3 - E) / 16)
 
 
+def _identity_affine(a2) -> tuple[tuple, ...]:
+    """(scale_i, offset_i) of each identity at alpha^2 = a2: its right-hand
+    side is r_i = scale_i b_i + offset_i, b_i the i-th of `speo1_equations`
+    at the reduced invariants."""
+    return ((4, 5 * a2), (1, 0), (4 * a2, -a2**2), (a2, 0), (a2**2, 0), (a2, -9 * a2**3))
+
+
 def _round(q: Fraction) -> float:
     """The float nearest to q, with IEEE overflow to infinity."""
     try:
@@ -165,16 +172,14 @@ def moments_analytic(alpha: float, y: E2Coeffs) -> MomentSet:
     floating point b6 cancels terms of order |E| down to order alpha^2
     before dividing by alpha^2, which cost it up to 1e-11 of relative
     accuracy at alpha >= 0.2, growing as 1/alpha^2 below.  The moments
-    I_m are the rounded scalars times their factors, and b1..b6 the
-    identities' sides (`_identity_sides`) over powers of alpha^2, offset.
+    I_m are the rounded scalars times their factors, and b_i = (r_i -
+    offset_i) / scale_i from the identities' sides (`_identity_sides`,
+    `_identity_affine`); at alpha = 0 the scales of b3..b6 vanish.
     """
     x = tuple(Fraction(t) for t in (alpha, *y.as_tuple()))
     scalars = _moment_scalars(*x)
-    r1, r2, r3, r4, r5, r6 = _identity_sides(*scalars)
-    a2 = x[0] ** 2
-    b = [(r1 - 5 * a2) / 4, r2]
-    if alpha != 0.0:
-        b += [r3 / (4 * a2) + a2 / 4, r4 / a2, r5 / (a2 * a2), r6 / a2 + 9 * a2 * a2]
+    affine = _identity_affine(x[0] ** 2)[: 6 if alpha != 0.0 else 2]
+    b = [(r - offset) / scale for r, (scale, offset) in zip(_identity_sides(*scalars), affine)]
     A, B, C, D, E, F = (_round(q) for q in scalars)
     b1, b2, b3, b4, b5, b6 = [_round(q) for q in b] + [None] * (6 - len(b))
     I = tuple(k * s for k, s in zip(_MOMENT_FACTORS, (A, B, C, D, E, F)))
@@ -261,17 +266,9 @@ def verify_abcde_system(alpha: float, y: E2Coeffs):
     if alpha == 0.0:
         raise ValueError("the identities require alpha != 0")
     x = tuple(Fraction(t) for t in (alpha, *y.as_tuple()))
-    a, u, v, w = reduced_invariants(E2Coeffs(*x[1:])).as_tuple()
-    a2 = x[0] ** 2
-    lhs = (
-        12 * a**2 + 5 * a2 + 4 * u + 4 * v,
-        4 * a**3 + 7 * a * a2 + 2 * a * u - 4 * a * v + 2 * w,
-        a2 * (36 * a**2 - a2 + 8 * u - 4 * v),
-        a2 * (36 * a**3 - a * a2 + 14 * a * u - 4 * a * v + 6 * w),
-        a2**2 * (36 * a**3 - a * a2 + 10 * a * u - 4 * a * v + 2 * w),
-        a2 * (324 * a2 * a**2 + 288 * a**2 * v - 144 * a * w + 68 * a2 * u
-              - 44 * a2 * v + 16 * u**2 - 16 * u * v - 32 * v**2 - 9 * a2**2),
-    )
+    b = speo1_equations(x[0], reduced_invariants(E2Coeffs(*x[1:])).as_tuple())
+    lhs = tuple(scale * b_i + offset
+                for b_i, (scale, offset) in zip(b, _identity_affine(x[0] ** 2)))
     rhs = _identity_sides(*_moment_scalars(*x))
     residuals = tuple(_round(l - r) for l, r in zip(lhs, rhs))
     scales = tuple(_round(max(abs(l), abs(r), 1)) for l, r in zip(lhs, rhs))

@@ -36,8 +36,9 @@ POLISH = 8            # correlation maxima refined: Newton-polished, or starting
 NEWTON_MAXITER = 30
 TIE_RTOL = 1e-10      # correlations this close (times ||f|| ||t||) are all measured
 LP_MAXITER = 120      # Nelder-Mead iterations of the p != 2 refinement, per start
-# Bytes the SO(3) correlation samples may take: about 48 n^3, n = 4(J+1),
-# for the FFT's input, output and scaled copy, so target degrees J <= 69.
+# Bytes the SO(3) correlation samples may take: about 24 n^3, n = 4(J+1),
+# for the FFT's complex array and the real samples, then for the samples
+# and two running maxima, so target degrees J <= 87.
 SO3_SEARCH_BYTES = 2**30
 
 
@@ -65,10 +66,15 @@ def lp_distance(f: SpectralField, g: SpectralField, p: float) -> float:
 
 
 def _periodic_local_maxima(c: np.ndarray) -> np.ndarray:
-    """Flat indices of the samples that no periodic neighbour exceeds, best first."""
-    M = c
+    """Flat indices of the samples that no periodic neighbour exceeds, best first.
+
+    The running maximum is taken in place, one shift at a time, so that
+    besides c it holds itself and one rolled copy.
+    """
+    M = c.copy()
     for axis in range(c.ndim):
-        M = np.maximum(M, np.maximum(np.roll(M, 1, axis), np.roll(M, -1, axis)))
+        for shift in (1, -1):
+            np.maximum(M, np.roll(M, shift, axis), out=M)
     peaks = np.flatnonzero(c.ravel() >= M.ravel())
     return peaks[np.argsort(-c.ravel()[peaks], kind="stable")]
 
@@ -120,7 +126,8 @@ def _correlation_samples(fv, tv, n: int) -> np.ndarray:
     trigonometric polynomial sum C[m, lam, k] e^{i(m alpha + lam beta +
     k gamma)}, C[m, lam, k] = sum_j f_j^m conj(V_{m lam}) V_{k lam}
     conj(t_j^k), of degree J in each angle; one inverse FFT samples it at
-    the angles 2 pi (0..n-1)/n.
+    the angles 2 pi (0..n-1)/n, in place: the samples peak at 24 n^3
+    bytes, the complex array and the real part's copy.
     """
     A = np.zeros((n, n, n), dtype=complex)
     for j, (f_j, t_j) in enumerate(zip(fv, tv)):
@@ -128,7 +135,9 @@ def _correlation_samples(fv, tv, n: int) -> np.ndarray:
         idx = np.arange(-j, j + 1) % n
         A[np.ix_(idx, idx, idx)] += np.einsum(
             "ml,kl->mlk", f_j[:, None] * V.conj(), V * t_j.conj()[:, None])
-    return (np.fft.ifftn(A) * n ** 3).real
+    np.fft.ifftn(A, out=A)
+    A *= n ** 3
+    return A.real.copy()
 
 
 def _correlation_derivatives(fv, tv, R: np.ndarray):
@@ -181,9 +190,9 @@ def _so3_starts(f: SpectralField, target: SpectralField) -> list[tuple[float, np
     A J whose samples would exceed SO3_SEARCH_BYTES raises ValueError first."""
     J = top_degree(target)
     n = 4 * (J + 1)
-    if 48 * n**3 > SO3_SEARCH_BYTES:
+    if 24 * n**3 > SO3_SEARCH_BYTES:
         raise ValueError(f"the SO(3) search at target degree J = {J} samples n^3 Euler angles, "
-                         f"n = 4(J+1) = {n}, in about {48 * n**3} bytes, above SO3_SEARCH_BYTES "
+                         f"n = 4(J+1) = {n}, in about {24 * n**3} bytes, above SO3_SEARCH_BYTES "
                          f"= {SO3_SEARCH_BYTES}")
     fv = [degree_vector(f, j) for j in range(J + 1)]
     tv = [degree_vector(target, j) for j in range(J + 1)]

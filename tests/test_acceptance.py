@@ -225,7 +225,7 @@ class TestCriterion8StabilityTrend:
         cfg = ExperimentConfig(name="stability-polar", L=21, omega=0.5, alpha=1.0,
                                Y=BASE_Y, epsilons=(1e-2, 5e-3, 2.5e-3), seed=11,
                                dt=1e-3, t_end=10.0, diag_every=500)
-        res = exp_stability(cfg, group="polar", trend_slack=1.1)
+        res = exp_stability(cfg, trend_slack=1.1)
         sups = "; ".join(m for m in res.messages if "sup_t" in m)
         assert _report("8a", "polar-orbit stability trend", res.ok, sups), res.messages
 
@@ -233,7 +233,7 @@ class TestCriterion8StabilityTrend:
         cfg = ExperimentConfig(name="stability-so3", L=21, omega=0.3, alpha=0.0,
                                Y=BASE_Y, epsilons=(1e-2, 5e-3, 2.5e-3), seed=11,
                                dt=1e-3, t_end=10.0, diag_every=500)
-        res = exp_stability(cfg, group="so3", trend_slack=1.1)
+        res = exp_stability(cfg, trend_slack=1.1)
         sups = "; ".join(m for m in res.messages if "sup_t" in m)
         assert _report("8b", "rotation-orbit stability trend", res.ok, sups), res.messages
 

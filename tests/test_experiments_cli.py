@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhlab import __version__, cli
-from rhlab.dynamics import SolverConfig, Stepper
+from rhlab.dynamics import SolverConfig, Stepper, evolve
 from rhlab.experiments import (
     CONFIG_PARSERS,
     ExperimentConfig,
@@ -29,7 +29,9 @@ from rhlab.experiments import (
     random_bandlimited,
 )
 from rhlab.grid import MAX_L
-from rhlab.harmonics import E2Coeffs, SpectralField, norm_l2, save_spectral
+from rhlab.harmonics import E2Coeffs, SpectralField, e2_to_spectral, norm_l2, save_spectral
+from rhlab.orbit_metrics import dist_polar_orbit, dist_so3_orbit
+from rhlab.rh_waves import exact_state, make_rh
 from rhlab.rotations import rotate_polar
 from tests.conftest import random_spectral
 
@@ -96,7 +98,7 @@ class TestConfigParsing:
         p.write_text("L=8\nt_end=0.1\n")
         args = argparse.Namespace(command="rh-verify", config=str(p),
                                   overrides=["L=9", "t_end=0.2", "L=10"])
-        cfg, _ = cli._build_config(args)
+        cfg = cli._build_config(args)
         assert (cfg.L, cfg.t_end) == (10, 0.2)
 
     def test_unknown_key_rejected(self):
@@ -107,9 +109,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="five"):
             config_from_mapping({"Y": "1,2,3"})
 
-    def test_group_key_is_ignored_by_config(self):
-        cfg = config_from_mapping({"group": "so3", "L": "8"})
-        assert cfg.L == 8
+    def test_group_is_not_a_config_key(self):
+        # the stability group follows from alpha
+        with pytest.raises(ValueError) as err:
+            config_from_mapping({"group": "so3", "L": "8"})
+        assert str(err.value) == "unknown config key 'group'"
 
     @pytest.mark.parametrize("out", ["/nonexistent/x.csv", "", "."])
     def test_output_path_must_be_a_file_in_an_existing_directory(self, out):
@@ -174,7 +178,7 @@ class TestConfigParsing:
             assert parse(text) == value, key
 
 
-CONFIG_KEYS = sorted([*CONFIG_PARSERS, "group"])
+CONFIG_KEYS = sorted(CONFIG_PARSERS)
 FLOAT_KEYS = [key for key, parse in CONFIG_PARSERS.items() if parse is parse_finite_float]
 # any text UTF-8 can encode (lone surrogates cannot be written to a file)
 CONFIG_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
@@ -260,7 +264,7 @@ class TestExperimentsSmall:
         cfg = ExperimentConfig(name="stab", L=10, omega=0.2, alpha=0.2,
                                Y=SMALL_Y, epsilons=(1e-2, 5e-3),
                                dt=1e-3, t_end=0.2, diag_every=100, seed=3)
-        res = exp_stability(cfg, group="polar")
+        res = exp_stability(cfg)
         assert res.ok, res.messages
         # distances stay on the order of the perturbation size
         for eps, t, d in res.rows:
@@ -270,17 +274,26 @@ class TestExperimentsSmall:
         cfg = ExperimentConfig(name="stab3", L=8, omega=0.2, alpha=0.0,
                                Y=SMALL_Y, epsilons=(1e-2, 5e-3),
                                dt=1e-3, t_end=0.2, diag_every=100, seed=3)
-        res = exp_stability(cfg, group="so3")
+        res = exp_stability(cfg)
         assert res.ok, res.messages
 
-    def test_stability_group_guards(self):
-        cfg = ExperimentConfig(alpha=0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            exp_stability(cfg, group="polar")
-        with pytest.raises(ValueError, match="alpha"):
-            exp_stability(ExperimentConfig(alpha=1.0), group="so3")
-        with pytest.raises(ValueError, match="group"):
-            exp_stability(ExperimentConfig(alpha=1.0), group="euclidean")
+    @pytest.mark.parametrize("alpha, measured, other", [
+        (0.2, dist_polar_orbit, dist_so3_orbit),
+        (0.0, dist_so3_orbit, dist_polar_orbit),
+    ], ids=["polar", "so3"])
+    def test_alpha_picks_the_orbit(self, alpha, measured, other):
+        cfg = ExperimentConfig(L=8, omega=0.2, alpha=alpha, Y=SMALL_Y, epsilons=(1e-2, 5e-3),
+                               dt=1e-2, t_end=0.2, diag_every=10, seed=3)
+        rows = exp_stability(cfg).rows
+        zeta0 = exact_state(make_rh(cfg.omega, alpha, e2_to_spectral(cfg.Y, cfg.L)), 0.0)
+        eta = random_bandlimited(cfg.L, cfg.seed, cfg.max_degree)
+        solver = SolverConfig(L=cfg.L, omega=cfg.omega, dt=cfg.dt, t_end=cfg.t_end,
+                              diag_every=cfg.diag_every)
+        states = [(eps, t, zeta) for eps in cfg.epsilons
+                  for t, zeta in evolve(SpectralField(cfg.L, zeta0.coeffs + eps * eta.coeffs), solver)]
+        assert len(rows) == len(states) == 6
+        assert list(rows) == [(eps, t, measured(z, zeta0, cfg.p)[0]) for eps, t, z in states]
+        assert list(rows) != [(eps, t, other(z, zeta0, cfg.p)[0]) for eps, t, z in states]
 
     def test_traversal(self):
         cfg = ExperimentConfig(name="trav", L=12, omega=0.0, alpha=1.0,
@@ -335,6 +348,34 @@ class TestExperimentsSmall:
         assert any("seed=9" in l for l in comments)
         header_line = next(l for l in text if not l.startswith("#"))
         assert header_line == "t,rel_l2_error"
+
+
+def _csv_config(path):
+    """The version line of a CSV's comments, its keys in order, and the config they read back to."""
+    comments = [line[2:] for line in path.read_text().splitlines() if line.startswith("# ")]
+    mapping = dict(line.split("=", 1) for line in comments[1:])
+    return comments[0], list(mapping), config_from_mapping(mapping)
+
+
+class TestCSVRecordsTheConfig:
+    # every field away from its default, with floats that need all 17 digits
+    CFG = ExperimentConfig(name="every-field", L=8, omega=0.1 + 0.2, alpha=2 / 3,
+                           Y=E2Coeffs(0.1, 1 / 7, 0.02, -0.04, 1e-17), p=3.0,
+                           epsilons=(1e-2, 1 / 300), seed=7, max_degree=4, dt=1 / 30,
+                           t_end=0.1, diag_every=2, delta=1 / 30, beta_target=0.7)
+
+    @pytest.mark.parametrize("run", [exp_rh_exactness, exp_stability, exp_orbit_traversal,
+                                     exp_rearrangement_bound])
+    def test_comment_lines_read_back_to_the_config(self, tmp_path, run):
+        out = tmp_path / "run.csv"
+        cfg = replace(self.CFG, output_path=str(out))
+        res = run(cfg)
+        version, keys, read = _csv_config(out)
+        assert version == f"rhlab {__version__}"
+        assert keys == [f.name for f in fields(ExperimentConfig) if f.name != "output_path"]
+        assert read == replace(cfg, output_path=None)
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert lines[0] == ",".join(res.header) and len(lines) == len(res.rows) + 1
 
 
 class TestCLI:
@@ -408,7 +449,7 @@ class TestCLI:
         p = tmp_path / "s.cfg"
         p.write_text("L=8\nomega=0.2\nalpha=0.2\nY=0.1,0.06,0.02,0.04,0.02\n"
                      "epsilons=1e-2,5e-3\ndt=1e-3\nt_end=0.1\ndiag_every=100\n"
-                     "group=polar\nname=s\n")
+                     "name=s\n")
         rc = cli.main(["stability", "--config", str(p)])
         out = capsys.readouterr().out
         assert rc == 0
@@ -465,10 +506,8 @@ class TestConfigErrors:
         ("rh-verify", "rh_exactness.cfg", ["L=171"], "L must be <= 170, got 171"),
         ("rh-verify", "rh_exactness.cfg", ["t_end=-1"], "t_end must be nonnegative, got -1"),
         ("rh-verify", "rh_exactness.cfg", ["diag_every=0"], "diag_every must be >= 1, got 0"),
-        ("stability", "stability_so3.cfg", ["group=euclid"],
-         "unknown group 'euclid' (expected polar or so3)"),
-        ("stability", "stability_polar.cfg", ["group=polar", "alpha=0"],
-         "polar-orbit stability is stated for alpha != 0"),
+        # the stability group follows from alpha
+        ("stability", "stability_so3.cfg", ["group=so3"], "unknown config key 'group'"),
         # rejected before the evolution runs
         ("stability", "stability_polar.cfg", ["L=6", "t_end=0.002", "p=0.5"],
          "p must lie in (1, inf), got 0.5"),
@@ -564,7 +603,6 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command, config, override, owner", [
         ("rh-verify", "rh_exactness.cfg", "delta=0.3", "traversal"),
-        ("rh-verify", "rh_exactness.cfg", "group=so3", "stability"),
         ("rh-verify", "rh_exactness.cfg", "epsilons=0.5", "stability"),
         ("rh-verify", "rh_exactness.cfg", "max_degree=3", "stability"),
         ("rearrange", "rearrangement.cfg", "beta_target=1.0", "traversal"),
@@ -675,10 +713,9 @@ class TestShippedConfigs:
         lines = out.read_text().splitlines()
         comments = [l for l in lines if l.startswith("#")]
         assert lines[:len(comments)] == comments
-        assert comments[0] == f"# rhlab {__version__}"
-        assert comments[1].startswith(f"# experiment={settings['name']} L={settings['L']} ")
-        assert f"seed={settings.get('seed', 0)} " in comments[3]
-        assert "t_end=0.02 " in comments[3]
+        version, _, read = _csv_config(out)
+        assert version == f"rhlab {__version__}"
+        assert read == config_from_mapping({**settings, "t_end": "0.02"})
         assert lines[len(comments)] == header
         rows = [[float(v) for v in l.split(",")] for l in lines[len(comments) + 1:]]
         assert len(rows) == 2 * n_eps

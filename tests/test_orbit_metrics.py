@@ -477,11 +477,26 @@ class TestCorrelationOverflow:
 
 
 class TestSO3SearchBudget:
+    @pytest.mark.parametrize("J", [10, 20])
+    def test_search_peaks_at_24_n_cubed_bytes(self, J):
+        # the complex samples and their real part, then the real samples
+        # and two running maxima: 24 n^3, n = 4(J+1)
+        r = np.random.default_rng(J)
+        f, target = random_spectral(J, r), random_spectral(J, r)
+        _so3_starts(f, target)  # fills the caches of the d^j eigenvectors
+        tracemalloc.start()
+        try:
+            _so3_starts(f, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * (4 * (J + 1)) ** 3
+
     def test_degree_above_the_budget_is_rejected_before_any_sample(self):
-        # J = 69 is the largest degree whose 48 n^3 bytes, n = 4(J+1), fit
-        assert 48 * (4 * 70) ** 3 <= SO3_SEARCH_BYTES < 48 * (4 * 71) ** 3
+        # J = 87 is the largest degree whose 24 n^3 bytes, n = 4(J+1), fit
+        assert 24 * (4 * 88) ** 3 <= SO3_SEARCH_BYTES < 24 * (4 * 89) ** 3
         r = np.random.default_rng(8)
-        f, target = random_spectral(70, r), random_spectral(70, r)
+        f, target = random_spectral(88, r), random_spectral(88, r)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as err:
@@ -490,6 +505,6 @@ class TestSO3SearchBudget:
         finally:
             tracemalloc.stop()
         assert str(err.value) == (
-            "the SO(3) search at target degree J = 70 samples n^3 Euler angles, n = 4(J+1) = 284, "
-            f"in about {48 * 284**3} bytes, above SO3_SEARCH_BYTES = {SO3_SEARCH_BYTES}")
+            "the SO(3) search at target degree J = 88 samples n^3 Euler angles, n = 4(J+1) = 356, "
+            f"in about {24 * 356**3} bytes, above SO3_SEARCH_BYTES = {SO3_SEARCH_BYTES}")
         assert peak < 4e6
