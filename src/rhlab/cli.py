@@ -26,13 +26,10 @@ import argparse
 import sys
 import numpy as np
 
+from . import experiments
 from .experiments import (
     ExperimentResult,
     config_from_mapping,
-    exp_orbit_traversal,
-    exp_rearrangement_bound,
-    exp_rh_exactness,
-    exp_stability,
     parse_config_file,
     parse_e2,
     parse_finite_float,
@@ -59,8 +56,10 @@ def _add_experiment_args(sub):
                      help="config overrides applied after the file")
 
 
-_EXPERIMENTS = {"rh-verify": exp_rh_exactness, "stability": exp_stability,
-                "traversal": exp_orbit_traversal, "rearrange": exp_rearrangement_bound}
+# each subcommand's function in `experiments`, looked up when it runs, so
+# that a wrapper installed on the module (a tracer, a test's stub) is called
+_EXPERIMENTS = {"rh-verify": "exp_rh_exactness", "stability": "exp_stability",
+                "traversal": "exp_orbit_traversal", "rearrange": "exp_rearrangement_bound"}
 
 # keys that only one experiment reads, and the others reject; every
 # experiment's CSV records every key
@@ -103,7 +102,8 @@ def _report(result: ExperimentResult) -> int:
 def _run(args) -> int:
     """The subcommand's work and its exit code; a failure raises to `main`."""
     if args.command in _EXPERIMENTS:
-        return _report(_EXPERIMENTS[args.command](_build_config(args)))
+        run = getattr(experiments, _EXPERIMENTS[args.command])
+        return _report(run(_build_config(args)))
 
     if args.command == "invariants":
         lines = ("a,u,v,w,p1,p0,I2,I3,I4,I5,I6,I7",

@@ -329,6 +329,13 @@ def norm_l2(c: SpectralField) -> float:
     return float(np.sqrt(inner_l2(c, c)))
 
 
+def degree_power(c: SpectralField) -> np.ndarray:
+    """Per degree j, the squared L2 norm of c's degree-j part: sum over m of |c_j^m|^2, both +/-m counted."""
+    power = np.abs(c.coeffs) ** 2
+    power[1:] *= 2.0  # both +/-m
+    return power.sum(axis=0)
+
+
 def inner_l2(c1: SpectralField, c2: SpectralField) -> float:
     """L2 inner product of two real fields, computed spectrally."""
     L = min(c1.L, c2.L)
@@ -345,34 +352,26 @@ def inner_l2(c1: SpectralField, c2: SpectralField) -> float:
 
 
 class _Analysis:
-    """Views of a grid's work regions for `analyze` to degree L.
+    """Views of a grid's work regions for `analyze`, one set per grid.
 
     The mirrored `pair` of rows goes to B, its `rfft` spectrum `fourier`
     to A, the quadrature's Fourier `columns` to B and its matmul output
-    `products` to A.  `orders` are the pairs' orders (q, L' - q), for the
-    pairs with an order <= L; an order above L reads column L, and is
+    `products` to A.  `orders` are the orders (q, L' - q) of each of the
+    table's h pairs; an order above spec.L reads column spec.L, and is
     never gathered.  `slots` is a contiguous copy of the grid's slot map
-    for m, j <= L, which `take` reads without copying it on every call.
-    The grid-size checks run here, once per grid and degree.
+    for m, j <= spec.L, which `take` reads without copying it on every
+    call.
     """
 
-    def __init__(self, spec: GridSpec, work: _GridWork, L: int):
-        if spec.n_lat < L + 1:
-            raise ValueError(f"n_lat={spec.n_lat} < L+1={L + 1}: undersized grid")
-        if spec.n_lon < 2 * L + 1:
-            raise ValueError(f"n_lon={spec.n_lon} < 2L+1={2 * L + 1}: undersized grid")
-        if L > spec.L + 1:
-            raise ValueError(f"analysis degree L={L} exceeds spec.L+1={spec.L + 1}, "
-                             f"the largest the grid's table serves")
+    def __init__(self, spec: GridSpec, work: _GridWork, key):
         table = work.table
         h, slots, n_north = table.shape[0], table.shape[2], table.shape[3]
-        top, n_freq = 2 * h - 1, spec.n_lon // 2 + 1
-        n_pairs = min(h, L + 1)
-        pairs = np.arange(n_pairs)
+        L, top, n_freq = spec.L, 2 * h - 1, spec.n_lon // 2 + 1
+        pairs = np.arange(h)
         self.orders = np.minimum(np.stack((pairs, top - pairs), axis=1).ravel(), L)
         self.slots = np.ascontiguousarray(work.slots[: L + 1, : L + 1])
         pair, fourier = 2 * n_north * spec.n_lon, 4 * n_north * n_freq
-        columns, products = 8 * n_north * n_pairs, 8 * n_pairs * slots
+        columns, products = 8 * n_north * h, 8 * h * slots
         a, b = work.regions(max(fourier, products), max(pair, columns))
 
         # [parity, northern node, longitude]: the sum and the difference of
@@ -385,35 +384,35 @@ class _Analysis:
         fourier = a[:fourier].view(complex).reshape(2, n_north, n_freq)
         self.fourier, self.low = fourier, fourier[..., : L + 1]
         # columns[pair, parity, node, (order of the pair, part)]
-        self.columns = b[:columns].view(complex).reshape(2, n_north, 2 * n_pairs)
-        columns = self.columns.view(float).reshape(2, n_north, n_pairs, 4)
-        self.operands = (table[:n_pairs], columns.transpose(2, 0, 1, 3))
-        self.products = a[:products].reshape(n_pairs, 2, slots, 4)
+        self.columns = b[:columns].view(complex).reshape(2, n_north, 2 * h)
+        columns = self.columns.view(float).reshape(2, n_north, h, 4)
+        self.operands = (table, columns.transpose(2, 0, 1, 3))
+        self.products = a[:products].reshape(h, 2, slots, 4)
         self.coefficients = self.products.view(complex).reshape(-1)
 
 
-def analyze(values: np.ndarray, spec: GridSpec, L: int) -> SpectralField:
+def analyze(values: np.ndarray, spec: GridSpec) -> SpectralField:
     """Forward transform: c_j^m = integral of f * conj(Y_j^m) d_sigma, f the values on spec.
 
-    values must have the grid's shape (`grid.check_shape`).  The rows of
-    each mirrored pair of latitudes +-mu are summed and differenced and
-    scaled by their quadrature weight, then transformed by a longitude
-    discrete Fourier sum and the Legendre quadrature
-    `_legendre_quadrature` against the grid's folded table, which
-    serves any L <= spec.L + 1; a larger L raises ValueError.  Exact to
-    roundoff for fields bandlimited to degree <= L.  The stepping path
-    calls `_analyze`, without the check and the field object.  Every
-    stage runs in the grid's work regions (`_Analysis`); the
-    coefficients returned are fresh.  The result is bitwise repeatable under the contract stated
-    in `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
+    values must have the grid's shape (`grid.check_shape`); the field
+    returned has the grid's degree, spec.L.  The rows of each mirrored
+    pair of latitudes +-mu are summed and differenced and scaled by their
+    quadrature weight, then transformed by a longitude discrete Fourier
+    sum and the Legendre quadrature `_legendre_quadrature` against the
+    grid's folded table.  Exact to roundoff for fields bandlimited to
+    degree <= spec.L.  The stepping path calls `_analyze`, without the
+    check and the field object.  Every stage runs in the grid's work
+    regions (`_Analysis`); the coefficients returned are fresh.  The
+    result is bitwise repeatable under the contract stated in
+    `_synth_values` (fixed numpy/BLAS build and OPENBLAS_NUM_THREADS).
     """
     check_shape(values, spec)
-    return _field(L, _analyze(values, spec, L))
+    return _field(spec.L, _analyze(values, spec))
 
 
-def _analyze(values: np.ndarray, spec: GridSpec, L: int) -> np.ndarray:
+def _analyze(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     """`analyze` of the grid values `values` on `spec`: the coefficient array C[m, j], fresh."""
-    views = _work_views(spec, L, _Analysis)
+    views = _work_views(spec, "analysis", _Analysis)
     half, eq = views.half, views.eq
     north, south = values[half + eq:], values[half - 1 :: -1]
     np.add(north, south, out=views.sum)
@@ -440,7 +439,7 @@ def _legendre_quadrature(F: np.ndarray, views: _Analysis) -> np.ndarray:
     columns, the real and imaginary parts of both its orders' Fourier
     rows, in one batched real matmul, and C is gathered from its output
     through the grid's slot map.  The columns and the matmul output lie in
-    the grid's work regions (`_Analysis` of degree L); C is fresh.
+    the grid's work regions (`_Analysis`); C is fresh.
     Same determinism contract as `_synth_values`.
     """
     # the orders are in range, and mode="clip" lets take write unbuffered
@@ -464,9 +463,6 @@ class _Synthesis:
 
     def __init__(self, spec: GridSpec, work: _GridWork, key):
         nf, kinds = key
-        for kind in kinds:
-            if kind not in ("value", "dphi", "dtheta"):
-                raise ValueError(f"unknown synthesis kind {kind!r}")
         L, n_lat, n_lon = spec.L, spec.n_lat, spec.n_lon
         self.table = table = work.table
         h, slots, n_north = table.shape[0], table.shape[2], table.shape[3]
@@ -551,9 +547,10 @@ class _Synthesis:
 
 
 def _synth_values(Cs, spec: GridSpec, kinds: tuple[str, ...]) -> np.ndarray:
-    """Grids of each kind for each SpectralField coefficient array C[m, j] in Cs, zero-padded to spec.L.
+    """Grids of each kind for each SpectralField coefficient array C[m, j] in Cs.
 
-    A C above degree spec.L raises ValueError.  Returns shape
+    Each C must have the grid's degree, spec.L; one of another degree
+    raises ValueError naming both.  Returns shape
     (len(kinds), len(Cs), n_lat, n_lon), in the grid's work region B: the
     grids are overwritten by the grid's next transform, so a caller that
     keeps them copies them.  A kind is "value" (the field), "dphi" (i m
@@ -603,15 +600,14 @@ def _legendre_sums(Cs, L: int, views: _Synthesis) -> None:
     map puts (m, j).  The buffer and the coefficient rows are zeroed
     first: the regions hold other stages' data, and the buffer's zero
     orders, a d/dtheta row's last slot, which the recurrence only adds
-    to, and a low-degree C's padding are never written otherwise.
+    to, and the coefficient rows' degrees above L are never written
+    otherwise.
     """
     views.buffer.fill(0.0)
     views.values.fill(0.0)
     for C, slots in zip(Cs, views.coefficients):
         if len(C) != L + 1:
-            if len(C) > L + 1:
-                raise ValueError(f"grid truncation {L} < field truncation {len(C) - 1}")
-            slots = slots[:, : len(C), : len(C)]
+            raise ValueError(f"field truncation {len(C) - 1} differs from grid truncation {L}")
         slots[...] = C[..., None].view(float).transpose(2, 0, 1)
     for kind, rows, values, weights in views.kinds:
         if kind == "value":
@@ -700,8 +696,9 @@ def synthesize(c: SpectralField, spec: GridSpec) -> np.ndarray:
     return _synth_values([c.coeffs], spec, ("value",))[0, 0].copy()
 
 
-# synthesize_dtheta and synthesize_dphi are the oracle pair of
-# synthesize_gradients, and the benchmark traces them
+# no experiment calls synthesize_dtheta or synthesize_dphi: they are the
+# oracle pair of advection_tendency's fused contraction, and the benchmark
+# traces them
 def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> np.ndarray:
     """d/dtheta of the field represented by c, evaluated on the grid."""
     return _synth_values([c.coeffs], spec, ("dtheta",))[0, 0].copy()
@@ -710,17 +707,6 @@ def synthesize_dtheta(c: SpectralField, spec: GridSpec) -> np.ndarray:
 def synthesize_dphi(c: SpectralField, spec: GridSpec) -> np.ndarray:
     """d/dphi of the field represented by c (spectral: multiply by i*m)."""
     return _synth_values([c.coeffs], spec, ("dphi",))[0, 0].copy()
-
-
-def synthesize_gradients(fields, spec: GridSpec) -> np.ndarray:
-    """d/dphi and d/dtheta grids of several fields from one Legendre contraction.
-
-    Returns G of shape (2, len(fields), n_lat, n_lon) with G[0, i] the
-    d/dphi and G[1, i] the d/dtheta grid of fields[i]: the same values as
-    `synthesize_dphi` and `synthesize_dtheta`, from one batched matmul of
-    4 rows per field and one irfft.  G is the caller's own copy.
-    """
-    return _synth_values([c.coeffs for c in fields], spec, ("dphi", "dtheta")).copy()
 
 
 # points per block in which eval_point streams the Legendre recurrence: rotate_so3
@@ -816,16 +802,14 @@ def e2_part(c: SpectralField) -> E2Coeffs:
 
 def spectral_to_e2(c: SpectralField, tol: float = 1e-10) -> E2Coeffs:
     """Inverse change of basis; rejects fields with content outside degree 2."""
-    total = inner_l2(c, c)
-    c20 = c.get(2, 0)
-    c21 = c.get(2, 1)
-    c22 = c.get(2, 2)
-    deg2 = abs(c20) ** 2 + 2.0 * abs(c21) ** 2 + 2.0 * abs(c22) ** 2
-    if total > 0 and (total - deg2) > tol * total:
+    y = e2_part(c)
+    power = degree_power(c)
+    total = power.sum()
+    if total > 0 and (total - power[2]) > tol * total:
         raise ValueError(
-            f"field has {(total - deg2) / total:.3e} relative energy outside degree 2"
+            f"field has {(total - power[2]) / total:.3e} relative energy outside degree 2"
         )
-    return e2_part(c)
+    return y
 
 
 # --------------------------------------------------------------------------

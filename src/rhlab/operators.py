@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import GridSpec, _read_only
 from .harmonics import (SpectralField, _analyze, _field, _synth_values, _work_views,
-                        default_grid, from_coeff_dict)
+                        degree_power, from_coeff_dict)
 
 # sin(theta) = sqrt(4 pi / 3) Y_1^0
 SINTHETA_C10 = float(np.sqrt(4.0 * np.pi / 3.0))
@@ -62,28 +62,26 @@ def _stream_coeffs(C: np.ndarray, omega: float) -> np.ndarray:
     return psi
 
 
-def advection_tendency(zeta: SpectralField, omega: float,
-                       spec: GridSpec | None = None) -> SpectralField:
-    """Coupled tendency d_t zeta = -J grad(psi) . grad(zeta).
+def advection_tendency(zeta: SpectralField, omega: float, spec: GridSpec) -> SpectralField:
+    """Coupled tendency d_t zeta = -J grad(psi) . grad(zeta) on the grid spec.
 
-    psi = omega sin(theta) - G(zeta) is zeta's own stream function.  The
-    stages pass arrays: psi's coefficients, the d/dphi and d/dtheta grids
-    of psi and zeta from one `_synth_values` contraction (in the grid's
-    work region B), and the Jacobian analyzed to degree <= L
-    (`_jacobian_coeffs`).  The operations and their order are those of
-    `stream_function`, `synthesize_gradients` and `analyze` composed, so
-    the bits are too.
+    psi = omega sin(theta) - G(zeta) is zeta's own stream function, and
+    zeta must have the grid's degree, spec.L (`_synth_values` raises
+    otherwise).  The stages pass arrays: psi's coefficients, the d/dphi
+    and d/dtheta grids of psi and zeta from one `_synth_values`
+    contraction (in the grid's work region B), and the Jacobian analyzed
+    on the grid (`_jacobian_coeffs`).  The operations and their order are
+    those of `stream_function`, the d/dphi and d/dtheta synthesis of psi
+    and zeta, and `analyze` composed, so the bits are too.
     """
     _require_zero_mean(zeta, "advection_tendency")
-    if spec is None:
-        spec = default_grid(zeta.L)
     C = zeta.coeffs
     grads = _synth_values((_stream_coeffs(C, omega), C), spec, ("dphi", "dtheta"))
-    return _field(zeta.L, _jacobian_coeffs(grads[:, 0], grads[:, 1], spec, zeta.L))
+    return _field(zeta.L, _jacobian_coeffs(grads[:, 0], grads[:, 1], spec))
 
 
-def _jacobian_coeffs(dpsi, dzeta, spec: GridSpec, L: int) -> np.ndarray:
-    """The coefficients C[m, j] of -J(psi, zeta) analyzed to degree <= L, from the gradient grids.
+def _jacobian_coeffs(dpsi, dzeta, spec: GridSpec) -> np.ndarray:
+    """The coefficients C[m, j] of -J(psi, zeta) analyzed on spec, from the gradient grids.
 
     dpsi and dzeta are (d/dphi, d/dtheta) grid pairs; the Jacobian is
     (1/cos theta)(d_phi psi d_theta zeta - d_theta psi d_phi zeta).  The
@@ -97,7 +95,7 @@ def _jacobian_coeffs(dpsi, dzeta, spec: GridSpec, L: int) -> np.ndarray:
     np.multiply(dpsi_phi, dz_th, out=term)
     np.subtract(minus_jac, term, out=minus_jac)
     np.divide(minus_jac, cos_theta, out=minus_jac)
-    C = _analyze(minus_jac, spec, L)
+    C = _analyze(minus_jac, spec)
     C[0, 0] = 0.0
     return C
 
@@ -117,10 +115,7 @@ def poincare_gap(f: SpectralField, j: int) -> float:
     degrees <= j+1.
     """
     _require_zero_mean(f, "poincare_gap")
-    deg = np.arange(f.L + 1)
-    energy = np.abs(f.coeffs) ** 2
-    energy[1:] *= 2.0  # both +/-m
-    per_degree = energy.sum(axis=0)
+    per_degree = degree_power(f)
     gap = 0.0
     for k in range(j + 1, f.L + 1):
         # the k = j+1 term is an exact floating-point zero (equality case)

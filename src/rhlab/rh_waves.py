@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, _field
+from .harmonics import SpectralField, _field, degree_power
 from .operators import SINTHETA_C10
 from .rotations import rotate_polar
 
@@ -39,9 +39,7 @@ def make_rh(omega: float, alpha: float, Y: SpectralField) -> RHState:
     """Build an RH state from a single-degree spherical part Y; alpha and omega must be finite."""
     if not (math.isfinite(alpha) and math.isfinite(omega)):
         raise ValueError(f"alpha and omega must be finite, got alpha={alpha:g}, omega={omega:g}")
-    energy = np.abs(Y.coeffs) ** 2
-    energy[1:] *= 2.0  # both +/-m
-    per_degree = energy.sum(axis=0)
+    per_degree = degree_power(Y)
     total = per_degree.sum()
     if total == 0.0:
         raise ValueError("Y must be nonzero")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from rhlab.harmonics import SpectralField, analyze, synthesize_gradients
+from rhlab.harmonics import SpectralField, _synth_values, analyze
 from rhlab.operators import stream_function
 
 # The same draws on every run, so a property that fails for one input in
@@ -24,8 +24,8 @@ def random_spectral(L, rng, zero_mean=True, max_degree=None):
     return SpectralField(L=L, coeffs=C)
 
 
-def reference_tendency(dpsi, dzeta, spec, L):
-    """-J(psi, zeta) to degree L from the gradient grids, composed of public functions.
+def reference_tendency(dpsi, dzeta, spec):
+    """-J(psi, zeta) analyzed on spec from the gradient grids, composed of public functions.
 
     The operations and their order are those of the tendency before it
     passed arrays between stages: (d_theta psi d_phi zeta - d_phi psi
@@ -35,19 +35,20 @@ def reference_tendency(dpsi, dzeta, spec, L):
     minus_jac = dpsi_th * dz_phi
     minus_jac = minus_jac - dpsi_phi * dz_th
     minus_jac = minus_jac / spec.cos_theta[:, None]
-    C = analyze(minus_jac, spec, L).coeffs
+    C = analyze(minus_jac, spec).coeffs
     C[0, 0] = 0.0
     return C
 
 
 def reference_coupled_tendency(zeta, omega, spec):
-    """`reference_tendency` of zeta's own stream: psi and zeta synthesized in one call.
+    """`reference_tendency` of zeta's own stream.
 
-    Synthesis zero-pads a field of lower degree than spec.L.
+    The d/dphi and d/dtheta grids of psi and zeta come from one
+    contraction, as in `operators.advection_tendency`.
     """
     psi = stream_function(zeta, omega)
-    grads = synthesize_gradients((psi, zeta), spec)
-    return reference_tendency(grads[:, 0], grads[:, 1], spec, zeta.L)
+    grads = _synth_values((psi.coeffs, zeta.coeffs), spec, ("dphi", "dtheta")).copy()
+    return reference_tendency(grads[:, 0], grads[:, 1], spec)
 
 
 @pytest.fixture

@@ -113,6 +113,6 @@ def test_criterion_7_flow_matches_its_characteristics():
         if moments0 is None:
             moments0 = moments
         assert np.abs(moments / moments0 - 1.0).max() <= 1e-9, t
-        e_char = e_deg2(analyze(values, grid, L), ALPHA)
+        e_char = e_deg2(analyze(values, grid), ALPHA)
         assert e_char <= M + 1e-12, t
         assert abs(e_spectral - e_char) <= 2e-10, (t, e_spectral - e_char)

@@ -13,7 +13,8 @@ from rhlab.harmonics import (
     e2_to_spectral,
     from_coeff_dict,
     norm_l2,
-    synthesize_gradients,
+    synthesize_dphi,
+    synthesize_dtheta,
     top_degree,
 )
 from rhlab.rh_waves import exact_state, make_rh
@@ -205,10 +206,9 @@ class TestPrescribedStream:
 
 
 def reference_prescribed_tendency(zeta, chi, spec):
-    """`reference_tendency` by the stream chi, each field's grids from a call of its own."""
-    dpsi = synthesize_gradients((chi,), spec)[:, 0]
-    dzeta = synthesize_gradients((zeta,), spec)[:, 0]
-    return reference_tendency(dpsi, dzeta, spec, zeta.L)
+    """`reference_tendency` by the stream chi, each grid from a public synthesis of its own."""
+    dpsi, dzeta = ((synthesize_dphi(f, spec), synthesize_dtheta(f, spec)) for f in (chi, zeta))
+    return reference_tendency(dpsi, dzeta, spec)
 
 
 def relative_gap(C, reference):

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab import __version__, cli
+from rhlab import __version__, cli, experiments
 from rhlab.dynamics import SolverConfig, Stepper, evolve
 from rhlab.experiments import (
     CONFIG_PARSERS,
     ExperimentConfig,
+    ExperimentResult,
     config_from_mapping,
     default_rearrange_stream,
     exp_orbit_traversal,
@@ -454,6 +455,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.strip().endswith("PASS")
+
+    def test_calls_the_experiment_bound_in_experiments(self, monkeypatch, capsys):
+        # a wrapper installed on the module after import, as the
+        # benchmark's tracer installs one, is the function that runs
+        calls = []
+
+        def stub(cfg):
+            calls.append(cfg)
+            return ExperimentResult(name=cfg.name, ok=True, messages=("stub",), rows=(), header=())
+
+        monkeypatch.setattr(experiments, "exp_rh_exactness", stub)
+        rc = cli.main(["rh-verify", "L=8", "name=stubbed"])
+        assert rc == 0 and [cfg.name for cfg in calls] == ["stubbed"]
+        assert capsys.readouterr().out == "stubbed: stub\nstubbed: PASS\n"
 
     def test_bad_override_rejected(self):
         with pytest.raises(SystemExit):

@@ -16,6 +16,7 @@ from rhlab.harmonics import (
     _Synthesis,
     _field,
     _legendre_quadrature,
+    _synth_values,
     _work_views,
     analyze,
     default_grid,
@@ -33,7 +34,6 @@ from rhlab.harmonics import (
     synthesize,
     synthesize_dphi,
     synthesize_dtheta,
-    synthesize_gradients,
     table_degree,
 )
 from rhlab.experiments import random_bandlimited
@@ -246,7 +246,7 @@ class TestTransformPair:
         L = 8
         spec = build_grid(L)
         g = synthesize(from_coeff_dict(L, {(2, 0): 1.0}), spec)
-        c = analyze(g, spec, L)
+        c = analyze(g, spec)
         assert c.coeffs[0, 2] == pytest.approx(1.0, abs=1e-12)
         other = c.coeffs.copy()
         other[0, 2] = 0.0
@@ -255,7 +255,7 @@ class TestTransformPair:
     def test_constant_field_mean_coefficient(self):
         L = 4
         spec = build_grid(L)
-        c = analyze(np.ones((spec.n_lat, spec.n_lon)), spec, L)
+        c = analyze(np.ones((spec.n_lat, spec.n_lon)), spec)
         assert c.coeffs[0, 0] == pytest.approx(np.sqrt(4.0 * np.pi), rel=1e-13)
 
     @given(seed=st.integers(0, 2**32 - 1), L=st.integers(3, 42))
@@ -263,7 +263,7 @@ class TestTransformPair:
     def test_roundtrip(self, seed, L):
         spec = build_grid(L)
         f = random_spectral(L, np.random.default_rng(seed), zero_mean=False)
-        f2 = analyze(synthesize(f, spec), spec, L)
+        f2 = analyze(synthesize(f, spec), spec)
         assert np.abs(f2.coeffs - f.coeffs).max() < 1e-12 * max(
             1.0, np.abs(f.coeffs).max())
 
@@ -272,10 +272,10 @@ class TestTransformPair:
     def test_roundtrip_at_the_largest_L(self, rng):
         spec = build_grid(MAX_L)
         f = random_spectral(MAX_L, rng, zero_mean=False)
-        f2 = analyze(synthesize(f, spec), spec, MAX_L)
+        f2 = analyze(synthesize(f, spec), spec)
         assert np.abs(f2.coeffs - f.coeffs).max() < 1.3e-13 * np.abs(f.coeffs).max()
 
-    @pytest.mark.parametrize("call", [lambda values, spec: analyze(values, spec, 4), integrate],
+    @pytest.mark.parametrize("call", [analyze, integrate],
                              ids=["analyze", "integrate"])
     @pytest.mark.parametrize("shape", [(15, 7), (7, 14), (7 * 15,), (1, 7, 15)])
     def test_wrong_shape_rejected(self, call, shape):
@@ -307,58 +307,46 @@ class TestTransformPair:
         g = synthesize(from_coeff_dict(L, {}), spec)
         assert np.abs(g).max() == 0.0
 
-    def test_undersized_grid_rejected(self):
-        spec = build_grid(4)
-        with pytest.raises(ValueError):
-            analyze(np.zeros((spec.n_lat, spec.n_lon)), spec, 40)
-
-    def test_degree_above_the_table_rejected(self):
-        spec = build_grid(4)  # 7 x 15 nodes, enough for degree 6
-        values = np.zeros((spec.n_lat, spec.n_lon))
-        analyze(values, spec, spec.L + 1)
-        with pytest.raises(ValueError, match=r"spec.L\+1=5"):
-            analyze(values, spec, spec.L + 2)
-
     @pytest.mark.parametrize("call", [
         synthesize,
-        lambda f, spec: synthesize_gradients((f,), spec),
+        synthesize_dphi,
+        synthesize_dtheta,
         lambda f, spec: advection_tendency(f, 0.5, spec),
-    ], ids=["synthesize", "gradients", "advection"])
-    def test_field_above_the_grid_degree_rejected(self, call, rng):
-        # a field below the grid's degree is zero-padded; one above it is an error
+    ], ids=["synthesize", "dphi", "dtheta", "advection"])
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_field_of_another_degree_rejected(self, call, L, rng):
+        # a grid transforms fields of its own degree only
         spec = build_grid(6)
-        call(random_spectral(4, rng), spec)
-        with pytest.raises(ValueError, match="grid truncation 6 < field truncation 8"):
-            call(random_spectral(8, rng), spec)
+        call(random_spectral(6, rng), spec)
+        with pytest.raises(ValueError) as err:
+            call(random_spectral(L, rng), spec)
+        assert str(err.value) == f"field truncation {L} differs from grid truncation 6"
 
 
 class TestLegendreContraction:
     """The analysis kernel in the folded layout against a direct complex einsum.
 
     The oracle table is a full-node `norm_legendre_table` of the grid's
-    table degree L + 1, viewed as P[:L_out+1, :L_out+1]; analysis weights
-    the Fourier coefficients.
+    degree L; analysis weights the Fourier coefficients.
     """
 
     L = 90
 
-    @pytest.mark.parametrize("L_out", [2, L - 1, L, L + 1])
-    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng, L_out):
-        # `analyze` serves every degree up to spec.L + 1 from the one table
+    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng):
         spec = default_grid(self.L)
-        P = norm_legendre_table(spec.L + 1, spec.mu_nodes)[: L_out + 1, : L_out + 1]
-        shape = (spec.n_lat, L_out + 1)
+        P = norm_legendre_table(spec.L, spec.mu_nodes)
+        shape = (spec.n_lat, spec.L + 1)
         F = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * spec.weights[:, None]
         want = np.einsum("mjk,km->mj", P, F)
         # the sums and differences of the rows at +-mu (n_lat is even here)
         half = spec.n_lat // 2
         north, south = F[half:], F[half - 1 :: -1]
-        views = _work_views(spec, L_out, _Analysis)
+        views = _work_views(spec, "analysis", _Analysis)
         got = _legendre_quadrature(np.stack((north + south, north - south)), views)
-        assert got.shape == (L_out + 1, L_out + 1)
+        assert got.shape == (spec.L + 1, spec.L + 1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the slots j < m are exactly zero
-        assert np.all(got[np.tril_indices(L_out + 1, -1)] == 0.0)
+        assert np.all(got[np.tril_indices(spec.L + 1, -1)] == 0.0)
 
     def test_shared_tables_are_read_only(self):
         table = grid_tables(build_grid(5))
@@ -404,10 +392,11 @@ class TestDthetaSynthesis:
 
     @pytest.mark.parametrize("L", [5, 42])
     def test_fused_gradients_equal_per_field_wrappers(self, L):
+        # the contraction of advection_tendency against its oracle pair
         spec = build_grid(L)
         rng = np.random.default_rng(7)
         psi, zeta = random_spectral(L, rng), random_spectral(L, rng)
-        grids = synthesize_gradients((psi, zeta), spec)
+        grids = _synth_values((psi.coeffs, zeta.coeffs), spec, ("dphi", "dtheta")).copy()
         assert grids.shape == (2, 2, spec.n_lat, spec.n_lon)
         for i, f in enumerate((psi, zeta)):
             for got, want in ((grids[0, i], synthesize_dphi(f, spec)),
@@ -425,14 +414,14 @@ class TestWorkRegions:
     def test_public_results_survive_later_transforms(self, rng):
         spec = build_grid(21)
         psi, zeta = random_spectral(21, rng), random_spectral(21, rng)
-        grads = synthesize_gradients((psi, zeta), spec)
+        grads = synthesize_dphi(psi, spec), synthesize_dtheta(zeta, spec)
         values = synthesize(zeta, spec)
-        kept = self.bits(grads), self.bits(values)
+        kept = [self.bits(g) for g in grads], self.bits(values)
         synthesize_dtheta(psi, spec)
-        synthesize_gradients((zeta,), spec)
-        analyze(values * 2.0, spec, 21)
+        synthesize_dphi(zeta, spec)
+        analyze(values * 2.0, spec)
         advection_tendency(zeta, 0.5, spec)
-        assert (self.bits(grads), self.bits(values)) == kept
+        assert ([self.bits(g) for g in grads], self.bits(values)) == kept
 
     @pytest.mark.parametrize("L", [12, 21])
     def test_tendency_repeats_bitwise_between_other_transforms(self, L, rng):
@@ -442,7 +431,7 @@ class TestWorkRegions:
         advection_tendency(z2, 0.5, spec)
         assert self.bits(advection_tendency(z1, 0.5, spec).coeffs) == first
         synthesize(z2, other)
-        synthesize_gradients((z2,), spec)
+        synthesize_dphi(z2, spec)
         assert self.bits(advection_tendency(z1, 0.5, spec).coeffs) == first
 
     @pytest.mark.parametrize("L", [12, 21])
@@ -481,7 +470,7 @@ class TestRealM0Check:
         "synthesize": synthesize,
         "dphi": synthesize_dphi,
         "dtheta": synthesize_dtheta,
-        "gradients": lambda f, spec: synthesize_gradients((f,), spec),
+        "gradients": lambda f, spec: _synth_values([f.coeffs], spec, ("dphi", "dtheta")).copy(),
         "advection": lambda f, spec: advection_tendency(f, 0.5, spec).coeffs,
         "eval_point": lambda f, spec: eval_point(f, 0.3, 0.4),
     }

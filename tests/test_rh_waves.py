@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rhlab.grid import build_grid
 from rhlab.harmonics import E2Coeffs, e2_to_spectral, from_coeff_dict
 from rhlab.invariants_algebra import moments_numeric
 from rhlab.operators import advection_tendency
@@ -81,7 +82,7 @@ class TestExactState:
         s = default_state(L=12)
         t, dt = 1.3, 1e-5
         z = exact_state(s, t)
-        tend = advection_tendency(z, s.omega)
+        tend = advection_tendency(z, s.omega, build_grid(12))
         fd = (exact_state(s, t + dt).coeffs - exact_state(s, t - dt).coeffs) / (2.0 * dt)
         assert np.abs(tend.coeffs - fd).max() < 1e-7
 
