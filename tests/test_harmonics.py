@@ -330,19 +330,24 @@ class TestLegendreContraction:
     degree L; analysis weights the Fourier coefficients.
     """
 
-    L = 90
-
-    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng):
-        spec = default_grid(self.L)
+    # even and odd L (table degree L + 1 or L + 2), even and odd n_lat
+    # (L = 91 has an equator node)
+    @pytest.mark.parametrize("L", [2, 89, 90, 91])
+    def test_quadrature_in_stored_layout_matches_complex_einsum(self, rng, L):
+        spec = default_grid(L)
         P = norm_legendre_table(spec.L, spec.mu_nodes)
         shape = (spec.n_lat, spec.L + 1)
         F = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * spec.weights[:, None]
         want = np.einsum("mjk,km->mj", P, F)
-        # the sums and differences of the rows at +-mu (n_lat is even here)
-        half = spec.n_lat // 2
-        north, south = F[half:], F[half - 1 :: -1]
+        # the sums and differences of the rows at +-mu; an equator row
+        # enters both once
+        half, eq = spec.n_lat // 2, spec.n_lat % 2
+        north, south = F[half + eq :], F[half - 1 :: -1]
+        equator = F[half : half + eq]
+        pair = np.stack((np.concatenate((equator, north + south)),
+                         np.concatenate((equator, north - south))))
         views = _work_views(spec, "analysis", _Analysis)
-        got = _legendre_quadrature(np.stack((north + south, north - south)), views)
+        got = _legendre_quadrature(pair, views)
         assert got.shape == (spec.L + 1, spec.L + 1)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # the slots j < m are exactly zero
